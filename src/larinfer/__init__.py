@@ -20,6 +20,7 @@ from .exceptions import (
     InvalidTail,
     LarInferError,
     NoPositiveCandidate,
+    NonFiniteValue,
     NonPositiveScale,
     NotPositiveDefinite,
     NotPrototypical,

@@ -97,10 +97,14 @@ def ols_on_active(data: StandardizedData, order: list[int], y: Vector) -> Vector
 
     Returns a full p-vector supported on ``order``.
     """
+    return _ols_from_correlations(data, order, data.X.T @ np.asarray(y, dtype=np.float64))
+
+
+def _ols_from_correlations(data: StandardizedData, order: list[int], xty: Vector) -> Vector:
+    """``ols_on_active`` in p-space, from X'y and the normal equations G_AA."""
     b = np.zeros(data.p)
     if order:
-        Xa = data.X[:, order]
-        b[order] = solve_spd(Xa.T @ Xa, Xa.T @ np.asarray(y, dtype=np.float64))
+        b[order] = solve_spd(data.gram[np.ix_(order, order)], xty[order])
     return b
 
 
@@ -113,7 +117,11 @@ class TerminalCoefficients:
 def terminal_coefficients(
     data: StandardizedData, path: LarPath, m_bar: int
 ) -> TerminalCoefficients:
-    b_bar = ols_on_active(data, path.entrants[:m_bar], data.y)
+    """Least-squares refit of the path's response on its first m_bar entrants."""
+    b_bar = (
+        _ols_from_correlations(data, path.entrants[:m_bar], path.start_correlations)
+        if m_bar else np.zeros(data.p)
+    )
     raw = b_bar * data.response_scale / data.column_scales
     return TerminalCoefficients(b_bar, raw)
 
@@ -126,6 +134,7 @@ class IntervalSet:
     m_bar: int
     alpha: float
     draws: int
+    terminal: TerminalCoefficients  # least-squares refit on the first m_bar entrants
 
 
 class BootstrapEngine:
@@ -158,9 +167,10 @@ class BootstrapEngine:
             self.centers[:m_bar] = path.correlations[:m_bar]
         self.sigma = sigma_hat(data, data.y * data.response_scale, self.basis)
         # sample-side coefficient rows with the terminal step re-fit
+        self.terminal = terminal_coefficients(data, path, m_bar)
         self.sample_coefs = path.coefficients[:m_bar].copy() if m_bar else np.zeros((0, p))
         if m_bar:
-            self.sample_coefs[m_bar - 1] = terminal_coefficients(data, path, m_bar).b_bar
+            self.sample_coefs[m_bar - 1] = self.terminal.b_bar
         self.cells = [
             (k, j) for k in range(1, m_bar + 1) for j in path.entrants[:k]
         ]
@@ -181,7 +191,7 @@ class BootstrapEngine:
         """(studentized T*, studentized B* per cell, entry step per variable)."""
         n, p = self.data.n, self.data.p
         rng = replica_rng(seed, index)
-        path_star, sigma_star, y_star = self.draw_path(rng)
+        path_star, sigma_star, _ = self.draw_path(rng)
         steps = len(path_star.steps)
         corr = np.zeros(p)
         corr[:steps] = path_star.correlations
@@ -202,8 +212,9 @@ class BootstrapEngine:
             avail = min(self.m_bar, steps)
             coef_rows[:avail] = path_star.coefficients[:avail]
             if steps >= self.m_bar:
-                coef_rows[self.m_bar - 1] = ols_on_active(
-                    self.data, path_star.entrants[: self.m_bar], y_star
+                coef_rows[self.m_bar - 1] = _ols_from_correlations(
+                    self.data, path_star.entrants[: self.m_bar],
+                    path_star.start_correlations,
                 )
             for i, (k, j) in enumerate(self.cells):
                 b_star[i] = (
@@ -289,7 +300,9 @@ def bootstrap_intervals(
         coef[(k, j)] = (center - b_hi * scale, center - b_lo * scale)
 
     membership = membership_curves(entries, p)
-    return IntervalSet(corr, coef, membership, m_bar, cfg.alpha, cfg.draws)
+    return IntervalSet(
+        corr, coef, membership, m_bar, cfg.alpha, cfg.draws, engine.terminal
+    )
 
 
 def correlation_intervals(

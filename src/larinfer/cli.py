@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as reports
-from .bootstrap import BootstrapConfig, bootstrap_intervals, terminal_coefficients
+from .bootstrap import BootstrapConfig, bootstrap_intervals
 from .exceptions import CsvParseError, LarInferError, RejectionBudgetExceeded
 from .inference import build_inference_report, full_column_basis
 from .io import InferredPathReport
@@ -66,9 +66,8 @@ def cmd_infer(args) -> int:
         parallel=args.threads != 1, threads=args.threads,
     )
     intervals = bootstrap_intervals(data, path, inference.m_bar, cfg, basis=basis)
-    terminal = terminal_coefficients(data, path, inference.m_bar)
     report = InferredPathReport(
-        names, args.response, data, path, inference, intervals, terminal, cfg
+        names, args.response, data, path, inference, intervals, cfg
     )
     doc = report.to_dict()
     with _out_stream(args.out) as out:

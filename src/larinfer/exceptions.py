@@ -27,6 +27,10 @@ class ZeroColumn(LarInferError):
     """A design column has (near-)zero norm after optional centering."""
 
 
+class NonFiniteValue(LarInferError):
+    """The design or response holds a NaN or infinite entry."""
+
+
 class DegenerateResponse(LarInferError):
     """The response is constant after centering."""
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .bootstrap import BootstrapConfig, IntervalSet, TerminalCoefficients
+from .bootstrap import BootstrapConfig, IntervalSet
 from .exceptions import CsvParseError
 from .inference import InferenceReport
 from .path import LarPath, StandardizedData
@@ -29,10 +30,11 @@ Matrix = NDArray[np.float64]
 def read_csv(path: str | Path) -> tuple[list[str], Matrix]:
     """Read a numeric CSV with a required header row.
 
-    Comma-separated, UTF-8, '.' decimal.  Raises CsvParseError with 1-based
-    row/column coordinates on any malformed cell or ragged row.
+    Comma-separated, UTF-8 with an optional byte-order mark, '.' decimal.
+    Raises CsvParseError with 1-based row/column coordinates on any
+    malformed or non-finite cell or ragged row.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -51,9 +53,12 @@ def read_csv(path: str | Path) -> tuple[list[str], Matrix]:
             parsed = []
             for c, cell in enumerate(raw, start=1):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise CsvParseError(f"malformed numeric cell {cell!r}", r, c) from None
+                if not math.isfinite(value):
+                    raise CsvParseError(f"non-finite numeric cell {cell!r}", r, c)
+                parsed.append(value)
             rows.append(parsed)
     if not rows:
         raise CsvParseError("no data rows", 2, 1)
@@ -135,7 +140,6 @@ class InferredPathReport:
     path: LarPath
     inference: InferenceReport
     intervals: IntervalSet
-    terminal: TerminalCoefficients
     cfg: BootstrapConfig
 
     def to_dict(self) -> dict:
@@ -157,10 +161,10 @@ class InferredPathReport:
         terminal_rows = [
             {
                 "variable": names[j],
-                "estimate": _float(self.terminal.b_bar[j]),
+                "estimate": _float(iv.terminal.b_bar[j]),
                 "interval_lo": _float(iv.coefficient_intervals[(m_bar, j)][0]),
                 "interval_hi": _float(iv.coefficient_intervals[(m_bar, j)][1]),
-                "raw_estimate": _float(self.terminal.raw_scale[j]),
+                "raw_estimate": _float(iv.terminal.raw_scale[j]),
             }
             for j in path.entrants[:m_bar]
         ]
@@ -169,7 +173,7 @@ class InferredPathReport:
                 "step": k,
                 "variable": names[j],
                 "estimate": _float(
-                    self.terminal.b_bar[j] if k == m_bar else path.coefficients[k - 1, j]
+                    iv.terminal.b_bar[j] if k == m_bar else path.coefficients[k - 1, j]
                 ),
                 "interval_lo": _float(lo),
                 "interval_hi": _float(hi),

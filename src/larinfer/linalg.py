@@ -1,10 +1,11 @@
 """Dense linear-algebra kernels for p < n problems.
 
-Symmetric positive-definite solves, orthogonal projections onto a growing
-active column space, and sequential innovation vectors.  The projection basis
-is maintained incrementally (classical Gram-Schmidt with one
-reorthogonalization pass) because the path engine adds one column per step.
-All arithmetic is 64-bit floating point.
+Symmetric positive-definite solves, the Gram matrix of the design with its
+triangular factor, orthogonal projections onto a growing column space, and
+sequential innovation vectors.  Innovations use classical Gram-Schmidt with
+one reorthogonalization pass.  The path engine applies it in p-space, to the
+columns of the factor R with R'R = X'X; the n-space ``ProjectionBasis`` serves
+the full-column residuals.  All arithmetic is 64-bit floating point.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ Matrix = NDArray[np.float64]
 
 # Relative rank tolerance for pivots and innovation norms.
 RANK_TOL = 1e-10
+# Smallest accepted pivot |R_jj| of the factor of X'X, relative to the largest
+# column norm.  Forming X'X resolves R_jj only to about sqrt(eps) ~ 1.5e-8, so
+# an exactly collinear column can leave a pivot of that size; the tolerance
+# sits well above it.
+GRAM_RANK_TOL = 1e-6
 
 
 def cholesky_spd(gram: Matrix) -> Matrix:
@@ -61,6 +67,29 @@ def solve_spd(gram: Matrix, rhs: Vector) -> Vector:
     return w
 
 
+def gram_factor(X: Matrix) -> tuple[Matrix, Matrix]:
+    """Gram matrix G = X'X and its upper-triangular factor R with R'R = G.
+
+    Raises RankDeficient when the Cholesky factorization fails or a pivot
+    |R_jj| falls at or below GRAM_RANK_TOL times the largest column norm.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    G = X.T @ X
+    try:
+        R = np.ascontiguousarray(np.linalg.cholesky(G).T)
+    except np.linalg.LinAlgError:
+        raise RankDeficient("design is rank deficient: X'X is not positive definite") from None
+    pivots = np.abs(np.diag(R))
+    limit = GRAM_RANK_TOL * np.sqrt(np.max(np.diag(G)))
+    if np.any(pivots <= limit):
+        j = int(np.argmin(pivots))
+        raise RankDeficient(
+            f"design is rank deficient: column {j} has pivot {pivots[j]:.3e} "
+            f"<= {limit:.1e} in the factor of X'X"
+        )
+    return G, R
+
+
 @dataclass(frozen=True)
 class ProjectionBasis:
     """Orthonormal columns spanning the current active space.
@@ -92,24 +121,35 @@ def project(basis: ProjectionBasis, v: Vector) -> Vector:
     return Q @ (Q.T @ x)
 
 
+def innovation(Q: Matrix, x: Vector) -> tuple[Vector, Vector, float]:
+    """Coordinates Q'x, the component e of x orthogonal to span(Q), and |e|.
+
+    ``Q`` has orthonormal columns.  One reorthogonalization pass (classical
+    Gram-Schmidt applied twice) keeps e orthogonal to the span.  Raises
+    RankDeficient when |e| falls below RANK_TOL relative to max(1, |x|).
+    """
+    head = Q.T @ x
+    e = x - Q @ head
+    e = e - Q @ (Q.T @ e)
+    norm = float(np.linalg.norm(e))
+    if norm <= RANK_TOL * max(1.0, float(np.linalg.norm(x))):
+        raise RankDeficient(f"innovation norm {norm:.3e} below rank tolerance")
+    return head, e, norm
+
+
 def append_innovation(
     basis: ProjectionBasis, x_new: Vector, index: int = -1
 ) -> tuple[ProjectionBasis, Vector]:
     """Extend the basis with a new column and return its innovation.
 
     The innovation is the component of ``x_new`` orthogonal to the current
-    span, before normalization.  One reorthogonalization pass (classical
-    Gram-Schmidt applied twice) keeps the basis orthonormal.
+    span, before normalization.
     """
     Q = basis.vectors
     x = np.asarray(x_new, dtype=np.float64)
     if x.shape[0] != Q.shape[0]:
         raise DimensionMismatch(f"vector length {x.shape[0]} != basis rows {Q.shape[0]}")
-    e = x - Q @ (Q.T @ x)
-    e = e - Q @ (Q.T @ e)
-    norm = float(np.linalg.norm(e))
-    if norm <= RANK_TOL * max(1.0, float(np.linalg.norm(x))):
-        raise RankDeficient(f"innovation norm {norm:.3e} below rank tolerance")
+    _, e, norm = innovation(Q, x)
     extended = ProjectionBasis(
         np.column_stack([Q, e / norm]), basis.indices + (int(index),)
     )

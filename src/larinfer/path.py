@@ -2,16 +2,17 @@
 
 One implementation of the path algorithm parameterized by the response
 vector: feeding the observed response gives the sample path, feeding a
-noiseless mean vector gives the population path.  Alternative formulas for
-the step length, the equiangular quantities, the step correlations, and the
-entrance criteria are kept as separate routines so they can be checked
-against each other.
+noiseless mean vector gives the population path.  The path depends on the
+data only through X'X and X'response, so the engine runs in p-space on the
+triangular factor of X'X.  Alternative formulas for the step length, the
+equiangular quantities, the step correlations, and the entrance criteria are
+kept as separate routines so they can be checked against each other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -20,11 +21,19 @@ from .exceptions import (
     DegenerateResponse,
     DimensionMismatch,
     NoPositiveCandidate,
+    NonFiniteValue,
     NonPositiveScale,
     NotPrototypical,
     ZeroColumn,
 )
-from .linalg import ProjectionBasis, append_innovation, project, solve_spd
+from .linalg import (
+    ProjectionBasis,
+    append_innovation,
+    gram_factor,
+    innovation,
+    project,
+    solve_spd,
+)
 
 Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
@@ -42,7 +51,9 @@ class StandardizedData:
     ``X`` has unit-norm columns, ``y`` is the (optionally centered) raw
     response divided by sqrt(n).  ``column_scales`` holds the original column
     norms and ``response_scale`` equals sqrt(n), so raw-unit coefficients are
-    ``b * response_scale / column_scales``.
+    ``b * response_scale / column_scales``.  The Gram matrix X'X and its
+    triangular factor are built on first use and shared by every
+    ``with_response`` copy.
     """
 
     X: Matrix
@@ -50,6 +61,7 @@ class StandardizedData:
     column_scales: Vector
     response_scale: float
     centered: bool
+    _design_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -58,6 +70,22 @@ class StandardizedData:
     @property
     def p(self) -> int:
         return self.X.shape[1]
+
+    @property
+    def gram(self) -> Matrix:
+        """X'X; raises RankDeficient for a rank-deficient design."""
+        return self._gram_and_factor()[0]
+
+    @property
+    def gram_factor(self) -> Matrix:
+        """Upper-triangular R with R'R = X'X; raises RankDeficient likewise."""
+        return self._gram_and_factor()[1]
+
+    def _gram_and_factor(self) -> tuple[Matrix, Matrix]:
+        cached = self._design_cache.get("gram")
+        if cached is None:
+            cached = self._design_cache["gram"] = gram_factor(self.X)
+        return cached
 
     def with_response(self, y_raw: Vector) -> "StandardizedData":
         """Same design, new raw-scale response (centered if the data was)."""
@@ -68,7 +96,7 @@ class StandardizedData:
             y = y - y.mean()
         return StandardizedData(
             self.X, y / self.response_scale, self.column_scales,
-            self.response_scale, self.centered,
+            self.response_scale, self.centered, self._design_cache,
         )
 
 
@@ -83,6 +111,8 @@ def standardize(X_raw: Matrix, y_raw: Vector, center: bool = True) -> Standardiz
         raise DimensionMismatch(f"need n > p >= 1, got n={n}, p={p}")
     if y.shape != (n,):
         raise DimensionMismatch(f"response shape {y.shape} != ({n},)")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise NonFiniteValue("design or response holds a NaN or infinite entry")
     if center:
         X = X - X.mean(axis=0)
         y = y - y.mean()
@@ -138,6 +168,11 @@ class LarPath:
     @property
     def entrants(self) -> list[int]:
         return [s.entrant for s in self.steps]
+
+    @property
+    def start_correlations(self) -> Vector:
+        """X'response, the correlations before the first step."""
+        return self.steps[0].correlations_all
 
     @property
     def signs(self) -> Vector:
@@ -299,6 +334,13 @@ def lar_path(
     Sample responses should use 0, population responses about 1e-10.  Ties
     among entrant candidates are recorded on the step and broken by lowest
     column index.
+
+    Only the starting correlations X'response are computed in n-space.  The
+    loop is fed the columns of the factor R of X'X (``data.gram_factor``),
+    which have the inner products of the columns of X, so the orthonormal
+    basis, the equiangular direction and w_k = X'a_k are all p-space
+    quantities, and the correlations are updated as c <- c - gamma * w.  A
+    rank-deficient design raises RankDeficient when the factor is built.
     """
     X = data.X
     n, p = X.shape
@@ -308,22 +350,22 @@ def lar_path(
     if zero_tol < 0.0:
         raise ValueError("zero_tol must be nonnegative")
 
-    fit = np.zeros(n)
-    basis = ProjectionBasis.empty(n)
-    chol_r = np.zeros((0, 0))  # triangular factor with X_active = Q @ chol_r
-    direction = np.zeros(n)  # a_{k-1} / A_{k-1}
+    R = data.gram_factor
+    c = X.T @ resp
+    basis = np.zeros((p, p))  # orthonormal columns in entry order
+    chol_r = np.zeros((p, p))  # R[:, order] = basis[:, :k] @ chol_r[:k, :k]
+    direction = np.zeros(p)  # a_{k-1} / A_{k-1}, in the coordinates of R
     inv_a2 = 0.0
     active_mask = np.zeros(p, dtype=bool)
     order: list[int] = []
     b = np.zeros(p)
     steps: list[LarStep] = []
-    coef_rows: list[Vector] = []
+    coefficients = np.zeros((p, p))
     entrant: int | None = None
     tie = False
     c_first: float | None = None
 
     while not active_mask.all():
-        c = X.T @ (resp - fit)
         C = float(np.max(np.abs(c)))
         threshold = zero_tol if c_first is None else zero_tol * c_first
         if C <= threshold:
@@ -337,21 +379,20 @@ def lar_path(
             c_first = C
         j = entrant
         s = 1.0 if c[j] >= 0.0 else -1.0
-        xj = X[:, j]
-        head = basis.vectors.T @ xj  # column of the triangular factor
-        basis, innovation = append_innovation(basis, xj, j)
-        direction, inv_a2 = _advance_direction(direction, inv_a2, xj, innovation, s)
+        k = len(order)
+        xj = R[:, j]
+        head, e, norm = innovation(basis[:, :k], xj)
+        basis[:, k] = e / norm
+        chol_r[:k, k] = head
+        chol_r[k, k] = norm
+        direction, inv_a2 = _advance_direction(direction, inv_a2, xj, e, s)
         A = 1.0 / math.sqrt(inv_a2)
         a = direction * A
         active_mask[j] = True
         order.append(j)
-        k = len(order)
-        new_col = np.zeros((k, 1))
-        new_col[:-1, 0] = head
-        new_col[-1, 0] = float(np.linalg.norm(innovation))
-        chol_r = np.block([[chol_r, new_col[:-1]], [np.zeros((1, k - 1)), new_col[-1:]]])
+        k += 1
 
-        w = X.T @ a
+        w = R.T @ a
         state = StepState(c, C, A, w, active_mask.copy())
         if active_mask.all():
             gamma = C / A
@@ -368,21 +409,20 @@ def lar_path(
             tie_next = near.size > 1
 
         # coefficient update on the active set via the triangular factor
-        delta = np.linalg.solve(chol_r, basis.vectors.T @ a) if k > 1 else (
-            (basis.vectors.T @ a) / chol_r[0, 0]
+        head_a = basis[:, :k].T @ a
+        delta = np.linalg.solve(chol_r[:k, :k], head_a) if k > 1 else (
+            head_a / chol_r[0, 0]
         )
-        b = b.copy()
         b[order] += gamma * delta
-        fit = fit + gamma * a
+        coefficients[k - 1] = b
 
         steps.append(
             LarStep(j, s, C, A, gamma, c, w, inv_a2, tie)
         )
-        coef_rows.append(b)
+        c = c - gamma * w
         tie = tie_next
 
-    coefficients = np.array(coef_rows) if coef_rows else np.zeros((0, p))
-    return LarPath(tuple(steps), coefficients, kind, len(steps))
+    return LarPath(tuple(steps), coefficients[: len(steps)], kind, len(steps))
 
 
 def sample_path(data: StandardizedData) -> LarPath:

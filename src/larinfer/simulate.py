@@ -143,37 +143,36 @@ def run_coverage(
         _, S = tail_sums(path, sigma, n)
         m_bar = estimate_m(S, thresholds)
         m_hits += m_bar == m
-        if m_bar == 0:
-            continue
-        evaluated += 1
-        boot_seed = int(np.random.SeedSequence([spec.seed, 2, i]).generate_state(1)[0])
-        cfg = BootstrapConfig(
-            draws=spec.boot_draws, alpha=spec.alpha, seed=boot_seed,
-            parallel=spec.threads > 1, threads=spec.threads,
-        )
-        iv = bootstrap_intervals(d, path, m_bar, cfg, basis=basis, naive=naive)
-        corr = iv.correlation_intervals
-        hits = [
-            corr[k - 1, 0] <= target_C[k - 1] <= corr[k - 1, 1]
-            for k in range(1, m_bar + 1)
-        ]
-        corr_cov.append(float(np.mean(hits)))
-        cells = list(iv.coefficient_intervals.items())
-        coef_hits = [
-            lo <= target_b[k - 1, j] <= hi for (k, j), (lo, hi) in cells
-        ]
-        coef_cov.append(float(np.mean(coef_hits)))
-        term_hits = [
-            lo <= target_b[m - 1, j] <= hi
-            for (k, j), (lo, hi) in cells
-            if k == m_bar
-        ]
-        term_cov.append(float(np.mean(term_hits)))
-        if m < p:
-            zero_hits = [
-                corr[k - 1, 0] <= 0.0 <= corr[k - 1, 1] for k in range(m + 1, p + 1)
+        if m_bar > 0:
+            evaluated += 1
+            boot_seed = int(np.random.SeedSequence([spec.seed, 2, i]).generate_state(1)[0])
+            cfg = BootstrapConfig(
+                draws=spec.boot_draws, alpha=spec.alpha, seed=boot_seed,
+                parallel=spec.threads > 1, threads=spec.threads,
+            )
+            iv = bootstrap_intervals(d, path, m_bar, cfg, basis=basis, naive=naive)
+            corr = iv.correlation_intervals
+            hits = [
+                corr[k - 1, 0] <= target_C[k - 1] <= corr[k - 1, 1]
+                for k in range(1, m_bar + 1)
             ]
-            zero_cov.append(float(np.mean(zero_hits)))
+            corr_cov.append(float(np.mean(hits)))
+            cells = list(iv.coefficient_intervals.items())
+            coef_hits = [
+                lo <= target_b[k - 1, j] <= hi for (k, j), (lo, hi) in cells
+            ]
+            coef_cov.append(float(np.mean(coef_hits)))
+            term_hits = [
+                lo <= target_b[m - 1, j] <= hi
+                for (k, j), (lo, hi) in cells
+                if k == m_bar
+            ]
+            term_cov.append(float(np.mean(term_hits)))
+            if m < p:
+                zero_hits = [
+                    corr[k - 1, 0] <= 0.0 <= corr[k - 1, 1] for k in range(m + 1, p + 1)
+                ]
+                zero_cov.append(float(np.mean(zero_hits)))
         if progress is not None:
             progress(i + 1, spec.reps)
 

@@ -1,8 +1,21 @@
-"""Shared generators for randomized tests."""
+"""Shared generators for randomized tests, and the n-space reference engine."""
+
+import math
 
 import numpy as np
 
-from larinfer.path import StandardizedData, standardize
+from larinfer.exceptions import NoPositiveCandidate
+from larinfer.linalg import ProjectionBasis, append_innovation
+from larinfer.path import (
+    TIE_TOL,
+    LarPath,
+    LarStep,
+    StandardizedData,
+    StepState,
+    _advance_direction,
+    gamma_crossings,
+    standardize,
+)
 
 
 def random_instance(
@@ -40,3 +53,90 @@ def population_instance(
     )
     data = standardize(X, X @ beta, center=True)
     return data, data.y
+
+
+def reference_lar_path_nspace(
+    data: StandardizedData,
+    response: np.ndarray,
+    zero_tol: float = 0.0,
+    kind: str = "sample",
+) -> LarPath:
+    """Test-only reference: the path engine as it ran in n-space.
+
+    Recomputes the correlations from the n-length residual at every step and
+    grows an n x k basis, as the library engine did before it moved to the
+    p x p factor of X'X.  The differential tests compare the two.
+    """
+    X = data.X
+    n, p = X.shape
+    resp = np.asarray(response, dtype=np.float64)
+    fit = np.zeros(n)
+    basis = ProjectionBasis.empty(n)
+    chol_r = np.zeros((0, 0))  # triangular factor with X_active = Q @ chol_r
+    direction = np.zeros(n)  # a_{k-1} / A_{k-1}
+    inv_a2 = 0.0
+    active_mask = np.zeros(p, dtype=bool)
+    order: list[int] = []
+    b = np.zeros(p)
+    steps: list[LarStep] = []
+    coef_rows: list[np.ndarray] = []
+    entrant: int | None = None
+    tie = False
+    c_first: float | None = None
+
+    while not active_mask.all():
+        c = X.T @ (resp - fit)
+        C = float(np.max(np.abs(c)))
+        threshold = zero_tol if c_first is None else zero_tol * c_first
+        if C <= threshold:
+            break
+        if entrant is None:
+            gap = C - np.abs(c)
+            candidates = np.flatnonzero(gap <= TIE_TOL * (1.0 + C))
+            entrant = int(candidates[0])
+            tie = candidates.size > 1
+        if c_first is None:
+            c_first = C
+        j = entrant
+        s = 1.0 if c[j] >= 0.0 else -1.0
+        xj = X[:, j]
+        head = basis.vectors.T @ xj  # column of the triangular factor
+        basis, innovation = append_innovation(basis, xj, j)
+        direction, inv_a2 = _advance_direction(direction, inv_a2, xj, innovation, s)
+        A = 1.0 / math.sqrt(inv_a2)
+        a = direction * A
+        active_mask[j] = True
+        order.append(j)
+        k = len(order)
+        new_col = np.zeros((k, 1))
+        new_col[:-1, 0] = head
+        new_col[-1, 0] = float(np.linalg.norm(innovation))
+        chol_r = np.block([[chol_r, new_col[:-1]], [np.zeros((1, k - 1)), new_col[-1:]]])
+
+        w = X.T @ a
+        state = StepState(c, C, A, w, active_mask.copy())
+        if active_mask.all():
+            gamma = C / A
+            entrant = None
+            tie_next = False
+        else:
+            gamma, per, _ = gamma_crossings(state)
+            if gamma < 0.0:
+                raise NoPositiveCandidate(f"step length {gamma:.3e} is negative")
+            near = np.flatnonzero(per - gamma <= TIE_TOL * (1.0 + gamma))
+            entrant = int(near[0])
+            tie_next = near.size > 1
+
+        delta = np.linalg.solve(chol_r, basis.vectors.T @ a) if k > 1 else (
+            (basis.vectors.T @ a) / chol_r[0, 0]
+        )
+        b = b.copy()
+        b[order] += gamma * delta
+        fit = fit + gamma * a
+
+        steps.append(LarStep(j, s, C, A, gamma, c, w, inv_a2, tie))
+        coef_rows.append(b)
+        tie = tie_next
+
+    coefficients = np.array(coef_rows) if coef_rows else np.zeros((0, p))
+    return LarPath(tuple(steps), coefficients, kind, len(steps))

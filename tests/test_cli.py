@@ -17,6 +17,16 @@ def _write_csv(path, rows):
     return str(path)
 
 
+def _duplicate_pair_csv(tmp_path, rows, factor):
+    """CSV with features a and b = factor * a, and a random response y."""
+    rng = np.random.default_rng(0)
+    table = [["a", "b", "y"]]
+    for _ in range(rows):
+        v = float(rng.standard_normal())
+        table.append([v, factor * v, float(rng.standard_normal())])
+    return _write_csv(tmp_path / "dup.csv", table)
+
+
 class TestReadCsv:
     def test_round_trips_fixture(self):
         names, table = read_csv(DIABETES)
@@ -105,12 +115,67 @@ class TestFit:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("zero_tol", ["1e-10", "0.5"])
+    def test_duplicate_column_exit_code_with_zero_tol(self, tmp_path, capsys, zero_tol):
+        dup = _duplicate_pair_csv(tmp_path, rows=12, factor=2.0)
+        code = main(["fit", dup, "--response", "y", "--zero-tol", zero_tol])
+        assert code == 3
+        assert "rank deficient" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_exit_code(self, tmp_path, capsys, cell):
+        bad = tmp_path / "nonfinite.csv"
+        bad.write_text(f"a,b,y\n1,2,3\n{cell},1,2\n3,4,5\n2,2,1\n")
+        code = main(["fit", str(bad), "--response", "y"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "row 3" in err and "column 1" in err
+
+    def test_byte_order_mark_first_column_as_response(self, tmp_path):
+        rng = np.random.default_rng(1)
+        body = "".join(
+            f"{rng.standard_normal():.6f},{rng.standard_normal():.6f},"
+            f"{rng.standard_normal():.6f}\n"
+            for _ in range(20)
+        )
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + f"a,b,c\n{body}".encode())
+        out = tmp_path / "bom.json"
+        assert main(["fit", str(bom), "--response", "a", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["response"] == "a"
+        assert doc["variables"] == ["b", "c"]
+
     def test_missing_response_exit_code(self, tmp_path, capsys):
         code = main(["fit", DIABETES, "--response", "nope"])
         assert code == 2
 
 
 class TestInfer:
+    def test_duplicate_pair_exit_code(self, tmp_path, capsys):
+        dup = _duplicate_pair_csv(tmp_path, rows=30, factor=1.0)
+        code = main(["infer", dup, "--response", "y", "--draws", "40"])
+        assert code == 3
+        assert "rank deficient" in capsys.readouterr().err
+
+    def test_terminal_fit_solved_once(self, tmp_path, monkeypatch):
+        import larinfer.bootstrap as bootstrap
+
+        calls = []
+        solve = bootstrap.solve_spd
+
+        def counting(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(bootstrap, "solve_spd", counting)
+        out = tmp_path / "infer.json"
+        code = main(["infer", DIABETES, "--response", "progression",
+                     "--draws", "40", "--seed", "3", "--out", str(out)])
+        assert code == 0
+        # one refit per replica plus one for the sample path
+        assert len(calls) == 40 + 1
+
     def test_diabetes_report(self, tmp_path):
         out = tmp_path / "infer.json"
         code = main(["infer", DIABETES, "--response", "progression",

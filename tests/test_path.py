@@ -7,6 +7,7 @@ from helpers import orthonormal_design, population_instance, random_instance
 from larinfer.exceptions import (
     DegenerateResponse,
     DimensionMismatch,
+    NonFiniteValue,
     NonPositiveScale,
     NotPrototypical,
     ZeroColumn,
@@ -71,6 +72,18 @@ class TestStandardize:
         rng = np.random.default_rng(2)
         with pytest.raises(DimensionMismatch):
             standardize(rng.standard_normal((4, 4)), rng.standard_normal(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["design", "response"])
+    def test_rejects_non_finite_input(self, bad, where):
+        rng = np.random.default_rng(2)
+        X, y = rng.standard_normal((10, 3)), rng.standard_normal(10)
+        if where == "design":
+            X[4, 1] = bad
+        else:
+            y[7] = bad
+        with pytest.raises(NonFiniteValue):
+            standardize(X, y)
 
 
 class TestLarPath:

@@ -77,6 +77,16 @@ class TestRunCoverage:
                 assert 0.0 <= value <= 1.0
 
 
+    def test_progress_reports_every_replication(self):
+        # a weak signal, so that some replications estimate m_bar = 0
+        spec = ScenarioSpec(n=60, p=4, m=1, delta0=1e-3, beta_range=1.0,
+                            reps=8, boot_draws=40, seed=3)
+        calls = []
+        result = run_coverage(spec, progress=lambda done, total: calls.append((done, total)))
+        assert 0 < result.reps_evaluated < spec.reps
+        assert calls == [(i, spec.reps) for i in range(1, spec.reps + 1)]
+
+
 class TestTieDemo:
     def test_population_tie_and_bimodal_resolution(self):
         rng = np.random.default_rng(7)
