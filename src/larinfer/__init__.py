@@ -8,8 +8,6 @@ from .bootstrap import (
     bootstrap_errors,
     bootstrap_intervals,
     bootstrap_path_draw,
-    coefficient_intervals,
-    correlation_intervals,
     membership_curves,
     terminal_coefficients,
 )
@@ -41,6 +39,7 @@ from .inference import (
 )
 from .linalg import ProjectionBasis, append_innovation, project, solve_spd
 from .path import (
+    LarBatch,
     LarPath,
     LarStep,
     MarginReport,
@@ -51,12 +50,12 @@ from .path import (
     equiangular_recursive,
     gamma_min_plus,
     gamma_crossings,
+    lar_batch,
     lar_path,
     margins,
     population_correlation_closed_form,
     population_path,
     replay_states,
-    sample_path,
     standardize,
 )
 from .simulate import (

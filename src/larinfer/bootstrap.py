@@ -5,33 +5,50 @@ response onto the estimated active set (not the full least-squares fit), so
 steps beyond the estimated termination point mimic zero population
 correlations.  Intervals invert empirical quantiles of studentized replica
 statistics.
+
+The design is the same in every replica, so a replica response
+y* = mu + e* reaches the path only through X'y* = X'mu + X'e*.  Each replica
+keeps X'e* and |e*|^2 and no n-length vector: its residual scale follows
+from the triangular factor R of X'X, and the replicas run in lockstep through
+one call of the batch path engine ``lar_batch`` per chunk, with one batched
+least-squares refit.  Each replica draws from its own substream, so the
+draws do not depend on the chunking.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .inference import full_column_basis, sigma_hat
-from .linalg import ProjectionBasis, append_innovation, project, solve_spd
-from .path import LarPath, StandardizedData, lar_path
+from .inference import full_fit, full_residual, sigma_hat
+from .linalg import ProjectionBasis, solve_spd
+from .path import LarPath, StandardizedData, lar_batch, lar_path
 
 Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
 
+# Replicas are run in chunks of at most CHUNK_BYTES / (8 p^2) rows, which
+# bounds each of the engine's B x p x p work arrays.
+CHUNK_BYTES = 32 * 2**20
+
 
 @dataclass(frozen=True)
 class BootstrapConfig:
+    """Bootstrap draw count, interval level and seed.
+
+    ``parallel`` and ``threads`` are deprecated and ignored: all replicas run
+    in lockstep through one path engine.  They are still accepted so that
+    existing callers and scenario files keep working.
+    """
+
     draws: int = 500
     alpha: float = 0.05
     seed: int = 0
-    parallel: bool = False
-    threads: int = 0  # 0 means use available parallelism when parallel is set
+    parallel: bool = False  # deprecated, ignored
+    threads: int = 0  # deprecated, ignored
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -40,12 +57,6 @@ class BootstrapConfig:
             raise ValueError(
                 f"draws = {self.draws} too small to estimate alpha = {self.alpha} quantiles"
             )
-
-    @property
-    def effective_threads(self) -> int:
-        if not self.parallel:
-            return 1
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
 
 
 def replica_rng(seed: int, index: int) -> np.random.Generator:
@@ -62,10 +73,8 @@ def nearest_rank_quantile(values: Vector, level: float) -> float:
 
 
 def residual_pool(data: StandardizedData, basis: ProjectionBasis | None = None) -> Vector:
-    """Centered, scaled full-fit residuals to resample from."""
-    if basis is None:
-        basis = full_column_basis(data)
-    resid = data.y - project(basis, data.y)
+    """Centered, scaled full-fit residuals (``full_residual``) to resample from."""
+    resid = full_residual(data, data.y, basis)
     adjustment = math.sqrt(data.n / (data.n - data.p))
     return (resid - resid.mean()) / adjustment
 
@@ -77,19 +86,20 @@ def bootstrap_errors(
     basis: ProjectionBasis | None = None,
 ) -> Vector:
     """Draw n errors i.i.d. from the centered/scaled residual multiset of y."""
-    if basis is None:
-        basis = full_column_basis(data)
-    resid = np.asarray(y, dtype=np.float64) - project(basis, y)
-    adjustment = math.sqrt(data.n / (data.n - data.p))
-    pool = (resid - resid.mean()) / adjustment
+    y_raw = np.asarray(y, dtype=np.float64) * data.response_scale
+    pool = residual_pool(data.with_response(y_raw), basis)
     return pool[rng.integers(0, data.n, data.n)]
 
 
-def active_basis(data: StandardizedData, order: list[int]) -> ProjectionBasis:
-    basis = ProjectionBasis.empty(data.n)
-    for j in order:
-        basis, _ = append_innovation(basis, data.X[:, j], j)
-    return basis
+def _residual_scale(data: StandardizedData, xte: Matrix, ee: Vector) -> Vector:
+    """sqrt(n |e - Pe|^2 / (n - p)) per row, from X'e (B x p) and |e|^2.
+
+    |Pe|^2 = |R^-T X'e|^2 with R the factor of X'X; a difference that
+    rounding pushes below zero counts as zero.
+    """
+    z = np.linalg.solve(data.gram_factor.T, xte.T)
+    rss = np.maximum(ee - np.einsum("ij,ij->j", z, z), 0.0)
+    return np.sqrt(data.n * rss / (data.n - data.p))
 
 
 def ols_on_active(data: StandardizedData, order: list[int], y: Vector) -> Vector:
@@ -145,29 +155,29 @@ class BootstrapEngine:
         data: StandardizedData,
         path: LarPath,
         m_bar: int,
-        basis: ProjectionBasis | None = None,
         naive: bool = False,
     ):
         self.data = data
         self.path = path
         self.m_bar = m_bar
-        self.basis = basis if basis is not None else full_column_basis(data)
-        self.pool = residual_pool(data, self.basis)
+        self.pool = residual_pool(data)
         p = data.p
+        # sample-side coefficient rows with the terminal step re-fit
+        self.terminal = terminal_coefficients(data, path, m_bar)
         self.centers = np.zeros(p)
         if naive:
             # full least-squares resampling center; its path correlations
             # equal the sample ones at every step, so the replica statistics
             # are centered at the full correlation sequence.  Demonstrates
             # the failure mode for steps beyond the true termination point.
-            self.mu_center = project(self.basis, data.y)
+            self.b_center = full_fit(data, data.y)
             self.centers[: len(path.steps)] = path.correlations
         else:
-            self.mu_center = project(active_basis(data, path.entrants[:m_bar]), data.y)
+            self.b_center = self.terminal.b_bar
             self.centers[:m_bar] = path.correlations[:m_bar]
-        self.sigma = sigma_hat(data, data.y * data.response_scale, self.basis)
-        # sample-side coefficient rows with the terminal step re-fit
-        self.terminal = terminal_coefficients(data, path, m_bar)
+        # X'mu of the resampling center mu = X b_center
+        self.start = data.gram @ self.b_center
+        self.sigma = sigma_hat(data, data.y * data.response_scale)
         self.sample_coefs = path.coefficients[:m_bar].copy() if m_bar else np.zeros((0, p))
         if m_bar:
             self.sample_coefs[m_bar - 1] = self.terminal.b_bar
@@ -175,69 +185,70 @@ class BootstrapEngine:
             (k, j) for k in range(1, m_bar + 1) for j in path.entrants[:k]
         ]
 
-    def draw_path(
-        self, rng: np.random.Generator
-    ) -> tuple[LarPath, float, Vector]:
-        eps = self.pool[rng.integers(0, self.data.n, self.data.n)]
-        y_star = self.mu_center + eps
-        path_star = lar_path(self.data, y_star, zero_tol=0.0, kind="sample")
-        resid = eps - project(self.basis, eps)
-        sigma_star = math.sqrt(
-            self.data.n * float(resid @ resid) / (self.data.n - self.data.p)
-        )
-        return path_star, sigma_star, y_star
+    def collect(self, cfg: BootstrapConfig) -> tuple[Matrix, Matrix, Matrix]:
+        """(studentized T*, studentized B* per cell, entry step per variable),
+        one row per replica."""
+        chunk = max(1, CHUNK_BYTES // (8 * self.data.p ** 2))
+        parts = [
+            self._replicas(cfg.seed, start, min(start + chunk, cfg.draws))
+            for start in range(0, cfg.draws, chunk)
+        ]
+        t_star, b_star, entries = (np.concatenate(arrays) for arrays in zip(*parts))
+        return t_star, b_star, entries
 
-    def replica(self, seed: int, index: int) -> tuple[Vector, Vector, Vector]:
-        """(studentized T*, studentized B* per cell, entry step per variable)."""
-        n, p = self.data.n, self.data.p
-        rng = replica_rng(seed, index)
-        path_star, sigma_star, _ = self.draw_path(rng)
-        steps = len(path_star.steps)
-        corr = np.zeros(p)
-        corr[:steps] = path_star.correlations
-        signs = np.ones(p)
-        signs[:steps] = path_star.signs
-        increments = np.zeros(p)
-        increments[:steps] = path_star.inv_angle_sq_increments
-        if sigma_star > 0.0:
+    def _replicas(self, seed: int, start: int, stop: int) -> tuple[Matrix, Matrix, Matrix]:
+        """``collect`` for the replicas with indices start..stop-1."""
+        data, m_bar = self.data, self.m_bar
+        n, p = data.n, data.p
+        draws = stop - start
+        xte = np.empty((draws, p))
+        ee = np.empty(draws)
+        for i in range(draws):
+            eps = self.pool[replica_rng(seed, start + i).integers(0, n, n)]
+            xte[i] = data.X.T @ eps
+            ee[i] = eps @ eps
+        sigma_star = _residual_scale(data, xte, ee)
+        start_corr = self.start + xte
+        batch = lar_batch(
+            start_corr, data.gram_factor, zero_tol=0.0, coef_steps=m_bar,
+            row_name=lambda i: f"bootstrap replica {start + i}",
+        )
+        done = np.arange(p) < batch.terminated_at[:, None]
+        ok = sigma_star > 0.0
+        signs = np.where(done, batch.signs, 1.0)
+        increments = np.where(
+            done, np.diff(batch.inv_angle_sq, axis=1, prepend=0.0), 0.0
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
             t_star = (
                 signs * np.sqrt(increments) * math.sqrt(n)
-                * (corr - self.centers) / sigma_star
+                * (batch.correlations - self.centers) / sigma_star[:, None]
             )
-        else:
-            t_star = np.zeros(p)
-        b_star = np.zeros(len(self.cells))
-        if self.m_bar and sigma_star > 0.0:
-            coef_rows = np.zeros((self.m_bar, p))
-            avail = min(self.m_bar, steps)
-            coef_rows[:avail] = path_star.coefficients[:avail]
-            if steps >= self.m_bar:
-                coef_rows[self.m_bar - 1] = _ols_from_correlations(
-                    self.data, path_star.entrants[: self.m_bar],
-                    path_star.start_correlations,
-                )
-            for i, (k, j) in enumerate(self.cells):
-                b_star[i] = (
-                    math.sqrt(n)
-                    * (coef_rows[k - 1, j] - self.sample_coefs[k - 1, j])
-                    / sigma_star
-                )
-        entry = np.full(p, p, dtype=np.float64)
-        for pos, j in enumerate(path_star.entrants, start=1):
-            entry[j] = pos
-        return t_star, b_star, entry
+        t_star[~ok] = 0.0
 
-    def collect(self, cfg: BootstrapConfig) -> tuple[Matrix, Matrix, Matrix]:
-        indices = range(cfg.draws)
-        threads = cfg.effective_threads
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda i: self.replica(cfg.seed, i), indices))
-        else:
-            results = [self.replica(cfg.seed, i) for i in indices]
-        t_star = np.array([r[0] for r in results])
-        b_star = np.array([r[1] for r in results])
-        entries = np.array([r[2] for r in results])
+        b_star = np.zeros((draws, len(self.cells)))
+        if m_bar:
+            coef_rows = batch.coefficients
+            refit = np.flatnonzero(ok & (batch.terminated_at >= m_bar))
+            if refit.size:
+                order = batch.entrants[refit, :m_bar]
+                gram_aa = data.gram[order[:, :, None], order[:, None, :]]
+                rhs = np.take_along_axis(start_corr[refit], order, axis=1)
+                terminal = np.zeros((refit.size, p))
+                np.put_along_axis(terminal, order, solve_spd(gram_aa, rhs), axis=1)
+                coef_rows[refit, m_bar - 1] = terminal
+            ks = np.array([k - 1 for k, _ in self.cells])
+            js = np.array([j for _, j in self.cells])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                b_star = (
+                    math.sqrt(n) * (coef_rows[:, ks, js] - self.sample_coefs[ks, js])
+                    / sigma_star[:, None]
+                )
+            b_star[~ok] = 0.0
+
+        entries = np.full((draws, p), p, dtype=np.float64)
+        rows, steps = np.nonzero(done)
+        entries[rows, batch.entrants[rows, steps]] = steps + 1
         return t_star, b_star, entries
 
 
@@ -249,8 +260,10 @@ def bootstrap_path_draw(
 ) -> tuple[LarPath, float]:
     """One replica path and its residual-scale estimate."""
     engine = BootstrapEngine(data, path, m_bar)
-    path_star, sigma_star, _ = engine.draw_path(rng)
-    return path_star, sigma_star
+    eps = engine.pool[rng.integers(0, data.n, data.n)]
+    path_star = lar_path(data, data.X @ engine.b_center + eps, zero_tol=0.0, kind="sample")
+    sigma_star = _residual_scale(data, (data.X.T @ eps)[None], np.array([eps @ eps]))
+    return path_star, float(sigma_star[0])
 
 
 def bootstrap_intervals(
@@ -258,7 +271,6 @@ def bootstrap_intervals(
     path: LarPath,
     m_bar: int,
     cfg: BootstrapConfig,
-    basis: ProjectionBasis | None = None,
     naive: bool = False,
 ) -> IntervalSet:
     """Confidence intervals for step correlations and step coefficients.
@@ -269,7 +281,7 @@ def bootstrap_intervals(
     re-fit by least squares.  Negative lower endpoints of correlation
     intervals are clamped to zero.
     """
-    engine = BootstrapEngine(data, path, m_bar, basis=basis, naive=naive)
+    engine = BootstrapEngine(data, path, m_bar, naive=naive)
     t_star, b_star, entries = engine.collect(cfg)
     n, p = data.n, data.p
     lo_level, hi_level = cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0
@@ -303,18 +315,6 @@ def bootstrap_intervals(
     return IntervalSet(
         corr, coef, membership, m_bar, cfg.alpha, cfg.draws, engine.terminal
     )
-
-
-def correlation_intervals(
-    data: StandardizedData, path: LarPath, m_bar: int, cfg: BootstrapConfig
-) -> Matrix:
-    return bootstrap_intervals(data, path, m_bar, cfg).correlation_intervals
-
-
-def coefficient_intervals(
-    data: StandardizedData, path: LarPath, m_bar: int, cfg: BootstrapConfig
-) -> dict[tuple[int, int], tuple[float, float]]:
-    return bootstrap_intervals(data, path, m_bar, cfg).coefficient_intervals
 
 
 def membership_curves(entry_steps: Matrix, p: int) -> Matrix:

@@ -20,7 +20,7 @@ import numpy as np
 from . import io as reports
 from .bootstrap import BootstrapConfig, bootstrap_intervals
 from .exceptions import CsvParseError, LarInferError, RejectionBudgetExceeded
-from .inference import build_inference_report, full_column_basis
+from .inference import build_inference_report
 from .io import InferredPathReport
 from .path import lar_path, standardize
 from .simulate import ScenarioSpec, run_coverage, tie_demo
@@ -59,13 +59,9 @@ def cmd_fit(args) -> int:
 def cmd_infer(args) -> int:
     names, data = _load_standardized(args)
     path = lar_path(data, data.y, zero_tol=args.zero_tol, kind="sample")
-    basis = full_column_basis(data)
-    inference = build_inference_report(data, path, basis=basis)
-    cfg = BootstrapConfig(
-        draws=args.draws, alpha=args.alpha, seed=args.seed,
-        parallel=args.threads != 1, threads=args.threads,
-    )
-    intervals = bootstrap_intervals(data, path, inference.m_bar, cfg, basis=basis)
+    inference = build_inference_report(data, path)
+    cfg = BootstrapConfig(draws=args.draws, alpha=args.alpha, seed=args.seed)
+    intervals = bootstrap_intervals(data, path, inference.m_bar, cfg)
     report = InferredPathReport(
         names, args.response, data, path, inference, intervals, cfg
     )
@@ -160,13 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--draws", type=int, default=500)
     infer.add_argument("--seed", type=int, default=0)
     infer.add_argument("--threads", type=int, default=1,
-                       help="bootstrap worker threads (0 = all cores)")
+                       help="deprecated and ignored: replicas run in lockstep")
     infer.set_defaults(func=cmd_infer)
 
     sim = sub.add_parser("simulate", help="run a coverage study")
     sim.add_argument("scenario", help="scenario JSON file")
     sim.add_argument("--out", required=True, help="results CSV (appended)")
-    sim.add_argument("--threads", type=int, default=None)
+    sim.add_argument("--threads", type=int, default=None,
+                     help="deprecated and ignored: replicas run in lockstep")
     sim.set_defaults(func=cmd_simulate)
 
     tie = sub.add_parser("tie-demo", help="mid-path tie demonstration")

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import brentq
-from scipy.special import gammaincc, ndtri
+from scipy.special import chdtri
 
 from .exceptions import InvalidTail
 from .linalg import ProjectionBasis, append_innovation, project
@@ -23,11 +22,38 @@ Vector = NDArray[np.float64]
 
 
 def full_column_basis(data: StandardizedData) -> ProjectionBasis:
-    """Orthonormal basis of the full column space of the design."""
+    """Orthonormal n-space basis of the full column space of the design.
+
+    Kept as a reference for tests and for callers that pass ``basis``; the
+    library itself takes full-fit residuals from ``full_fit``.
+    """
     basis = ProjectionBasis.empty(data.n)
     for j in range(data.p):
         basis, _ = append_innovation(basis, data.X[:, j], j)
     return basis
+
+
+def full_fit(data: StandardizedData, y: Vector) -> Vector:
+    """Least-squares coefficients of y on every column of the design.
+
+    Solved from X'y with the cached triangular factor R of X'X, so the only
+    n-space work is the product X'y.
+    """
+    R = data.gram_factor
+    return np.linalg.solve(R, np.linalg.solve(R.T, data.X.T @ y))
+
+
+def full_residual(
+    data: StandardizedData, y: Vector, basis: ProjectionBasis | None = None
+) -> Vector:
+    """y minus its least-squares fit on every column.
+
+    The fit comes from ``full_fit``, or from the projection onto ``basis``
+    when one is given.
+    """
+    if basis is None:
+        return y - data.X @ full_fit(data, y)
+    return y - project(basis, y)
 
 
 def sigma_hat(
@@ -40,41 +66,23 @@ def sigma_hat(
     ``y_raw`` is the response in original units with the same centering as
     ``data.y`` (i.e. ``data.y * data.response_scale``).  The projection onto
     the column space is invariant to column scaling, so the standardized
-    design is used directly.
+    design is used directly.  The residual is ``full_residual``.
     """
-    y = np.asarray(y_raw, dtype=np.float64)
-    if basis is None:
-        basis = full_column_basis(data)
-    resid = y - project(basis, y)
+    resid = full_residual(data, np.asarray(y_raw, dtype=np.float64), basis)
     return math.sqrt(float(resid @ resid) / (data.n - data.p))
 
 
 def chi2_upper_quantile(df: int, tail: float) -> float:
     """Value q with upper chi-squared tail probability equal to ``tail``.
 
-    Computed by bracketed monotone inversion of the regularized upper
-    incomplete gamma function; the initial bracket comes from the
-    Wilson-Hilferty normal approximation.  Absolute accuracy <= 1e-8.
+    The inverse of the regularized upper incomplete gamma function,
+    ``scipy.special.chdtri``.
     """
     if not 0.0 < tail < 1.0:
         raise InvalidTail(f"tail must be in (0, 1), got {tail}")
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
-
-    def excess(q: float) -> float:
-        return float(gammaincc(df / 2.0, q / 2.0)) - tail
-
-    z = float(ndtri(1.0 - tail))
-    guess = df * max(1e-3, 1.0 - 2.0 / (9.0 * df) + z * math.sqrt(2.0 / (9.0 * df))) ** 3
-    lo = guess
-    while excess(lo) <= 0.0:
-        lo /= 2.0
-        if lo < 1e-300:
-            return 0.0
-    hi = max(guess, lo * 2.0)
-    while excess(hi) >= 0.0:
-        hi *= 2.0
-    return float(brentq(excess, lo, hi, xtol=1e-10, rtol=8.9e-16))
+    return float(chdtri(df, tail))
 
 
 def chi2_thresholds(p: int, n: int) -> Vector:

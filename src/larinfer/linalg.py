@@ -4,8 +4,11 @@ Symmetric positive-definite solves, the Gram matrix of the design with its
 triangular factor, orthogonal projections onto a growing column space, and
 sequential innovation vectors.  Innovations use classical Gram-Schmidt with
 one reorthogonalization pass.  The path engine applies it in p-space, to the
-columns of the factor R with R'R = X'X; the n-space ``ProjectionBasis`` serves
-the full-column residuals.  All arithmetic is 64-bit floating point.
+columns of the factor R with R'R = X'X, for a whole batch of responses at
+once; ``solve_spd`` and ``orthogonal_component`` therefore accept stacked
+operands (leading batch axes).  The n-space ``ProjectionBasis`` is kept for
+the identity checks and as a test reference.  All arithmetic is 64-bit
+floating point.
 """
 
 from __future__ import annotations
@@ -32,39 +35,51 @@ GRAM_RANK_TOL = 1e-6
 def cholesky_spd(gram: Matrix) -> Matrix:
     """Lower-triangular Cholesky factor with an explicit pivot check.
 
-    Raises NotPositiveDefinite when a pivot falls at or below RANK_TOL times
-    the largest diagonal entry, which signals collinear active columns.
+    Accepts one matrix or a stack of them (leading batch axes).  Raises
+    NotPositiveDefinite when a pivot falls at or below RANK_TOL times the
+    largest diagonal entry of its matrix, which signals collinear active
+    columns.
     """
     G = np.asarray(gram, dtype=np.float64)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+    if G.ndim < 2 or G.shape[-1] != G.shape[-2]:
         raise DimensionMismatch(f"expected square matrix, got shape {G.shape}")
-    k = G.shape[0]
-    scale = float(np.max(np.abs(np.diag(G)))) if k else 0.0
-    if scale <= 0.0:
+    k = G.shape[-1]
+    scale = np.max(np.abs(np.diagonal(G, axis1=-2, axis2=-1)), axis=-1) if k else 0.0
+    if np.any(scale <= 0.0):
         raise NotPositiveDefinite("matrix has no positive diagonal entry")
     L = np.zeros_like(G)
     for i in range(k):
-        pivot = G[i, i] - L[i, :i] @ L[i, :i]
-        if pivot <= RANK_TOL * scale:
-            raise NotPositiveDefinite(f"pivot {pivot:.3e} at index {i} below tolerance")
-        L[i, i] = np.sqrt(pivot)
+        pivot = G[..., i, i] - np.sum(L[..., i, :i] * L[..., i, :i], axis=-1)
+        bad = np.ravel(pivot <= RANK_TOL * scale)
+        if bad.any():
+            first = int(bad.argmax())
+            system = "" if G.ndim == 2 else f" of system {first}"
+            raise NotPositiveDefinite(
+                f"pivot {np.ravel(pivot)[first]:.3e} at index {i}{system} below tolerance"
+            )
+        L[..., i, i] = np.sqrt(pivot)
         if i + 1 < k:
-            L[i + 1 :, i] = (G[i + 1 :, i] - L[i + 1 :, :i] @ L[i, :i]) / L[i, i]
+            L[..., i + 1 :, i] = (
+                G[..., i + 1 :, i] - (L[..., i + 1 :, :i] @ L[..., i, :i, None])[..., 0]
+            ) / L[..., i, i, None]
     return L
 
 
 def solve_spd(gram: Matrix, rhs: Vector) -> Vector:
-    """Solve gram @ w = rhs for a symmetric positive-definite gram matrix."""
+    """Solve gram @ w = rhs for a symmetric positive-definite gram matrix.
+
+    ``gram`` may be a stack (..., k, k) with ``rhs`` of shape (..., k); each
+    system is solved on its own.
+    """
     G = np.asarray(gram, dtype=np.float64)
     b = np.asarray(rhs, dtype=np.float64)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+    if G.ndim < 2 or G.shape[-1] != G.shape[-2]:
         raise DimensionMismatch(f"expected square matrix, got shape {G.shape}")
-    if b.shape[0] != G.shape[0]:
-        raise DimensionMismatch(f"rhs length {b.shape[0]} != matrix size {G.shape[0]}")
+    if b.shape != G.shape[:-1]:
+        raise DimensionMismatch(f"rhs shape {b.shape} != matrix rows {G.shape[:-1]}")
     L = cholesky_spd(G)
-    z = np.linalg.solve(L, b) if L.shape[0] > 1 else b / L[0, 0]
-    w = np.linalg.solve(L.T, z) if L.shape[0] > 1 else z / L[0, 0]
-    return w
+    z = np.linalg.solve(L, b[..., None])
+    return np.linalg.solve(np.swapaxes(L, -1, -2), z)[..., 0]
 
 
 def gram_factor(X: Matrix) -> tuple[Matrix, Matrix]:
@@ -121,20 +136,36 @@ def project(basis: ProjectionBasis, v: Vector) -> Vector:
     return Q @ (Q.T @ x)
 
 
-def innovation(Q: Matrix, x: Vector) -> tuple[Vector, Vector, float]:
+def orthogonal_component(Q: Matrix, x: Vector) -> tuple[Vector, Vector, Vector]:
     """Coordinates Q'x, the component e of x orthogonal to span(Q), and |e|.
 
-    ``Q`` has orthonormal columns.  One reorthogonalization pass (classical
-    Gram-Schmidt applied twice) keeps e orthogonal to the span.  Raises
-    RankDeficient when |e| falls below RANK_TOL relative to max(1, |x|).
+    ``Q`` (..., m, k) has orthonormal columns and ``x`` is (..., m); leading
+    axes are a batch.  One reorthogonalization pass (classical Gram-Schmidt
+    applied twice) keeps e orthogonal to the span.  No rank check; see
+    ``rank_failures``.
     """
-    head = Q.T @ x
-    e = x - Q @ head
-    e = e - Q @ (Q.T @ e)
-    norm = float(np.linalg.norm(e))
-    if norm <= RANK_TOL * max(1.0, float(np.linalg.norm(x))):
+    Qt = np.swapaxes(Q, -1, -2)
+    head = (Qt @ x[..., None])[..., 0]
+    e = x - (Q @ head[..., None])[..., 0]
+    e = e - (Q @ (Qt @ e[..., None]))[..., 0]
+    return head, e, np.sqrt((e * e).sum(axis=-1))
+
+
+def rank_failures(norm: Vector, x_norm: Vector) -> NDArray[np.bool_]:
+    """Where the innovation norm |e| is at or below RANK_TOL * max(1, |x|)."""
+    return norm <= RANK_TOL * np.maximum(1.0, x_norm)
+
+
+def innovation(Q: Matrix, x: Vector) -> tuple[Vector, Vector, float]:
+    """``orthogonal_component`` for one vector, with the rank check.
+
+    Raises RankDeficient when |e| falls below RANK_TOL relative to
+    max(1, |x|).
+    """
+    head, e, norm = orthogonal_component(Q, x)
+    if rank_failures(norm, np.linalg.norm(x)):
         raise RankDeficient(f"innovation norm {norm:.3e} below rank tolerance")
-    return head, e, norm
+    return head, e, float(norm)
 
 
 def append_innovation(

@@ -1,18 +1,24 @@
 """Least-angle regression path engine.
 
-One implementation of the path algorithm parameterized by the response
-vector: feeding the observed response gives the sample path, feeding a
-noiseless mean vector gives the population path.  The path depends on the
-data only through X'X and X'response, so the engine runs in p-space on the
-triangular factor of X'X.  Alternative formulas for the step length, the
-equiangular quantities, the step correlations, and the entrance criteria are
-kept as separate routines so they can be checked against each other.
+One implementation of the path algorithm, ``lar_batch``, advances a batch of
+responses on one design in lockstep: every step adds one variable to every
+row, so all live rows sit at the same step, and a row leaves the batch when
+its own stopping rule fires.  The path depends on the data only through X'X
+and X'response, so the engine runs in p-space on the triangular factor of X'X
+and takes the starting correlations X'response as input.  ``lar_path`` is
+the one-response wrapper: the observed response gives the sample path, a
+noiseless mean vector the population path.  The bootstrap and the tie
+demonstration run all their responses through the batch engine.  Alternative
+formulas for the step length, the equiangular quantities, the step
+correlations, and the entrance criteria are kept as separate routines so they
+can be checked against each other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -24,14 +30,16 @@ from .exceptions import (
     NonFiniteValue,
     NonPositiveScale,
     NotPrototypical,
+    RankDeficient,
     ZeroColumn,
 )
 from .linalg import (
     ProjectionBasis,
     append_innovation,
     gram_factor,
-    innovation,
+    orthogonal_component,
     project,
+    rank_failures,
     solve_spd,
 )
 
@@ -227,19 +235,27 @@ def gamma_crossings(state: StepState) -> tuple[float, Vector, Vector]:
     r_{k,j}).  Active entries of the per-index vector are +inf.  When the
     sign is exactly zero the value C_k/A_k is used.
     """
-    c = state.correlations_all
-    C, A = state.correlation, state.angle
-    w = state.equiangular_dots
-    ratio = C / A
+    gamma, per, r = _crossings(
+        state.correlations_all[None], np.array([state.correlation]),
+        np.array([state.angle]), state.equiangular_dots[None],
+        state.active_mask[None],
+    )
+    if not np.any(~state.active_mask):
+        raise NoPositiveCandidate("no non-active index remains")
+    return float(gamma[0]), per[0], r[0]
+
+
+def _crossings(
+    c: Matrix, C: Vector, A: Vector, w: Matrix, active: NDArray[np.bool_]
+) -> tuple[Vector, Matrix, Matrix]:
+    """``gamma_crossings`` for a batch: one row of c, w and active per path."""
+    ratio = (C / A)[:, None]
     d = c - ratio * w
     r = np.where(np.abs(d) <= ZERO_SIGN_TOL, 0.0, np.sign(d))
     with np.errstate(divide="ignore", invalid="ignore"):
-        per = np.where(r == 0.0, ratio, (C - c * r) / (A - w * r))
-    per = np.where(state.active_mask, np.inf, per)
-    if not np.any(~state.active_mask):
-        raise NoPositiveCandidate("no non-active index remains")
-    gamma = float(np.min(per))
-    return gamma, per, r
+        per = np.where(r == 0.0, ratio, (C[:, None] - c * r) / (A[:, None] - w * r))
+    per = np.where(active, np.inf, per)
+    return per.min(axis=1), per, r
 
 
 def gamma_min_plus(state: StepState) -> float:
@@ -312,13 +328,207 @@ def _advance_direction(
     sign: float,
 ) -> tuple[Vector, float]:
     """One step of the a_k/A_k and 1/A_k^2 recursions."""
-    ee = float(innovation @ innovation)
-    u = (1.0 - sign * float(x_new @ direction_prev)) / ee
+    u, direction, inv_a2 = _direction_step(
+        direction_prev, inv_a2_prev, x_new, innovation, sign
+    )
     if u <= 0.0:
         raise NonPositiveScale(f"recursion scale u = {u:.3e} is not positive")
-    direction = direction_prev + u * sign * innovation
-    inv_a2 = inv_a2_prev + u * u * ee
-    return direction, inv_a2
+    return direction, float(inv_a2)
+
+
+def _direction_step(direction_prev, inv_a2_prev, x_new, innovation, sign):
+    """(u, a_k/A_k, 1/A_k^2) over the last axis; leading axes are a batch."""
+    ee = (innovation * innovation).sum(axis=-1)
+    u = (1.0 - sign * (x_new * direction_prev).sum(axis=-1)) / ee
+    direction = direction_prev + (u * sign)[..., None] * innovation
+    return u, direction, inv_a2_prev + u * u * ee
+
+
+@dataclass(frozen=True)
+class LarBatch:
+    """Paths of a batch of responses on one design, one row per response.
+
+    Step arrays are B x p; entries past a row's ``terminated_at`` are 0, and
+    -1 in ``entrants``.  ``coefficients`` holds the first ``coef_steps``
+    coefficient rows of each path (B x coef_steps x p).  ``correlations_all``
+    and ``equiangular_dots`` hold c_k and w_k (B x p x p) when traces were
+    asked for, else None.
+    """
+
+    entrants: NDArray[np.int64]
+    signs: Matrix
+    correlations: Matrix
+    angles: Matrix
+    weights: Matrix
+    inv_angle_sq: Matrix
+    ties: NDArray[np.bool_]
+    terminated_at: NDArray[np.int64]
+    coefficients: NDArray[np.float64]
+    correlations_all: NDArray[np.float64] | None
+    equiangular_dots: NDArray[np.float64] | None
+
+
+def lar_batch(
+    start: Matrix,
+    R: Matrix,
+    zero_tol: float = 0.0,
+    coef_steps: int | None = None,
+    traces: bool = False,
+    row_name: Callable[[int], str] | None = None,
+) -> LarBatch:
+    """Run the path algorithm on a batch of responses in lockstep.
+
+    ``start`` is B x p, the starting correlations X'response of each row, and
+    ``R`` the upper-triangular factor with R'R = X'X.  The loop is fed the
+    columns of R, which have the inner products of the columns of X, so the
+    orthonormal basis, the equiangular direction and w_k = X'a_k are all
+    p-space quantities, and the correlations are updated as
+    c <- c - gamma * w.
+
+    Each row follows the rules of a single path: ``zero_tol`` is relative to
+    the row's first step correlation (the row stops when C_k <= zero_tol * C_1,
+    and at C_1 <= zero_tol for the first step); entrant candidates within
+    TIE_TOL are flagged as a tie and the lowest index wins.  Only the first
+    ``coef_steps`` coefficient rows are computed (default p), through the
+    inverse of the triangular factor of the active columns, which grows by
+    one column per step.  ``traces`` keeps c_k and w_k, which take B * p * p
+    floats each.  A failing row raises RankDeficient, NonPositiveScale or
+    NoPositiveCandidate; ``row_name`` maps its batch row to the phrase the
+    message names it by (none by default).
+    """
+    if zero_tol < 0.0:
+        raise ValueError("zero_tol must be nonnegative")
+    c = np.array(start, dtype=np.float64, ndmin=2)
+    B, p = c.shape
+    if R.shape != (p, p):
+        raise DimensionMismatch(f"factor shape {R.shape} != ({p}, {p})")
+    m = p if coef_steps is None else min(int(coef_steps), p)
+    R_cols = np.ascontiguousarray(R.T)  # row j is column j of R
+    R_norms = np.sqrt((R_cols * R_cols).sum(axis=1))
+
+    # per-step records: (B, p) arrays, then (B, p, p) traces when kept
+    out = [
+        np.full((B, p), -1, dtype=np.int64),  # entrants
+        np.zeros((B, p)),  # signs
+        np.zeros((B, p)),  # correlations
+        np.zeros((B, p)),  # angles
+        np.zeros((B, p)),  # weights
+        np.zeros((B, p)),  # inv_angle_sq
+        np.zeros((B, p), dtype=bool),  # ties
+    ] + ([np.zeros((B, p, p)), np.zeros((B, p, p))] if traces else [])
+    terminated_at = np.full(B, p, dtype=np.int64)
+    coefficients = np.zeros((B, m, p))
+
+    # State of the live rows; rows[i] is the batch row of live row i.  The
+    # records of live rows are written to ``rec`` (the arrays of ``out``
+    # until a row leaves) and copied out when rows leave or the loop ends.
+    rows = np.arange(B)
+    live = rows
+    rec = list(out)
+    coef_entry = np.zeros((B, m, m))  # coefficient rows in entry order
+    basis = np.zeros((B, p, p))  # orthonormal columns in entry order
+    t_inv = np.zeros((B, m, m))  # inverse of T, where R[:, order] = basis @ T
+    direction = np.zeros((B, p))  # a_{k-1} / A_{k-1}, in the coordinates of R
+    inv_a2 = np.zeros(B)
+    active = np.zeros((B, p), dtype=bool)
+    order = np.zeros((B, p), dtype=np.int64)
+    entrant = np.zeros(B, dtype=np.int64)
+    tie = np.zeros(B, dtype=bool)
+    c_first = np.zeros(B)
+
+    def flush(which, steps: int) -> None:
+        """Copy the records of live rows ``which`` out, after ``steps`` steps."""
+        batch_rows = rows[which]
+        for final, kept in zip(out, rec):
+            if kept is not final:
+                final[batch_rows] = kept[which]
+        n_coef = min(steps, m)
+        coefficients[batch_rows[:, None, None], np.arange(n_coef)[:, None],
+                     order[which, None, :n_coef]] = coef_entry[which, :n_coef, :n_coef]
+
+    def failure(cls, message: str, bad: NDArray[np.bool_], values: Vector):
+        i = int(bad.argmax())
+        where = "" if row_name is None else f" ({row_name(int(rows[i]))})"
+        return cls(message.format(values[i]) + where)
+
+    for k in range(p):
+        C = np.abs(c).max(axis=1)
+        stop = C <= (zero_tol if k == 0 else zero_tol * c_first)
+        if stop.any():
+            terminated_at[rows[stop]] = k
+            flush(stop, k)
+            keep = ~stop
+            rec = [kept[keep] for kept in rec]
+            (rows, c, C, basis, t_inv, coef_entry, direction, inv_a2, active,
+             order, entrant, tie, c_first) = (
+                a[keep] for a in (rows, c, C, basis, t_inv, coef_entry, direction,
+                                  inv_a2, active, order, entrant, tie, c_first)
+            )
+            live = np.arange(rows.size)
+            if rows.size == 0:
+                break
+        if k == 0:
+            near = C[:, None] - np.abs(c) <= TIE_TOL * (1.0 + C[:, None])
+            entrant = near.argmax(axis=1)
+            tie = near.sum(axis=1) > 1
+            c_first = C
+        j = entrant
+        s = np.where(c[live, j] >= 0.0, 1.0, -1.0)
+        xj = R_cols[j]
+        head, e, norm = orthogonal_component(basis[:, :, :k], xj)
+        bad = rank_failures(norm, R_norms[j])
+        if bad.any():
+            raise failure(RankDeficient, "innovation norm {:.3e} below rank tolerance",
+                          bad, norm)
+        basis[:, :, k] = e / norm[:, None]
+        u, direction, inv_a2 = _direction_step(direction, inv_a2, xj, e, s)
+        if (u <= 0.0).any():
+            raise failure(NonPositiveScale, "recursion scale u = {:.3e} is not positive",
+                          u <= 0.0, u)
+        A = 1.0 / np.sqrt(inv_a2)
+        a = direction * A[:, None]
+        active[live, j] = True
+        order[:, k] = j
+
+        w = a @ R
+        if k + 1 == p:
+            gamma = C / A
+            entrant_next = entrant
+            tie_next = tie
+        else:
+            gamma, per, _ = _crossings(c, C, A, w, active)
+            # an exact tie with a non-active column gives a zero step length;
+            # that is the tie pathology, surfaced via the tie flag, not fatal
+            if (gamma < 0.0).any():
+                raise failure(NoPositiveCandidate, "step length {:.3e} is negative",
+                              gamma < 0.0, gamma)
+            near = per - gamma[:, None] <= TIE_TOL * (1.0 + gamma[:, None])
+            entrant_next = near.argmax(axis=1)
+            tie_next = near.sum(axis=1) > 1
+
+        if k < m:
+            # coefficient update on the active set via the inverse factor
+            t_inv[:, :k, k] = -(t_inv[:, :k, :k] @ head[:, :, None])[:, :, 0] / norm[:, None]
+            t_inv[:, k, k] = 1.0 / norm
+            head_a = (np.swapaxes(basis[:, :, : k + 1], 1, 2) @ a[:, :, None])[:, :, 0]
+            delta = (t_inv[:, : k + 1, : k + 1] @ head_a[:, :, None])[:, :, 0]
+            coef_entry[:, k, : k + 1] = gamma[:, None] * delta
+            if k:
+                coef_entry[:, k, : k + 1] += coef_entry[:, k - 1, : k + 1]
+
+        for kept, value in zip(rec, (j, s, C, A, gamma, inv_a2, tie, c, w)):
+            kept[:, k] = value
+        c = c - gamma[:, None] * w
+        entrant, tie = entrant_next, tie_next
+    else:
+        flush(live, p)
+
+    entrants, signs, correlations, angles, weights, inv_angle_sq, ties = out[:7]
+    c_trace, w_trace = out[7:] if traces else (None, None)
+    return LarBatch(
+        entrants, signs, correlations, angles, weights, inv_angle_sq, ties,
+        terminated_at, coefficients, c_trace, w_trace,
+    )
 
 
 def lar_path(
@@ -335,99 +545,29 @@ def lar_path(
     among entrant candidates are recorded on the step and broken by lowest
     column index.
 
-    Only the starting correlations X'response are computed in n-space.  The
-    loop is fed the columns of the factor R of X'X (``data.gram_factor``),
-    which have the inner products of the columns of X, so the orthonormal
-    basis, the equiangular direction and w_k = X'a_k are all p-space
-    quantities, and the correlations are updated as c <- c - gamma * w.  A
-    rank-deficient design raises RankDeficient when the factor is built.
+    Only the starting correlations X'response are computed in n-space; the
+    path itself is ``lar_batch`` on one row, with the per-step c_k and w_k
+    kept.  A rank-deficient design raises RankDeficient when the factor of
+    X'X is built.
     """
     X = data.X
-    n, p = X.shape
+    n = X.shape[0]
     resp = np.asarray(response, dtype=np.float64)
     if resp.shape != (n,):
         raise DimensionMismatch(f"response shape {resp.shape} != ({n},)")
-    if zero_tol < 0.0:
-        raise ValueError("zero_tol must be nonnegative")
-
-    R = data.gram_factor
-    c = X.T @ resp
-    basis = np.zeros((p, p))  # orthonormal columns in entry order
-    chol_r = np.zeros((p, p))  # R[:, order] = basis[:, :k] @ chol_r[:k, :k]
-    direction = np.zeros(p)  # a_{k-1} / A_{k-1}, in the coordinates of R
-    inv_a2 = 0.0
-    active_mask = np.zeros(p, dtype=bool)
-    order: list[int] = []
-    b = np.zeros(p)
-    steps: list[LarStep] = []
-    coefficients = np.zeros((p, p))
-    entrant: int | None = None
-    tie = False
-    c_first: float | None = None
-
-    while not active_mask.all():
-        C = float(np.max(np.abs(c)))
-        threshold = zero_tol if c_first is None else zero_tol * c_first
-        if C <= threshold:
-            break
-        if entrant is None:
-            gap = C - np.abs(c)
-            candidates = np.flatnonzero(gap <= TIE_TOL * (1.0 + C))
-            entrant = int(candidates[0])
-            tie = candidates.size > 1
-        if c_first is None:
-            c_first = C
-        j = entrant
-        s = 1.0 if c[j] >= 0.0 else -1.0
-        k = len(order)
-        xj = R[:, j]
-        head, e, norm = innovation(basis[:, :k], xj)
-        basis[:, k] = e / norm
-        chol_r[:k, k] = head
-        chol_r[k, k] = norm
-        direction, inv_a2 = _advance_direction(direction, inv_a2, xj, e, s)
-        A = 1.0 / math.sqrt(inv_a2)
-        a = direction * A
-        active_mask[j] = True
-        order.append(j)
-        k += 1
-
-        w = R.T @ a
-        state = StepState(c, C, A, w, active_mask.copy())
-        if active_mask.all():
-            gamma = C / A
-            entrant = None
-            tie_next = False
-        else:
-            gamma, per, _ = gamma_crossings(state)
-            # an exact tie with a non-active column gives a zero step length;
-            # that is the tie pathology, surfaced via the tie flag, not fatal
-            if gamma < 0.0:
-                raise NoPositiveCandidate(f"step length {gamma:.3e} is negative")
-            near = np.flatnonzero(per - gamma <= TIE_TOL * (1.0 + gamma))
-            entrant = int(near[0])
-            tie_next = near.size > 1
-
-        # coefficient update on the active set via the triangular factor
-        head_a = basis[:, :k].T @ a
-        delta = np.linalg.solve(chol_r[:k, :k], head_a) if k > 1 else (
-            head_a / chol_r[0, 0]
+    batch = lar_batch((X.T @ resp)[None], data.gram_factor, zero_tol, traces=True)
+    m = int(batch.terminated_at[0])
+    steps = tuple(
+        LarStep(
+            int(batch.entrants[0, k]), float(batch.signs[0, k]),
+            float(batch.correlations[0, k]), float(batch.angles[0, k]),
+            float(batch.weights[0, k]), batch.correlations_all[0, k],
+            batch.equiangular_dots[0, k], float(batch.inv_angle_sq[0, k]),
+            bool(batch.ties[0, k]),
         )
-        b[order] += gamma * delta
-        coefficients[k - 1] = b
-
-        steps.append(
-            LarStep(j, s, C, A, gamma, c, w, inv_a2, tie)
-        )
-        c = c - gamma * w
-        tie = tie_next
-
-    return LarPath(tuple(steps), coefficients[: len(steps)], kind, len(steps))
-
-
-def sample_path(data: StandardizedData) -> LarPath:
-    """Path on the observed response; runs all p steps almost surely."""
-    return lar_path(data, data.y, zero_tol=0.0, kind="sample")
+        for k in range(m)
+    )
+    return LarPath(steps, batch.coefficients[0, :m], kind, m)
 
 
 def population_path(

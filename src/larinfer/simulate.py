@@ -18,11 +18,12 @@ from numpy.typing import NDArray
 
 from .bootstrap import BootstrapConfig, bootstrap_intervals
 from .exceptions import DegenerateResponse, NotPrototypical, RejectionBudgetExceeded
-from .inference import chi2_thresholds, estimate_m, full_column_basis, sigma_hat, tail_sums
+from .inference import chi2_thresholds, estimate_m, sigma_hat, tail_sums
 from .path import (
     LarPath,
     StandardizedData,
     equiangular,
+    lar_batch,
     lar_path,
     margins,
     standardize,
@@ -45,7 +46,7 @@ class ScenarioSpec:
     seed: int = 0
     alpha: float = 0.05
     rejection_cap: int = 10_000
-    threads: int = 1
+    threads: int = 1  # deprecated, ignored; kept so old scenario files load
 
     def __post_init__(self):
         if not (1 <= self.m <= self.p < self.n):
@@ -121,7 +122,6 @@ def run_coverage(
     draw = generate_scenario(spec, rng)
     data, mu, pop = draw.data, draw.mu, draw.pop_path
     n, p, m = spec.n, spec.p, spec.m
-    basis = full_column_basis(data)
     thresholds = chi2_thresholds(p, n)
     target_C = np.zeros(p)
     target_C[:m] = pop.correlations
@@ -139,18 +139,15 @@ def run_coverage(
         eps = noise_rng.standard_normal(n)
         d = data.with_response(data.y * data.response_scale + eps)
         path = lar_path(d, d.y, zero_tol=0.0, kind="sample")
-        sigma = sigma_hat(d, d.y * d.response_scale, basis)
+        sigma = sigma_hat(d, d.y * d.response_scale)
         _, S = tail_sums(path, sigma, n)
         m_bar = estimate_m(S, thresholds)
         m_hits += m_bar == m
         if m_bar > 0:
             evaluated += 1
             boot_seed = int(np.random.SeedSequence([spec.seed, 2, i]).generate_state(1)[0])
-            cfg = BootstrapConfig(
-                draws=spec.boot_draws, alpha=spec.alpha, seed=boot_seed,
-                parallel=spec.threads > 1, threads=spec.threads,
-            )
-            iv = bootstrap_intervals(d, path, m_bar, cfg, basis=basis, naive=naive)
+            cfg = BootstrapConfig(draws=spec.boot_draws, alpha=spec.alpha, seed=boot_seed)
+            iv = bootstrap_intervals(d, path, m_bar, cfg, naive=naive)
             corr = iv.correlation_intervals
             hits = [
                 corr[k - 1, 0] <= target_C[k - 1] <= corr[k - 1, 1]
@@ -215,15 +212,11 @@ def tie_demo(n: int, reps: int, rng: np.random.Generator) -> TieDemoResult:
     a3, _ = equiangular(X[:, :3])
     mu = X[:, 0] + a3
     pop = lar_path(data, mu, zero_tol=1e-10, kind="population")
-    corr = np.zeros((reps, p))
-    second = np.zeros(reps, dtype=np.int64)
-    root_n = math.sqrt(n)
-    for r in range(reps):
-        y = mu + rng.standard_normal(n) / root_n
-        path = lar_path(data, y, zero_tol=0.0, kind="sample")
-        corr[r] = path.correlations
-        second[r] = path.entrants[1]
-    return TieDemoResult(corr, second, pop, data, mu)
+    # one (reps, n) block holds the same numbers as reps draws of n in turn
+    Y = mu + rng.standard_normal((reps, n)) / math.sqrt(n)
+    paths = lar_batch(Y @ X, data.gram_factor, coef_steps=0,
+                      row_name=lambda r: f"draw {r}")
+    return TieDemoResult(paths.correlations, paths.entrants[:, 1], pop, data, mu)
 
 
 @dataclass(frozen=True)

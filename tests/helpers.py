@@ -1,11 +1,19 @@
-"""Shared generators for randomized tests, and the n-space reference engine."""
+"""Shared generators for randomized tests, the n-space reference path engine,
+and the per-replica reference bootstrap."""
 
 import math
 
 import numpy as np
 
+from larinfer.bootstrap import (
+    BootstrapConfig,
+    BootstrapEngine,
+    _ols_from_correlations,
+    replica_rng,
+)
 from larinfer.exceptions import NoPositiveCandidate
-from larinfer.linalg import ProjectionBasis, append_innovation
+from larinfer.inference import full_column_basis
+from larinfer.linalg import ProjectionBasis, append_innovation, project
 from larinfer.path import (
     TIE_TOL,
     LarPath,
@@ -14,6 +22,7 @@ from larinfer.path import (
     StepState,
     _advance_direction,
     gamma_crossings,
+    lar_path,
     standardize,
 )
 
@@ -140,3 +149,68 @@ def reference_lar_path_nspace(
 
     coefficients = np.array(coef_rows) if coef_rows else np.zeros((0, p))
     return LarPath(tuple(steps), coefficients, kind, len(steps))
+
+
+def reference_collect(
+    engine: BootstrapEngine, cfg: BootstrapConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Test-only reference: ``BootstrapEngine.collect`` one replica at a time.
+
+    A copy of the per-replica loop the library ran before the replicas moved
+    to the batch engine.  Each replica draws its n errors e*, builds the
+    n-length response y* = mu + e*, runs ``lar_path`` on it, takes its
+    residual scale from the n-space basis of the full column space, and
+    refits its terminal step with its own solve.  The resampling state (pool,
+    center, centers, sample coefficients, cells) is read from ``engine``; the
+    center mu = X b_center equals the projection the loop used to build, up
+    to rounding.
+    """
+    data = engine.data
+    n, p = data.n, data.p
+    basis = full_column_basis(data)
+    mu_center = data.X @ engine.b_center
+    t_rows, b_rows, entry_rows = [], [], []
+    for index in range(cfg.draws):
+        rng = replica_rng(cfg.seed, index)
+        eps = engine.pool[rng.integers(0, n, n)]
+        path_star = lar_path(data, mu_center + eps, zero_tol=0.0, kind="sample")
+        resid = eps - project(basis, eps)
+        sigma_star = math.sqrt(n * float(resid @ resid) / (n - p))
+
+        steps = len(path_star.steps)
+        corr = np.zeros(p)
+        corr[:steps] = path_star.correlations
+        signs = np.ones(p)
+        signs[:steps] = path_star.signs
+        increments = np.zeros(p)
+        increments[:steps] = path_star.inv_angle_sq_increments
+        if sigma_star > 0.0:
+            t_star = (
+                signs * np.sqrt(increments) * math.sqrt(n)
+                * (corr - engine.centers) / sigma_star
+            )
+        else:
+            t_star = np.zeros(p)
+        b_star = np.zeros(len(engine.cells))
+        if engine.m_bar and sigma_star > 0.0:
+            coef_rows = np.zeros((engine.m_bar, p))
+            avail = min(engine.m_bar, steps)
+            coef_rows[:avail] = path_star.coefficients[:avail]
+            if steps >= engine.m_bar:
+                coef_rows[engine.m_bar - 1] = _ols_from_correlations(
+                    data, path_star.entrants[: engine.m_bar],
+                    path_star.start_correlations,
+                )
+            for i, (k, j) in enumerate(engine.cells):
+                b_star[i] = (
+                    math.sqrt(n)
+                    * (coef_rows[k - 1, j] - engine.sample_coefs[k - 1, j])
+                    / sigma_star
+                )
+        entry = np.full(p, p, dtype=np.float64)
+        for pos, j in enumerate(path_star.entrants, start=1):
+            entry[j] = pos
+        t_rows.append(t_star)
+        b_rows.append(b_star)
+        entry_rows.append(entry)
+    return np.array(t_rows), np.array(b_rows), np.array(entry_rows)

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,8 +177,8 @@ class TestInfer:
         code = main(["infer", DIABETES, "--response", "progression",
                      "--draws", "40", "--seed", "3", "--out", str(out)])
         assert code == 0
-        # one refit per replica plus one for the sample path
-        assert len(calls) == 40 + 1
+        # one batched refit for all 40 replicas plus one for the sample path
+        assert len(calls) == 1 + 1
 
     def test_diabetes_report(self, tmp_path):
         out = tmp_path / "infer.json"
@@ -206,6 +210,16 @@ class TestInfer:
             w = wide["interval_hi"] - wide["interval_lo"]
             n = narrow["interval_hi"] - narrow["interval_lo"]
             assert n <= w + 1e-12
+
+    def test_threads_is_an_accepted_no_op(self, tmp_path):
+        outs = []
+        for threads in ("1", "4", "0"):
+            out = tmp_path / f"infer{threads}.json"
+            assert main(["infer", DIABETES, "--response", "progression",
+                         "--draws", "40", "--seed", "2", "--threads", threads,
+                         "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
 
     def test_infer_csv_format(self, tmp_path):
         out = tmp_path / "infer.csv"
@@ -246,6 +260,14 @@ class TestSimulate:
         with open(out_a, newline="") as fh:
             assert len(list(csv.reader(fh))) == 3
 
+    def test_threads_in_scenario_and_flag_accepted(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        threaded = tmp_path / "threaded.csv"
+        assert main(["simulate", self._scenario(tmp_path), "--out", str(plain)]) == 0
+        scen = self._scenario(tmp_path, threads=4)
+        assert main(["simulate", scen, "--out", str(threaded), "--threads", "2"]) == 0
+        assert plain.read_bytes() == threaded.read_bytes()
+
     def test_budget_exit_code(self, tmp_path, capsys):
         scen = self._scenario(tmp_path, delta0=1e6, rejection_cap=20)
         code = main(["simulate", scen, "--out", str(tmp_path / "x.csv")])
@@ -266,3 +288,14 @@ class TestTieDemo:
         assert rows[1][5] in ("x2", "x3")
         assert float(rows[1][1]) > 0.0
         assert "tie steps" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy_optimize():
+    import larinfer
+
+    src = str(Path(larinfer.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, larinfer; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
