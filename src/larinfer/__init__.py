@@ -5,9 +5,7 @@ from .bootstrap import (
     BootstrapConfig,
     IntervalSet,
     TerminalCoefficients,
-    bootstrap_errors,
     bootstrap_intervals,
-    bootstrap_path_draw,
     membership_curves,
     terminal_coefficients,
 )
@@ -32,12 +30,28 @@ from .inference import (
     chi2_thresholds,
     chi2_upper_quantile,
     estimate_m,
-    full_column_basis,
     sigma_hat,
     studentized_T,
     tail_sums,
 )
-from .linalg import ProjectionBasis, append_innovation, project, solve_spd
+from .identities import (
+    AsymptoticCoefCov,
+    ProjectionBasis,
+    append_innovation,
+    asymptotic_coef_cov,
+    bootstrap_errors,
+    bootstrap_path_draw,
+    entrance_criteria,
+    equiangular,
+    equiangular_recursive,
+    full_column_basis,
+    gamma_crossings,
+    gamma_min_plus,
+    population_correlation_closed_form,
+    project,
+    replay_states,
+)
+from .linalg import solve_spd
 from .path import (
     LarBatch,
     LarPath,
@@ -45,24 +59,14 @@ from .path import (
     MarginReport,
     StandardizedData,
     StepState,
-    entrance_criteria,
-    equiangular,
-    equiangular_recursive,
-    gamma_min_plus,
-    gamma_crossings,
     lar_batch,
     lar_path,
     margins,
-    population_correlation_closed_form,
-    population_path,
-    replay_states,
     standardize,
 )
 from .simulate import (
-    AsymptoticCoefCov,
     CoverageResult,
     ScenarioSpec,
-    asymptotic_coef_cov,
     generate_scenario,
     run_coverage,
     tie_demo,

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .inference import full_fit, full_residual, sigma_hat
-from .linalg import ProjectionBasis, solve_spd
-from .path import LarPath, StandardizedData, lar_batch, lar_path
+from .inference import full_fit, sigma_hat
+from .linalg import solve_spd
+from .path import LarPath, StandardizedData, lar_batch
 
 Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
@@ -72,23 +72,11 @@ def nearest_rank_quantile(values: Vector, level: float) -> float:
     return float(ordered[rank - 1])
 
 
-def residual_pool(data: StandardizedData, basis: ProjectionBasis | None = None) -> Vector:
-    """Centered, scaled full-fit residuals (``full_residual``) to resample from."""
-    resid = full_residual(data, data.y, basis)
+def residual_pool(data: StandardizedData) -> Vector:
+    """Centered, scaled full-fit residuals to resample from."""
+    resid = data.y - data.X @ full_fit(data, data.y)
     adjustment = math.sqrt(data.n / (data.n - data.p))
     return (resid - resid.mean()) / adjustment
-
-
-def bootstrap_errors(
-    data: StandardizedData,
-    y: Vector,
-    rng: np.random.Generator,
-    basis: ProjectionBasis | None = None,
-) -> Vector:
-    """Draw n errors i.i.d. from the centered/scaled residual multiset of y."""
-    y_raw = np.asarray(y, dtype=np.float64) * data.response_scale
-    pool = residual_pool(data.with_response(y_raw), basis)
-    return pool[rng.integers(0, data.n, data.n)]
 
 
 def _residual_scale(data: StandardizedData, xte: Matrix, ee: Vector) -> Vector:
@@ -102,16 +90,8 @@ def _residual_scale(data: StandardizedData, xte: Matrix, ee: Vector) -> Vector:
     return np.sqrt(data.n * rss / (data.n - data.p))
 
 
-def ols_on_active(data: StandardizedData, order: list[int], y: Vector) -> Vector:
-    """Least-squares coefficients of y on the given active columns.
-
-    Returns a full p-vector supported on ``order``.
-    """
-    return _ols_from_correlations(data, order, data.X.T @ np.asarray(y, dtype=np.float64))
-
-
 def _ols_from_correlations(data: StandardizedData, order: list[int], xty: Vector) -> Vector:
-    """``ols_on_active`` in p-space, from X'y and the normal equations G_AA."""
+    """Least-squares p-vector supported on the columns ``order``, from X'y and G_AA."""
     b = np.zeros(data.p)
     if order:
         b[order] = solve_spd(data.gram[np.ix_(order, order)], xty[order])
@@ -250,20 +230,6 @@ class BootstrapEngine:
         rows, steps = np.nonzero(done)
         entries[rows, batch.entrants[rows, steps]] = steps + 1
         return t_star, b_star, entries
-
-
-def bootstrap_path_draw(
-    data: StandardizedData,
-    path: LarPath,
-    m_bar: int,
-    rng: np.random.Generator,
-) -> tuple[LarPath, float]:
-    """One replica path and its residual-scale estimate."""
-    engine = BootstrapEngine(data, path, m_bar)
-    eps = engine.pool[rng.integers(0, data.n, data.n)]
-    path_star = lar_path(data, data.X @ engine.b_center + eps, zero_tol=0.0, kind="sample")
-    sigma_star = _residual_scale(data, (data.X.T @ eps)[None], np.array([eps @ eps]))
-    return path_star, float(sigma_star[0])
 
 
 def bootstrap_intervals(

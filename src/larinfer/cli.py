@@ -2,8 +2,9 @@
 
 Subcommands: ``fit`` (path only), ``infer`` (full inference report),
 ``simulate`` (coverage study from a scenario file), and ``tie-demo``
-(the mid-path tie construction).  Exit codes: 0 ok, 2 parse error,
-3 numeric/shape error, 4 simulation budget exhausted.
+(the mid-path tie construction).  Exit codes: 0 ok, 2 parse error, invalid
+option value or unreadable input file, 3 numeric/shape error, 4 simulation
+budget exhausted.
 """
 
 from __future__ import annotations
@@ -77,9 +78,10 @@ def cmd_infer(args) -> int:
 def cmd_simulate(args) -> int:
     with open(args.scenario, encoding="utf-8") as fh:
         raw = json.load(fh)
-    if args.threads is not None:
-        raw["threads"] = args.threads
-    spec = ScenarioSpec(**raw)
+    try:
+        spec = ScenarioSpec(**raw)
+    except TypeError as exc:
+        raise ValueError(f"invalid scenario {args.scenario}: {exc}") from None
 
     def progress(done: int, total: int) -> None:
         batch = max(1, total // 10)
@@ -180,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CsvParseError as exc:
+    except (CsvParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except RejectionBudgetExceeded as exc:

@@ -2,7 +2,9 @@
 
 Variance estimation from the full least-squares fit, chi-squared tail
 thresholds, tail-sum statistics over path steps, and the stopping rule that
-estimates how many steps carry signal.
+estimates how many steps carry signal.  The full-fit residual is taken in
+p-space from the factor of X'X; the n-space basis that the tests compare it
+with lives in ``larinfer.identities``.
 """
 
 from __future__ import annotations
@@ -15,22 +17,9 @@ from numpy.typing import NDArray
 from scipy.special import chdtri
 
 from .exceptions import InvalidTail
-from .linalg import ProjectionBasis, append_innovation, project
 from .path import LarPath, StandardizedData
 
 Vector = NDArray[np.float64]
-
-
-def full_column_basis(data: StandardizedData) -> ProjectionBasis:
-    """Orthonormal n-space basis of the full column space of the design.
-
-    Kept as a reference for tests and for callers that pass ``basis``; the
-    library itself takes full-fit residuals from ``full_fit``.
-    """
-    basis = ProjectionBasis.empty(data.n)
-    for j in range(data.p):
-        basis, _ = append_innovation(basis, data.X[:, j], j)
-    return basis
 
 
 def full_fit(data: StandardizedData, y: Vector) -> Vector:
@@ -43,32 +32,16 @@ def full_fit(data: StandardizedData, y: Vector) -> Vector:
     return np.linalg.solve(R, np.linalg.solve(R.T, data.X.T @ y))
 
 
-def full_residual(
-    data: StandardizedData, y: Vector, basis: ProjectionBasis | None = None
-) -> Vector:
-    """y minus its least-squares fit on every column.
-
-    The fit comes from ``full_fit``, or from the projection onto ``basis``
-    when one is given.
-    """
-    if basis is None:
-        return y - data.X @ full_fit(data, y)
-    return y - project(basis, y)
-
-
-def sigma_hat(
-    data: StandardizedData,
-    y_raw: Vector,
-    basis: ProjectionBasis | None = None,
-) -> float:
+def sigma_hat(data: StandardizedData, y_raw: Vector) -> float:
     """Residual-scale estimate sqrt(RSS / (n - p)) of the full fit.
 
     ``y_raw`` is the response in original units with the same centering as
     ``data.y`` (i.e. ``data.y * data.response_scale``).  The projection onto
     the column space is invariant to column scaling, so the standardized
-    design is used directly.  The residual is ``full_residual``.
+    design is used directly.  The fit comes from ``full_fit``.
     """
-    resid = full_residual(data, np.asarray(y_raw, dtype=np.float64), basis)
+    y = np.asarray(y_raw, dtype=np.float64)
+    resid = y - data.X @ full_fit(data, y)
     return math.sqrt(float(resid @ resid) / (data.n - data.p))
 
 
@@ -141,7 +114,6 @@ def build_inference_report(
     data: StandardizedData,
     path: LarPath,
     centers: Vector | None = None,
-    basis: ProjectionBasis | None = None,
 ) -> InferenceReport:
     """Full inference summary for a sample path.
 
@@ -149,7 +121,7 @@ def build_inference_report(
     the thresholded correlations (observed values up to the estimated
     termination step, zero beyond).
     """
-    sigma = sigma_hat(data, data.y * data.response_scale, basis)
+    sigma = sigma_hat(data, data.y * data.response_scale)
     W, S = tail_sums(path, sigma, data.n)
     thresholds = chi2_thresholds(data.p, data.n)
     m_bar = estimate_m(S, thresholds)

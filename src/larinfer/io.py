@@ -93,10 +93,6 @@ def load_diabetes() -> tuple[list[str], Matrix, Vector]:
     return split_response(names, table, "progression")
 
 
-def _float(x) -> float:
-    return float(x)
-
-
 def path_report_dict(
     path: LarPath, data: StandardizedData, names: list[str], response: str
 ) -> dict:
@@ -106,10 +102,10 @@ def path_report_dict(
             "step": k,
             "variable": names[s.entrant],
             "index": s.entrant,
-            "sign": _float(s.sign),
-            "correlation": _float(s.correlation),
-            "angle": _float(s.angle),
-            "weight": _float(s.weight),
+            "sign": float(s.sign),
+            "correlation": float(s.correlation),
+            "angle": float(s.angle),
+            "weight": float(s.weight),
         }
         for k, s in enumerate(path.steps, start=1)
     ]
@@ -149,11 +145,11 @@ class InferredPathReport:
             {
                 "step": k,
                 "variable": names[path.steps[k - 1].entrant],
-                "tail_sum": _float(inf.S[k - 1]),
-                "threshold": _float(inf.thresholds[k - 1]),
-                "correlation": _float(path.correlations[k - 1]),
-                "interval_lo": _float(iv.correlation_intervals[k - 1, 0]),
-                "interval_hi": _float(iv.correlation_intervals[k - 1, 1]),
+                "tail_sum": float(inf.S[k - 1]),
+                "threshold": float(inf.thresholds[k - 1]),
+                "correlation": float(path.correlations[k - 1]),
+                "interval_lo": float(iv.correlation_intervals[k - 1, 0]),
+                "interval_hi": float(iv.correlation_intervals[k - 1, 1]),
             }
             for k in range(1, len(path.steps) + 1)
         ]
@@ -161,10 +157,10 @@ class InferredPathReport:
         terminal_rows = [
             {
                 "variable": names[j],
-                "estimate": _float(iv.terminal.b_bar[j]),
-                "interval_lo": _float(iv.coefficient_intervals[(m_bar, j)][0]),
-                "interval_hi": _float(iv.coefficient_intervals[(m_bar, j)][1]),
-                "raw_estimate": _float(iv.terminal.raw_scale[j]),
+                "estimate": float(iv.terminal.b_bar[j]),
+                "interval_lo": float(iv.coefficient_intervals[(m_bar, j)][0]),
+                "interval_hi": float(iv.coefficient_intervals[(m_bar, j)][1]),
+                "raw_estimate": float(iv.terminal.raw_scale[j]),
             }
             for j in path.entrants[:m_bar]
         ]
@@ -172,11 +168,11 @@ class InferredPathReport:
             {
                 "step": k,
                 "variable": names[j],
-                "estimate": _float(
+                "estimate": float(
                     iv.terminal.b_bar[j] if k == m_bar else path.coefficients[k - 1, j]
                 ),
-                "interval_lo": _float(lo),
-                "interval_hi": _float(hi),
+                "interval_lo": float(lo),
+                "interval_hi": float(hi),
             }
             for (k, j), (lo, hi) in sorted(iv.coefficient_intervals.items())
         ]
@@ -191,7 +187,7 @@ class InferredPathReport:
             "draws": self.cfg.draws,
             "seed": self.cfg.seed,
             "variables": names,
-            "sigma_hat": _float(inf.sigma_hat),
+            "sigma_hat": float(inf.sigma_hat),
             "m_bar": m_bar,
             "steps": step_rows,
             "terminal_coefficients": terminal_rows,

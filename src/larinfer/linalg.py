@@ -1,19 +1,16 @@
 """Dense linear-algebra kernels for p < n problems.
 
 Symmetric positive-definite solves, the Gram matrix of the design with its
-triangular factor, orthogonal projections onto a growing column space, and
-sequential innovation vectors.  Innovations use classical Gram-Schmidt with
-one reorthogonalization pass.  The path engine applies it in p-space, to the
-columns of the factor R with R'R = X'X, for a whole batch of responses at
-once; ``solve_spd`` and ``orthogonal_component`` therefore accept stacked
-operands (leading batch axes).  The n-space ``ProjectionBasis`` is kept for
-the identity checks and as a test reference.  All arithmetic is 64-bit
-floating point.
+triangular factor, and sequential innovation vectors.  Innovations use
+classical Gram-Schmidt with one reorthogonalization pass.  The path engine
+applies it in p-space, to the columns of the factor R with R'R = X'X, for a
+whole batch of responses at once; ``solve_spd`` and ``orthogonal_component``
+therefore accept stacked operands (leading batch axes).  The n-space basis
+that the tests use as a reference lives in ``larinfer.identities``.  All
+arithmetic is 64-bit floating point.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -36,33 +33,38 @@ def cholesky_spd(gram: Matrix) -> Matrix:
     """Lower-triangular Cholesky factor with an explicit pivot check.
 
     Accepts one matrix or a stack of them (leading batch axes).  Raises
-    NotPositiveDefinite when a pivot falls at or below RANK_TOL times the
-    largest diagonal entry of its matrix, which signals collinear active
-    columns.
+    NotPositiveDefinite when LAPACK finds a matrix not positive definite, or
+    when a squared pivot L_ii^2 falls at or below RANK_TOL times the largest
+    diagonal entry of its matrix, which signals collinear active columns;
+    LAPACK accepts such pivots.  The message names the system of a stack.
     """
     G = np.asarray(gram, dtype=np.float64)
     if G.ndim < 2 or G.shape[-1] != G.shape[-2]:
         raise DimensionMismatch(f"expected square matrix, got shape {G.shape}")
     k = G.shape[-1]
-    scale = np.max(np.abs(np.diagonal(G, axis1=-2, axis2=-1)), axis=-1) if k else 0.0
+    systems = G.reshape(-1, k, k)
+    scale = np.abs(np.diagonal(systems, axis1=1, axis2=2)).max(axis=1, initial=0.0)
     if np.any(scale <= 0.0):
         raise NotPositiveDefinite("matrix has no positive diagonal entry")
-    L = np.zeros_like(G)
-    for i in range(k):
-        pivot = G[..., i, i] - np.sum(L[..., i, :i] * L[..., i, :i], axis=-1)
-        bad = np.ravel(pivot <= RANK_TOL * scale)
-        if bad.any():
-            first = int(bad.argmax())
-            system = "" if G.ndim == 2 else f" of system {first}"
-            raise NotPositiveDefinite(
-                f"pivot {np.ravel(pivot)[first]:.3e} at index {i}{system} below tolerance"
-            )
-        L[..., i, i] = np.sqrt(pivot)
-        if i + 1 < k:
-            L[..., i + 1 :, i] = (
-                G[..., i + 1 :, i] - (L[..., i + 1 :, :i] @ L[..., i, :i, None])[..., 0]
-            ) / L[..., i, i, None]
-    return L
+
+    def system(i) -> str:
+        return "" if G.ndim == 2 else f" of system {i}"
+
+    try:
+        L = np.linalg.cholesky(systems)
+    except np.linalg.LinAlgError:
+        # LAPACK does not say which system failed: name the most nearly
+        # singular one relative to its scale
+        first = int((np.linalg.eigvalsh(systems)[:, 0] / scale).argmin())
+        raise NotPositiveDefinite(f"matrix{system(first)} is not positive definite") from None
+    pivots = np.diagonal(L, axis1=1, axis2=2) ** 2
+    bad = pivots <= RANK_TOL * scale[:, None]
+    if bad.any():
+        first, i = np.argwhere(bad)[0]
+        raise NotPositiveDefinite(
+            f"pivot {pivots[first, i]:.3e} at index {i}{system(first)} below tolerance"
+        )
+    return L.reshape(G.shape)
 
 
 def solve_spd(gram: Matrix, rhs: Vector) -> Vector:
@@ -105,37 +107,6 @@ def gram_factor(X: Matrix) -> tuple[Matrix, Matrix]:
     return G, R
 
 
-@dataclass(frozen=True)
-class ProjectionBasis:
-    """Orthonormal columns spanning the current active space.
-
-    ``vectors`` is n x k with orthonormal columns; ``indices`` records which
-    original design column produced each basis vector, in entry order.
-    """
-
-    vectors: Matrix
-    indices: tuple[int, ...] = field(default_factory=tuple)
-
-    @property
-    def size(self) -> int:
-        return self.vectors.shape[1]
-
-    @staticmethod
-    def empty(n: int) -> "ProjectionBasis":
-        return ProjectionBasis(np.zeros((n, 0)), ())
-
-
-def project(basis: ProjectionBasis, v: Vector) -> Vector:
-    """Orthogonal projection of v onto the span of the basis."""
-    Q = basis.vectors
-    x = np.asarray(v, dtype=np.float64)
-    if x.shape[0] != Q.shape[0]:
-        raise DimensionMismatch(f"vector length {x.shape[0]} != basis rows {Q.shape[0]}")
-    if Q.shape[1] == 0:
-        return np.zeros_like(x)
-    return Q @ (Q.T @ x)
-
-
 def orthogonal_component(Q: Matrix, x: Vector) -> tuple[Vector, Vector, Vector]:
     """Coordinates Q'x, the component e of x orthogonal to span(Q), and |e|.
 
@@ -154,34 +125,3 @@ def orthogonal_component(Q: Matrix, x: Vector) -> tuple[Vector, Vector, Vector]:
 def rank_failures(norm: Vector, x_norm: Vector) -> NDArray[np.bool_]:
     """Where the innovation norm |e| is at or below RANK_TOL * max(1, |x|)."""
     return norm <= RANK_TOL * np.maximum(1.0, x_norm)
-
-
-def innovation(Q: Matrix, x: Vector) -> tuple[Vector, Vector, float]:
-    """``orthogonal_component`` for one vector, with the rank check.
-
-    Raises RankDeficient when |e| falls below RANK_TOL relative to
-    max(1, |x|).
-    """
-    head, e, norm = orthogonal_component(Q, x)
-    if rank_failures(norm, np.linalg.norm(x)):
-        raise RankDeficient(f"innovation norm {norm:.3e} below rank tolerance")
-    return head, e, float(norm)
-
-
-def append_innovation(
-    basis: ProjectionBasis, x_new: Vector, index: int = -1
-) -> tuple[ProjectionBasis, Vector]:
-    """Extend the basis with a new column and return its innovation.
-
-    The innovation is the component of ``x_new`` orthogonal to the current
-    span, before normalization.
-    """
-    Q = basis.vectors
-    x = np.asarray(x_new, dtype=np.float64)
-    if x.shape[0] != Q.shape[0]:
-        raise DimensionMismatch(f"vector length {x.shape[0]} != basis rows {Q.shape[0]}")
-    _, e, norm = innovation(Q, x)
-    extended = ProjectionBasis(
-        np.column_stack([Q, e / norm]), basis.indices + (int(index),)
-    )
-    return extended, e

@@ -8,10 +8,9 @@ and X'response, so the engine runs in p-space on the triangular factor of X'X
 and takes the starting correlations X'response as input.  ``lar_path`` is
 the one-response wrapper: the observed response gives the sample path, a
 noiseless mean vector the population path.  The bootstrap and the tie
-demonstration run all their responses through the batch engine.  Alternative
-formulas for the step length, the equiangular quantities, the step
-correlations, and the entrance criteria are kept as separate routines so they
-can be checked against each other.
+demonstration run all their responses through the batch engine.  The
+alternative formulas that the tests check the engine against live in
+``larinfer.identities``.
 """
 
 from __future__ import annotations
@@ -33,15 +32,7 @@ from .exceptions import (
     RankDeficient,
     ZeroColumn,
 )
-from .linalg import (
-    ProjectionBasis,
-    append_innovation,
-    gram_factor,
-    orthogonal_component,
-    project,
-    rank_failures,
-    solve_spd,
-)
+from .linalg import gram_factor, orthogonal_component, rank_failures
 
 Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
@@ -228,27 +219,15 @@ class LarPath:
         )
 
 
-def gamma_crossings(state: StepState) -> tuple[float, Vector, Vector]:
-    """Step length via the sign-resolved single-fraction formula.
-
-    Returns (gamma, per-index values over all p entries, per-index signs
-    r_{k,j}).  Active entries of the per-index vector are +inf.  When the
-    sign is exactly zero the value C_k/A_k is used.
-    """
-    gamma, per, r = _crossings(
-        state.correlations_all[None], np.array([state.correlation]),
-        np.array([state.angle]), state.equiangular_dots[None],
-        state.active_mask[None],
-    )
-    if not np.any(~state.active_mask):
-        raise NoPositiveCandidate("no non-active index remains")
-    return float(gamma[0]), per[0], r[0]
-
-
 def _crossings(
     c: Matrix, C: Vector, A: Vector, w: Matrix, active: NDArray[np.bool_]
 ) -> tuple[Vector, Matrix, Matrix]:
-    """``gamma_crossings`` for a batch: one row of c, w and active per path."""
+    """Step length by the sign-resolved single-fraction formula, per row.
+
+    One row of c, w and active per path.  Returns (gamma, per-index values,
+    per-index signs r_{k,j}); active entries of the per-index values are
+    +inf, and an exactly zero sign gives the value C_k/A_k.
+    """
     ratio = (C / A)[:, None]
     d = c - ratio * w
     r = np.where(np.abs(d) <= ZERO_SIGN_TOL, 0.0, np.sign(d))
@@ -256,84 +235,6 @@ def _crossings(
         per = np.where(r == 0.0, ratio, (C[:, None] - c * r) / (A[:, None] - w * r))
     per = np.where(active, np.inf, per)
     return per.min(axis=1), per, r
-
-
-def gamma_min_plus(state: StepState) -> float:
-    """Step length via the min over positive two-candidate fractions.
-
-    Retained solely for differential testing against gamma_crossings.  Falls
-    back to C_k/A_k when every variable is active.
-    """
-    c = state.correlations_all
-    C, A = state.correlation, state.angle
-    w = state.equiangular_dots
-    mask = ~state.active_mask
-    if not np.any(mask):
-        return C / A
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plus = (C - c[mask]) / (A - w[mask])
-        minus = (C + c[mask]) / (A + w[mask])
-    cand = np.concatenate([plus, minus])
-    # Exact zeros arise only from the degenerate r = 0 geometry; treat the
-    # corresponding index as contributing C/A, mirroring gamma_crossings.
-    degenerate = np.abs(c[mask] - (C / A) * w[mask]) <= ZERO_SIGN_TOL
-    cand = np.concatenate([cand, np.full(int(degenerate.sum()), C / A)])
-    positive = cand[cand > 0.0]
-    if positive.size == 0:
-        raise NoPositiveCandidate("all step-length fractions are non-positive")
-    return float(np.min(positive))
-
-
-def equiangular(active_signed_columns: Matrix) -> tuple[Vector, float]:
-    """Direct equiangular vector and angle from the signed active columns."""
-    S = np.asarray(active_signed_columns, dtype=np.float64)
-    gram = S.T @ S
-    u = solve_spd(gram, np.ones(S.shape[1]))
-    A = 1.0 / math.sqrt(float(np.sum(u)))
-    a = A * (S @ u)
-    return a, A
-
-
-def equiangular_recursive(
-    prev_a: Vector,
-    prev_A: float,
-    x_new: Vector,
-    innovation: Vector,
-    sign: float,
-) -> tuple[Vector, float]:
-    """Equiangular update from the previous step and the new innovation.
-
-    The first step is encoded by the sentinel prev_A = +inf with prev_a = 0;
-    all 1/A_0 terms then contribute literal zeros.
-    """
-    direction_prev, inv_a2_prev = _sentinel_direction(prev_a, prev_A)
-    direction, inv_a2 = _advance_direction(
-        direction_prev, inv_a2_prev, x_new, innovation, sign
-    )
-    A = 1.0 / math.sqrt(inv_a2)
-    return direction * A, A
-
-
-def _sentinel_direction(prev_a: Vector, prev_A: float) -> tuple[Vector, float]:
-    if math.isinf(prev_A):
-        return np.zeros_like(np.asarray(prev_a, dtype=np.float64)), 0.0
-    return np.asarray(prev_a, dtype=np.float64) / prev_A, 1.0 / prev_A**2
-
-
-def _advance_direction(
-    direction_prev: Vector,
-    inv_a2_prev: float,
-    x_new: Vector,
-    innovation: Vector,
-    sign: float,
-) -> tuple[Vector, float]:
-    """One step of the a_k/A_k and 1/A_k^2 recursions."""
-    u, direction, inv_a2 = _direction_step(
-        direction_prev, inv_a2_prev, x_new, innovation, sign
-    )
-    if u <= 0.0:
-        raise NonPositiveScale(f"recursion scale u = {u:.3e} is not positive")
-    return direction, float(inv_a2)
 
 
 def _direction_step(direction_prev, inv_a2_prev, x_new, innovation, sign):
@@ -570,100 +471,6 @@ def lar_path(
     return LarPath(steps, batch.coefficients[0, :m], kind, m)
 
 
-def population_path(
-    data: StandardizedData, mu: Vector, zero_tol: float = 1e-10
-) -> LarPath:
-    """Path on a noiseless mean vector; stops once correlations vanish."""
-    return lar_path(data, mu, zero_tol=zero_tol, kind="population")
-
-
-@dataclass(frozen=True)
-class ReplayState:
-    """Internal quantities of one recorded step, recomputed by replay."""
-
-    k: int  # 1-based step number
-    entrant: int
-    sign: float
-    basis_prev: ProjectionBasis
-    direction_prev: Vector  # a_{k-1} / A_{k-1}
-    inv_a2_prev: float
-    innovation: Vector
-    direction: Vector  # a_k / A_k
-    inv_a2: float
-    active_mask_prev: NDArray[np.bool_]
-
-
-def replay_states(data: StandardizedData, path: LarPath):
-    """Yield ReplayState for each recorded step, rebuilt deterministically."""
-    X = data.X
-    basis = ProjectionBasis.empty(data.n)
-    direction = np.zeros(data.n)
-    inv_a2 = 0.0
-    active_mask = np.zeros(data.p, dtype=bool)
-    for k, step in enumerate(path.steps, start=1):
-        j, s = step.entrant, step.sign
-        xj = X[:, j]
-        basis_prev, direction_prev, inv_a2_prev = basis, direction, inv_a2
-        mask_prev = active_mask.copy()
-        basis, innovation = append_innovation(basis, xj, j)
-        direction, inv_a2 = _advance_direction(direction, inv_a2, xj, innovation, s)
-        active_mask[j] = True
-        yield ReplayState(
-            k, j, s, basis_prev, direction_prev, inv_a2_prev,
-            innovation, direction, inv_a2, mask_prev,
-        )
-
-
-@dataclass(frozen=True)
-class EntranceCriteria:
-    values: Vector  # C_{k,j} over non-active j, nan at active entries
-    penalized_ss: Vector  # SS-form of C_{k,j}^2, nan at active entries
-    argmax: int
-
-
-def entrance_criteria(
-    data: StandardizedData, response: Vector, state: ReplayState
-) -> EntranceCriteria:
-    """Entrance criterion values for every non-active column at one step.
-
-    ``values[j]`` is the would-be step correlation if column j entered at
-    this step; the argmax over non-active j must be the actual entrant.
-    ``penalized_ss`` is the sequential-sum-of-squares form of values**2,
-    computed through the candidate angle recursion as an independent route.
-    """
-    X = data.X
-    mu = np.asarray(response, dtype=np.float64)
-    resid_mu = mu - project(state.basis_prev, mu)
-    resid_X = X - state.basis_prev.vectors @ (state.basis_prev.vectors.T @ X)
-    num = X.T @ resid_mu
-    r = np.sign(num)
-    denom = 1.0 - r * (X.T @ state.direction_prev)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.abs(num) / denom
-    # independent route: per-column SS penalized by the candidate angle drop
-    d = np.einsum("ij,ij->j", X, resid_X)  # x_j' (I - P_{k-1}) x_j
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ss = num**2 / d
-        u = denom / d  # candidate recursion scale for column j with sign r
-        inv_a2_drop = u**2 * d  # 1/A_{j,k}^2 - 1/A_{k-1}^2
-        penalized = ss / inv_a2_drop
-    values = np.where(state.active_mask_prev, np.nan, values)
-    penalized = np.where(state.active_mask_prev, np.nan, penalized)
-    masked = np.where(state.active_mask_prev, -np.inf, values)
-    return EntranceCriteria(values, penalized, int(np.argmax(masked)))
-
-
-def population_correlation_closed_form(
-    data: StandardizedData, mu: Vector, state: ReplayState
-) -> float:
-    """Step correlation from the innovation closed form."""
-    mu = np.asarray(mu, dtype=np.float64)
-    num = state.sign * float(state.innovation @ mu)
-    xj = data.X[:, state.entrant]
-    denom = 1.0 - state.sign * float(xj @ state.direction_prev)
-    return num / denom
-
-
 @dataclass(frozen=True)
 class MarginReport:
     delta_m1: float
@@ -686,28 +493,23 @@ def margins(
         raise NotPrototypical(
             f"path has ties at steps {population_path.tie_steps}"
         )
-    m = len(population_path.steps)
-    entrants = population_path.entrants
-    m1_candidates: list[float] = []
-    m2_candidates: list[float] = []
-    for k in range(1, m + 1):
-        step = population_path.steps[k - 1]
-        mask = population_path.active_mask(k)
-        competitors = ~mask
-        if np.any(competitors):
-            gaps = step.correlation - np.abs(step.correlations_all[competitors])
-            m1_candidates.extend(gaps.tolist())
-        if k <= m - 1:
-            state = population_path.step_state(k)
-            _, per, _ = gamma_crossings(state)
-            excluded = mask.copy()
-            excluded[entrants[k]] = True
-            rest = ~excluded
-            if np.any(rest):
-                vals = step.angle * (per[rest] - step.weight)
-                m2_candidates.extend(vals.tolist())
-    vacuous = not m1_candidates and not m2_candidates
-    delta_m1 = min(m1_candidates) if m1_candidates else math.inf
-    delta_m2 = min(m2_candidates) if m2_candidates else math.inf
+    steps = population_path.steps
+    m, p = population_path.coefficients.shape
+    C, A = population_path.correlations, population_path.angles
+    c = np.reshape([s.correlations_all for s in steps], (m, p))
+    w = np.reshape([s.equiangular_dots for s in steps], (m, p))
+    # entry[j] is the 0-based step at which column j enters (m if never), so
+    # row k-1 of ``active`` is the active set after step k
+    entry = np.full(p, m)
+    entry[population_path.entrants] = np.arange(m)
+    active = entry[None, :] < np.arange(1, m + 1)[:, None]
+    gaps = (C[:, None] - np.abs(c))[~active]
+    # competitors at step k exclude the step-(k+1) entrant
+    _, per, _ = _crossings(c[:-1], C[:-1], A[:-1], w[:-1], active[:-1])
+    rest = entry[None, :] > np.arange(1, m)[:, None]
+    step_gaps = (A[:-1, None] * (per - population_path.weights[:-1, None]))[rest]
+    vacuous = not gaps.size and not step_gaps.size
+    delta_m1 = float(gaps.min()) if gaps.size else math.inf
+    delta_m2 = float(step_gaps.min()) if step_gaps.size else math.inf
     delta = min(delta_m1, delta_m2)
     return MarginReport(delta_m1, delta_m2, delta, vacuous)

@@ -1,5 +1,4 @@
-"""Scenario generation, coverage studies, the mid-path tie demonstration,
-and the asymptotic coefficient-covariance oracle.
+"""Scenario generation, coverage studies, and the mid-path tie demonstration.
 
 Scenario designs are drawn from an AR(1)-correlated Gaussian model and
 accepted only when the population path admits exactly one variable per step
@@ -19,15 +18,8 @@ from numpy.typing import NDArray
 from .bootstrap import BootstrapConfig, bootstrap_intervals
 from .exceptions import DegenerateResponse, NotPrototypical, RejectionBudgetExceeded
 from .inference import chi2_thresholds, estimate_m, sigma_hat, tail_sums
-from .path import (
-    LarPath,
-    StandardizedData,
-    equiangular,
-    lar_batch,
-    lar_path,
-    margins,
-    standardize,
-)
+from .linalg import solve_spd
+from .path import LarPath, StandardizedData, lar_batch, lar_path, margins, standardize
 
 Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
@@ -209,79 +201,12 @@ def tie_demo(n: int, reps: int, rng: np.random.Generator) -> TieDemoResult:
     X_n = rng.standard_normal((n, p)) @ chol.T
     data = standardize(X_n, np.ones(n), center=False)
     X = data.X
-    a3, _ = equiangular(X[:, :3])
-    mu = X[:, 0] + a3
+    # equiangular vector of the first three columns, from their Gram block
+    u = solve_spd(data.gram[:3, :3], np.ones(3))
+    mu = X[:, 0] + (X[:, :3] @ u) / math.sqrt(float(np.sum(u)))
     pop = lar_path(data, mu, zero_tol=1e-10, kind="population")
     # one (reps, n) block holds the same numbers as reps draws of n in turn
     Y = mu + rng.standard_normal((reps, n)) / math.sqrt(n)
     paths = lar_batch(Y @ X, data.gram_factor, coef_steps=0,
                       row_name=lambda r: f"draw {r}")
     return TieDemoResult(paths.correlations, paths.entrants[:, 1], pop, data, mu)
-
-
-@dataclass(frozen=True)
-class AsymptoticCoefCov:
-    blocks: dict[tuple[int, int], Matrix]  # (k, k') -> k x k' block, k <= k'
-    lambdas: Vector
-    R: Matrix
-    signs: Vector
-    sigma: float
-    matrix: Matrix  # assembled m(m+1)/2-dimensional covariance
-
-
-def asymptotic_coef_cov(
-    R: Matrix, order: list[int], signs: Vector, sigma: float
-) -> AsymptoticCoefCov:
-    """Limiting covariance blocks of the scaled step-coefficient errors.
-
-    Block (k, k') is the covariance between the active-set restrictions of
-    the step-k and step-k' coefficient deviations, in entry order.  The
-    terminal step has lambda = 0, so its variance block is the plain
-    least-squares covariance on the final active set.
-    """
-    R = np.asarray(R, dtype=np.float64)
-    s = np.asarray(signs, dtype=np.float64)
-    m = len(order)
-    actives = [list(order[:k]) for k in range(1, m + 1)]
-    grams = [R[np.ix_(a, a)] for a in actives]
-    lambdas = np.zeros(m)
-    for k in range(1, m):
-        j_next = order[k]
-        row = R[j_next, actives[k - 1]]
-        denom = 1.0 - s[k] * float(row @ np.linalg.solve(grams[k - 1], s[:k]))
-        lambdas[k - 1] = s[k] / denom
-
-    blocks: dict[tuple[int, int], Matrix] = {}
-    for k in range(1, m + 1):
-        Gk = grams[k - 1]
-        sk = s[:k]
-        if k < m:
-            j_next = order[k]
-            row = R[j_next, actives[k - 1]]
-            cond_var = float(R[j_next, j_next] - row @ np.linalg.solve(Gk, row))
-            inner = Gk + lambdas[k - 1] ** 2 * cond_var * np.outer(sk, sk)
-        else:
-            inner = Gk
-        half = np.linalg.solve(Gk, inner)
-        blocks[(k, k)] = sigma**2 * np.linalg.solve(Gk, half.T).T
-        for kp in range(k + 1, m + 1):
-            Gkp = grams[kp - 1]
-            cross = R[np.ix_(actives[k - 1], actives[kp - 1])]
-            j_next = order[k]
-            row_kp = R[j_next, actives[kp - 1]]
-            row_k = R[j_next, actives[k - 1]]
-            cond_row = row_kp - row_k @ np.linalg.solve(Gk, cross)
-            inner_c = cross - lambdas[k - 1] * np.outer(sk, cond_row)
-            half_c = np.linalg.solve(Gk, inner_c)
-            blocks[(k, kp)] = sigma**2 * np.linalg.solve(Gkp, half_c.T).T
-
-    dim = m * (m + 1) // 2
-    offsets = np.concatenate([[0], np.cumsum(np.arange(1, m + 1))])
-    full = np.zeros((dim, dim))
-    for k in range(1, m + 1):
-        for kp in range(k, m + 1):
-            block = blocks[(k, kp)]
-            full[offsets[k - 1] : offsets[k], offsets[kp - 1] : offsets[kp]] = block
-            if kp != k:
-                full[offsets[kp - 1] : offsets[kp], offsets[k - 1] : offsets[k]] = block.T
-    return AsymptoticCoefCov(blocks, lambdas, R, s, sigma, full)

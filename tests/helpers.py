@@ -12,16 +12,20 @@ from larinfer.bootstrap import (
     replica_rng,
 )
 from larinfer.exceptions import NoPositiveCandidate
-from larinfer.inference import full_column_basis
-from larinfer.linalg import ProjectionBasis, append_innovation, project
+from larinfer.identities import (
+    ProjectionBasis,
+    _advance_direction,
+    append_innovation,
+    full_column_basis,
+    gamma_crossings,
+    project,
+)
 from larinfer.path import (
     TIE_TOL,
     LarPath,
     LarStep,
     StandardizedData,
     StepState,
-    _advance_direction,
-    gamma_crossings,
     lar_path,
     standardize,
 )

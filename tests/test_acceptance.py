@@ -18,30 +18,29 @@ from scipy.stats import kstest
 from larinfer.bootstrap import (
     BootstrapConfig,
     bootstrap_intervals,
-    ols_on_active,
     terminal_coefficients,
+)
+from larinfer.identities import (
+    asymptotic_coef_cov,
+    equiangular,
+    gamma_crossings,
+    gamma_min_plus,
+    ols_on_active,
+    population_correlation_closed_form,
+    replay_states,
 )
 from larinfer.inference import (
     build_inference_report,
     chi2_thresholds,
     chi2_upper_quantile,
     estimate_m,
-    full_column_basis,
     sigma_hat,
     studentized_T,
     tail_sums,
 )
-from larinfer.path import (
-    equiangular,
-    gamma_min_plus,
-    gamma_crossings,
-    lar_path,
-    population_correlation_closed_form,
-    replay_states,
-)
+from larinfer.path import lar_path
 from larinfer.simulate import (
     ScenarioSpec,
-    asymptotic_coef_cov,
     generate_scenario,
     run_coverage,
 )
@@ -172,14 +171,13 @@ def test_05_null_chi2_aggregate():
 
     Q = orthonormal_design(rng, n, p)
     data0 = standardize(Q, rng.standard_normal(n), center=False)
-    basis = full_column_basis(data0)
     centers = np.zeros(p)
     sums = np.empty(reps)
     for i in range(reps):
         y_n = rng.standard_normal(n)
         d = data0.with_response(y_n)
         path = lar_path(d, d.y)
-        sigma = sigma_hat(d, y_n, basis)
+        sigma = sigma_hat(d, y_n)
         T = studentized_T(path, centers, sigma, n)
         sums[i] = float(T @ T)
     mean = sums.mean()
@@ -198,7 +196,6 @@ def test_06_termination_estimate_consistency():
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
     draw = generate_scenario(spec, rng)
     data = draw.data
-    basis = full_column_basis(data)
     thresholds = chi2_thresholds(spec.p, spec.n)
     reps = 500
     hits = 0
@@ -207,7 +204,7 @@ def test_06_termination_estimate_consistency():
         y_n = data.y * data.response_scale + noise.standard_normal(spec.n)
         d = data.with_response(y_n)
         path = lar_path(d, d.y)
-        _, S = tail_sums(path, sigma_hat(d, y_n, basis), spec.n)
+        _, S = tail_sums(path, sigma_hat(d, y_n), spec.n)
         hits += estimate_m(S, thresholds) == spec.m
     rate = hits / reps
     assert rate >= 0.97

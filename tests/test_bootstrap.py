@@ -6,15 +6,14 @@ from helpers import random_instance
 
 from larinfer.bootstrap import (
     BootstrapConfig,
-    bootstrap_errors,
     bootstrap_intervals,
-    bootstrap_path_draw,
     membership_curves,
     nearest_rank_quantile,
     residual_pool,
     terminal_coefficients,
 )
-from larinfer.inference import build_inference_report, full_column_basis
+from larinfer.identities import bootstrap_errors, bootstrap_path_draw, full_column_basis
+from larinfer.inference import build_inference_report
 from larinfer.path import lar_path, standardize
 
 
@@ -59,7 +58,7 @@ class TestResidualPool:
         resid = data.y - basis.vectors @ (basis.vectors.T @ data.y)
         centered = resid - resid.mean()
         expected = float(centered @ centered) / 50 * (50 - 5) / 50
-        pool = residual_pool(data, basis)
+        pool = residual_pool(data)
         assert float(pool @ pool) / 50 == pytest.approx(expected, rel=1e-12)
 
     def test_noiseless_response_gives_zero_errors(self):

@@ -275,6 +275,39 @@ class TestSimulate:
         assert "error:" in capsys.readouterr().err
 
 
+def _scenario_file(tmp_path, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    return str(path)
+
+
+_SCENARIO = dict(n=120, p=5, m=2, delta0=0.05, reps=2, boot_draws=50, seed=4)
+INPUT_ERRORS = {
+    "draws below 2/alpha": lambda tmp: ["infer", DIABETES, "--response", "progression",
+                                        "--draws", "5"],
+    "alpha out of range": lambda tmp: ["infer", DIABETES, "--response", "progression",
+                                       "--alpha", "2"],
+    "negative zero-tol": lambda tmp: ["fit", DIABETES, "--response", "progression",
+                                      "--zero-tol", "-1"],
+    "scenario p >= n": lambda tmp: ["simulate", _scenario_file(
+        tmp, json.dumps({**_SCENARIO, "p": 120})), "--out", str(tmp / "x.csv")],
+    "unknown scenario key": lambda tmp: ["simulate", _scenario_file(
+        tmp, json.dumps({**_SCENARIO, "bogus": 1})), "--out", str(tmp / "x.csv")],
+    "malformed scenario JSON": lambda tmp: ["simulate", _scenario_file(tmp, '{"n": 120,'),
+                                            "--out", str(tmp / "x.csv")],
+    "missing CSV": lambda tmp: ["fit", str(tmp / "missing.csv"), "--response", "y"],
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_ERRORS))
+def test_invalid_input_exits_2_without_traceback(case, tmp_path, capsys):
+    code = main(INPUT_ERRORS[case](tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 class TestTieDemo:
     def test_single_draw(self, tmp_path, capsys):
         out = tmp_path / "tie.csv"

@@ -6,18 +6,17 @@ from helpers import orthonormal_design, random_instance
 from scipy.stats import chi2 as chi2_dist
 
 from larinfer.exceptions import InvalidTail
+from larinfer.identities import full_column_basis, replay_states
 from larinfer.inference import (
     build_inference_report,
     chi2_thresholds,
     chi2_upper_quantile,
     estimate_m,
-    full_column_basis,
     sigma_hat,
     studentized_T,
     tail_sums,
 )
-from larinfer.linalg import append_innovation
-from larinfer.path import ProjectionBasis, lar_path, replay_states, standardize
+from larinfer.path import lar_path, standardize
 
 
 class TestSigmaHat:
@@ -195,10 +194,13 @@ class TestReportAssembly:
     def test_report_consistency(self, diabetes):
         _, data = diabetes
         path = lar_path(data, data.y)
+        report = build_inference_report(data, path)
+        # the p-space residual scale against the n-space projection
         basis = full_column_basis(data)
-        report = build_inference_report(data, path, basis=basis)
+        y_raw = data.y * data.response_scale
+        resid = y_raw - basis.vectors @ (basis.vectors.T @ y_raw)
         assert report.sigma_hat == pytest.approx(
-            sigma_hat(data, data.y * data.response_scale), rel=1e-12
+            math.sqrt(float(resid @ resid) / (data.n - data.p)), rel=1e-12
         )
         assert np.allclose(report.S, report.W[::-1].cumsum()[::-1], atol=1e-10)
         # default centers: observed up to m_bar, zero beyond

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from larinfer.exceptions import DimensionMismatch, NotPositiveDefinite, RankDeficient
-from larinfer.linalg import ProjectionBasis, append_innovation, project, solve_spd
+from larinfer.identities import ProjectionBasis, append_innovation, project
+from larinfer.linalg import solve_spd
 
 
 class TestSolveSpd:
@@ -42,6 +43,23 @@ class TestSolveSpd:
     def test_not_positive_definite_on_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+
+    def test_singular_system_of_a_stack_is_named(self):
+        rng = np.random.default_rng(10)
+        A = rng.standard_normal((4, 5, 3))
+        G = np.swapaxes(A, 1, 2) @ A
+        v = rng.standard_normal(3)
+        G[2] = np.outer(v, v)  # rank one
+        with pytest.raises(NotPositiveDefinite, match="system 2"):
+            solve_spd(G, np.ones((4, 3)))
+
+    def test_near_collinear_pair_fails_the_relative_pivot_check(self):
+        r = 1.0 - 1e-12  # correlation of the two unit-norm columns
+        X = np.array([[1.0, r], [0.0, np.sqrt(1.0 - r * r)]])
+        G = X.T @ X
+        np.linalg.cholesky(G)  # LAPACK accepts the matrix
+        with pytest.raises(NotPositiveDefinite):
+            solve_spd(G, np.ones(2))
 
     def test_shape_errors(self):
         with pytest.raises(DimensionMismatch):

@@ -12,19 +12,23 @@ from larinfer.exceptions import (
     NotPrototypical,
     ZeroColumn,
 )
-from larinfer.linalg import ProjectionBasis, append_innovation, project
-from larinfer.path import (
-    StandardizedData,
-    StepState,
+from larinfer.identities import (
+    ProjectionBasis,
+    append_innovation,
     entrance_criteria,
     equiangular,
     equiangular_recursive,
-    gamma_min_plus,
     gamma_crossings,
+    gamma_min_plus,
+    population_correlation_closed_form,
+    project,
+    replay_states,
+)
+from larinfer.path import (
+    StandardizedData,
+    StepState,
     lar_path,
     margins,
-    population_correlation_closed_form,
-    replay_states,
     standardize,
 )
 

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from helpers import orthonormal_design
 
-from larinfer.bootstrap import ols_on_active
 from larinfer.exceptions import RejectionBudgetExceeded
+from larinfer.identities import asymptotic_coef_cov, ols_on_active
 from larinfer.path import lar_path, margins, standardize
 from larinfer.simulate import (
     ScenarioSpec,
     ar1_covariance,
-    asymptotic_coef_cov,
     generate_scenario,
     run_coverage,
     tie_demo,
