@@ -33,36 +33,72 @@ def read_csv(path: str | Path) -> tuple[list[str], Matrix]:
     Comma-separated, UTF-8 with an optional byte-order mark, '.' decimal.
     Raises CsvParseError with 1-based row/column coordinates on any
     malformed or non-finite cell or ragged row.
+
+    The body is parsed with ``np.loadtxt`` first.  That parser skips blank
+    lines and accepts ``nan``/``inf``, and rejects some cells that the
+    ``csv`` module and ``float`` accept (``1_0``, quoted numbers, non-ASCII
+    digits).  So on a loadtxt error, a blank or whitespace-only body line, a
+    non-finite value or a column count that differs from the header, the
+    body is parsed again cell by cell, which either returns the table or
+    raises the error with its coordinates.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        names = _header(csv.reader(fh))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError("empty file", 1, 1) from None
-        names = [h.strip() for h in header]
-        if any(not name for name in names):
-            col = next(i for i, name in enumerate(names) if not name) + 1
-            raise CsvParseError("empty header field", 1, col)
-        rows: list[list[float]] = []
-        for r, raw in enumerate(reader, start=2):
-            if len(raw) != len(names):
-                raise CsvParseError(
-                    f"expected {len(names)} fields, found {len(raw)}", r, len(raw) + 1
-                )
-            parsed = []
-            for c, cell in enumerate(raw, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvParseError(f"malformed numeric cell {cell!r}", r, c) from None
-                if not math.isfinite(value):
-                    raise CsvParseError(f"non-finite numeric cell {cell!r}", r, c)
-                parsed.append(value)
-            rows.append(parsed)
+            table = np.loadtxt(_body_lines(fh), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            table = None
+    if table is not None and table.shape[1] == len(names) and np.isfinite(table).all():
+        return names, table
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return names, _parse_cells(reader, len(names))
+
+
+def _header(reader) -> list[str]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvParseError("empty file", 1, 1) from None
+    names = [h.strip() for h in header]
+    if any(not name for name in names):
+        col = next(i for i, name in enumerate(names) if not name) + 1
+        raise CsvParseError("empty header field", 1, col)
+    return names
+
+
+def _body_lines(fh):
+    """The remaining lines of ``fh``; ValueError on a blank line or none at all."""
+    empty = True
+    for line in fh:
+        if not line.strip():
+            raise ValueError("blank body line")
+        empty = False
+        yield line
+    if empty:
+        raise ValueError("no body lines")
+
+
+def _parse_cells(reader, width: int) -> Matrix:
+    """Parse the body cell by cell with ``float``, raising on the first bad cell."""
+    rows: list[list[float]] = []
+    for r, raw in enumerate(reader, start=2):
+        if len(raw) != width:
+            raise CsvParseError(f"expected {width} fields, found {len(raw)}", r, len(raw) + 1)
+        parsed = []
+        for c, cell in enumerate(raw, start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise CsvParseError(f"malformed numeric cell {cell!r}", r, c) from None
+            if not math.isfinite(value):
+                raise CsvParseError(f"non-finite numeric cell {cell!r}", r, c)
+            parsed.append(value)
+        rows.append(parsed)
     if not rows:
         raise CsvParseError("no data rows", 2, 1)
-    return names, np.array(rows)
+    return np.array(rows)
 
 
 def split_response(

@@ -9,6 +9,7 @@ standard-normal noise and run the full inference pipeline.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,6 +42,10 @@ class ScenarioSpec:
     threads: int = 1  # deprecated, ignored; kept so old scenario files load
 
     def __post_init__(self):
+        for name in ("n", "p", "m", "reps", "boot_draws", "seed", "rejection_cap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (1 <= self.m <= self.p < self.n):
             raise ValueError(f"need m <= p < n, got m={self.m}, p={self.p}, n={self.n}")
         if self.delta0 <= 0.0:

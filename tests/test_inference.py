@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from helpers import orthonormal_design, random_instance
+from scipy.special import chdtri
 from scipy.stats import chi2 as chi2_dist
 
 from larinfer.exceptions import InvalidTail
@@ -70,6 +71,13 @@ class TestChi2UpperQuantile:
             tail = float(rng.uniform(1e-6, 0.999))
             ours = chi2_upper_quantile(df, tail)
             assert ours == pytest.approx(float(chi2_dist.isf(tail, df)), abs=1e-7)
+
+    @pytest.mark.parametrize("tail", [0.999, 0.9, 0.5, 0.1, 1e-2, 1e-3, 1 / 442, 1 / 1000,
+                                      1 / 4000, 1 / 5000, 1e-6, 1e-9])
+    def test_against_scipy_chdtri(self, tail):
+        df = np.arange(1, 400)
+        ours = np.array([chi2_upper_quantile(int(d), tail) for d in df])
+        np.testing.assert_allclose(ours, chdtri(df, tail), rtol=1e-12, atol=0)
 
     def test_monotonicity(self):
         tails = [1e-4, 1e-3, 0.01, 0.1, 0.5]
