@@ -47,6 +47,7 @@ from .identities import (
     full_column_basis,
     gamma_crossings,
     gamma_min_plus,
+    nearest_rank_quantile,
     population_correlation_closed_form,
     project,
     replay_states,

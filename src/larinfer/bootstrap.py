@@ -12,13 +12,16 @@ keeps X'e* and |e*|^2 and no n-length vector: its residual scale follows
 from the triangular factor R of X'X, and the replicas run in lockstep through
 one call of the batch path engine ``lar_batch`` per chunk, with one batched
 least-squares refit.  Each replica draws from its own substream, so the
-draws do not depend on the chunking.
+draws do not depend on the chunking.  The engines of several responses on
+one design (the replications of a coverage study) are set up together, and
+their replicas share chunks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -31,8 +34,11 @@ Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
 
 # Replicas are run in chunks of at most CHUNK_BYTES / (8 p^2) rows, which
-# bounds each of the engine's B x p x p work arrays.
-CHUNK_BYTES = 32 * 2**20
+# bounds the engine's B x p x p basis; its B x p arrays add a few times as
+# much again.  At p = 20 a chunk holds 163 replicas: the peak resident memory
+# of a coverage study grows with the chunk, and at this size its engine calls
+# still amortize their per-step overhead.
+CHUNK_BYTES = 512 * 2**10
 
 
 @dataclass(frozen=True)
@@ -64,19 +70,30 @@ def replica_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
 
 
-def nearest_rank_quantile(values: Vector, level: float) -> float:
-    """Nearest-rank (type-1) empirical quantile of a replica multiset."""
-    ordered = np.sort(np.asarray(values, dtype=np.float64))
+def _quantile_rows(stats: Matrix, alpha: float) -> tuple[Vector, Vector]:
+    """Nearest-rank (type-1) empirical alpha/2 and 1 - alpha/2 quantiles of
+    each column (a replica multiset), from one sort over the replica axis."""
+    ordered = np.sort(stats, axis=0)
     draws = ordered.shape[0]
-    rank = min(draws, max(1, math.ceil(draws * level)))
-    return float(ordered[rank - 1])
+    lo, hi = (
+        min(draws, max(1, math.ceil(draws * level))) - 1
+        for level in (alpha / 2.0, 1.0 - alpha / 2.0)
+    )
+    return ordered[lo], ordered[hi]
+
+
+def _residual_pools(data: StandardizedData, Y: Matrix, fits: Matrix) -> Matrix:
+    """Centered, scaled residuals of each response row of Y from its full fit."""
+    resid = Y - (data.X @ fits.T).T
+    resid -= resid.mean(axis=1, keepdims=True)
+    resid /= math.sqrt(data.n / (data.n - data.p))
+    return resid
 
 
 def residual_pool(data: StandardizedData) -> Vector:
     """Centered, scaled full-fit residuals to resample from."""
-    resid = data.y - data.X @ full_fit(data, data.y)
-    adjustment = math.sqrt(data.n / (data.n - data.p))
-    return (resid - resid.mean()) / adjustment
+    Y = data.y[None]
+    return _residual_pools(data, Y, full_fit(data, Y))[0]
 
 
 def _residual_scale(data: StandardizedData, xte: Matrix, ee: Vector) -> Vector:
@@ -90,11 +107,18 @@ def _residual_scale(data: StandardizedData, xte: Matrix, ee: Vector) -> Vector:
     return np.sqrt(data.n * rss / (data.n - data.p))
 
 
-def _ols_from_correlations(data: StandardizedData, order: list[int], xty: Vector) -> Vector:
-    """Least-squares p-vector supported on the columns ``order``, from X'y and G_AA."""
-    b = np.zeros(data.p)
-    if order:
-        b[order] = solve_spd(data.gram[np.ix_(order, order)], xty[order])
+def _ols_from_correlations(data: StandardizedData, order, xty: Vector) -> Vector:
+    """Least-squares p-vector supported on the columns ``order``, from X'y and G_AA.
+
+    ``order`` (..., k) and ``xty`` (..., p) may carry matching leading batch
+    axes; each row is solved on its own.
+    """
+    order = np.asarray(order, dtype=np.int64)
+    b = np.zeros(np.shape(xty))
+    if order.shape[-1]:
+        gram_aa = data.gram[order[..., :, None], order[..., None, :]]
+        rhs = np.take_along_axis(xty, order, axis=-1)
+        np.put_along_axis(b, order, solve_spd(gram_aa, rhs), axis=-1)
     return b
 
 
@@ -104,16 +128,27 @@ class TerminalCoefficients:
     raw_scale: Vector  # back-mapped coefficients in original units
 
 
+def _terminal_fits(
+    data: StandardizedData, paths: list[LarPath], m_bars
+) -> list[TerminalCoefficients]:
+    """``terminal_coefficients`` of each path, one batched solve per distinct m_bar."""
+    m_bars = np.asarray(m_bars, dtype=np.int64)
+    b_bars = np.zeros((len(paths), data.p))
+    for m_bar in set(m_bars.tolist()) - {0}:
+        rows = np.flatnonzero(m_bars == m_bar)
+        b_bars[rows] = _ols_from_correlations(
+            data, [paths[i].entrants[:m_bar] for i in rows],
+            np.array([paths[i].start_correlations for i in rows]),
+        )
+    raw = b_bars * data.response_scale / data.column_scales
+    return [TerminalCoefficients(b, r) for b, r in zip(b_bars, raw)]
+
+
 def terminal_coefficients(
     data: StandardizedData, path: LarPath, m_bar: int
 ) -> TerminalCoefficients:
     """Least-squares refit of the path's response on its first m_bar entrants."""
-    b_bar = (
-        _ols_from_correlations(data, path.entrants[:m_bar], path.start_correlations)
-        if m_bar else np.zeros(data.p)
-    )
-    raw = b_bar * data.response_scale / data.column_scales
-    return TerminalCoefficients(b_bar, raw)
+    return _terminal_fits(data, [path], [m_bar])[0]
 
 
 @dataclass(frozen=True)
@@ -128,7 +163,11 @@ class IntervalSet:
 
 
 class BootstrapEngine:
-    """Precomputed state for drawing replicas of one fitted sample path."""
+    """Precomputed state for drawing replicas of one fitted sample path.
+
+    ``BootstrapEngine.many`` builds the engines of several responses on one
+    design at once; a single engine is the case of one response.
+    """
 
     def __init__(
         self,
@@ -137,99 +176,185 @@ class BootstrapEngine:
         m_bar: int,
         naive: bool = False,
     ):
-        self.data = data
-        self.path = path
-        self.m_bar = m_bar
-        self.pool = residual_pool(data)
-        p = data.p
-        # sample-side coefficient rows with the terminal step re-fit
-        self.terminal = terminal_coefficients(data, path, m_bar)
-        self.centers = np.zeros(p)
-        if naive:
-            # full least-squares resampling center; its path correlations
-            # equal the sample ones at every step, so the replica statistics
-            # are centered at the full correlation sequence.  Demonstrates
-            # the failure mode for steps beyond the true termination point.
-            self.b_center = full_fit(data, data.y)
-            self.centers[: len(path.steps)] = path.correlations
-        else:
-            self.b_center = self.terminal.b_bar
-            self.centers[:m_bar] = path.correlations[:m_bar]
-        # X'mu of the resampling center mu = X b_center
-        self.start = data.gram @ self.b_center
-        self.sigma = sigma_hat(data, data.y * data.response_scale)
-        self.sample_coefs = path.coefficients[:m_bar].copy() if m_bar else np.zeros((0, p))
-        if m_bar:
-            self.sample_coefs[m_bar - 1] = self.terminal.b_bar
-        self.cells = [
-            (k, j) for k in range(1, m_bar + 1) for j in path.entrants[:k]
-        ]
+        (engine,) = BootstrapEngine.many(data, data.y[None], [path], [m_bar], naive)
+        self.__dict__.update(engine.__dict__)
+
+    @classmethod
+    def many(
+        cls,
+        data: StandardizedData,
+        Y: Matrix,
+        paths: list[LarPath],
+        m_bars,
+        naive: bool = False,
+    ) -> list["BootstrapEngine"]:
+        """One engine per response row of Y (on the scale of ``data.y``), with
+        its sample path and m_bar.  The full fits, residual pools, residual
+        scales and terminal refits are each computed for all rows at once."""
+        sigmas = sigma_hat(data, Y * data.response_scale)
+        fits = full_fit(data, Y)
+        pools = _residual_pools(data, Y, fits)
+        terminals = _terminal_fits(data, paths, m_bars)
+        # full least-squares resampling center when naive: its path
+        # correlations equal the sample ones at every step, so the replica
+        # statistics are centered at the full correlation sequence.
+        # Demonstrates the failure mode for steps beyond the true
+        # termination point.
+        b_centers = fits if naive else np.array([t.b_bar for t in terminals])
+        # X'mu of each resampling center mu = X b_center
+        starts = (data.gram @ b_centers.T).T
+        engines = []
+        for i, (path, m_bar) in enumerate(zip(paths, map(int, m_bars))):
+            engine = cls.__new__(cls)
+            engine.data, engine.path, engine.m_bar = data, path, m_bar
+            engine.pool, engine.sigma = pools[i], float(sigmas[i])
+            engine.terminal, engine.b_center, engine.start = terminals[i], b_centers[i], starts[i]
+            engine.centers = np.zeros(data.p)
+            if naive:
+                engine.centers[: len(path.steps)] = path.correlations
+            else:
+                engine.centers[:m_bar] = path.correlations[:m_bar]
+            # sample-side coefficient rows with the terminal step re-fit
+            engine.sample_coefs = path.coefficients[:m_bar].copy()
+            if m_bar:
+                engine.sample_coefs[m_bar - 1] = terminals[i].b_bar
+            engine.cells = [
+                (k, j) for k in range(1, m_bar + 1) for j in path.entrants[:k]
+            ]
+            engine._ks = np.array([k - 1 for k, _ in engine.cells], dtype=np.int64)
+            engine._js = np.array([j for _, j in engine.cells], dtype=np.int64)
+            engines.append(engine)
+        return engines
 
     def collect(self, cfg: BootstrapConfig) -> tuple[Matrix, Matrix, Matrix]:
         """(studentized T*, studentized B* per cell, entry step per variable),
         one row per replica."""
-        chunk = max(1, CHUNK_BYTES // (8 * self.data.p ** 2))
-        parts = [
-            self._replicas(cfg.seed, start, min(start + chunk, cfg.draws))
-            for start in range(0, cfg.draws, chunk)
-        ]
-        t_star, b_star, entries = (np.concatenate(arrays) for arrays in zip(*parts))
-        return t_star, b_star, entries
+        return next(_collect([self], [cfg]))
 
-    def _replicas(self, seed: int, start: int, stop: int) -> tuple[Matrix, Matrix, Matrix]:
-        """``collect`` for the replicas with indices start..stop-1."""
-        data, m_bar = self.data, self.m_bar
-        n, p = data.n, data.p
-        draws = stop - start
-        xte = np.empty((draws, p))
-        ee = np.empty(draws)
-        for i in range(draws):
-            eps = self.pool[replica_rng(seed, start + i).integers(0, n, n)]
-            xte[i] = data.X.T @ eps
-            ee[i] = eps @ eps
-        sigma_star = _residual_scale(data, xte, ee)
-        start_corr = self.start + xte
-        batch = lar_batch(
-            start_corr, data.gram_factor, zero_tol=0.0, coef_steps=m_bar,
-            row_name=lambda i: f"bootstrap replica {start + i}",
-        )
-        done = np.arange(p) < batch.terminated_at[:, None]
-        ok = sigma_star > 0.0
-        signs = np.where(done, batch.signs, 1.0)
-        increments = np.where(
-            done, np.diff(batch.inv_angle_sq, axis=1, prepend=0.0), 0.0
-        )
+    def _b_star(self, coef_rows: NDArray[np.float64], sigma_star: Vector) -> Matrix:
+        """Studentized B* per cell from replica coefficient rows (B x steps x p)."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_star = (
-                signs * np.sqrt(increments) * math.sqrt(n)
-                * (batch.correlations - self.centers) / sigma_star[:, None]
+            b_star = (
+                math.sqrt(self.data.n)
+                * (coef_rows[:, self._ks, self._js] - self.sample_coefs[self._ks, self._js])
+                / sigma_star[:, None]
             )
-        t_star[~ok] = 0.0
+        b_star[~(sigma_star > 0.0)] = 0.0
+        return b_star
 
-        b_star = np.zeros((draws, len(self.cells)))
-        if m_bar:
-            coef_rows = batch.coefficients
-            refit = np.flatnonzero(ok & (batch.terminated_at >= m_bar))
-            if refit.size:
-                order = batch.entrants[refit, :m_bar]
-                gram_aa = data.gram[order[:, :, None], order[:, None, :]]
-                rhs = np.take_along_axis(start_corr[refit], order, axis=1)
-                terminal = np.zeros((refit.size, p))
-                np.put_along_axis(terminal, order, solve_spd(gram_aa, rhs), axis=1)
-                coef_rows[refit, m_bar - 1] = terminal
-            ks = np.array([k - 1 for k, _ in self.cells])
-            js = np.array([j for _, j in self.cells])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                b_star = (
-                    math.sqrt(n) * (coef_rows[:, ks, js] - self.sample_coefs[ks, js])
-                    / sigma_star[:, None]
-                )
-            b_star[~ok] = 0.0
+    def intervals(
+        self, cfg: BootstrapConfig, t_star: Matrix, b_star: Matrix, entries: Matrix
+    ) -> IntervalSet:
+        """Interval set from this engine's replica statistics (see ``collect``)."""
+        path, n = self.path, self.data.n
+        t_lo, t_hi = _quantile_rows(t_star[:, : len(path.steps)], cfg.alpha)
+        # inverts the pivot: the replica statistic carries the square-root
+        # increment in its numerator, so the interval scale divides by it
+        q_hat = (
+            path.signs * self.sigma
+            / (np.sqrt(path.inv_angle_sq_increments) * math.sqrt(n))
+        )
+        c_hat = path.correlations
+        ends = (c_hat - t_hi * q_hat, c_hat - t_lo * q_hat)
+        corr = np.column_stack(
+            [np.maximum(0.0, np.minimum(*ends)), np.maximum(*ends)]
+        )
 
-        entries = np.full((draws, p), p, dtype=np.float64)
-        rows, steps = np.nonzero(done)
-        entries[rows, batch.entrants[rows, steps]] = steps + 1
-        return t_star, b_star, entries
+        b_lo, b_hi = _quantile_rows(b_star, cfg.alpha)
+        scale = self.sigma / math.sqrt(n)
+        center = self.sample_coefs[self._ks, self._js]
+        coef = dict(zip(self.cells, zip(
+            (center - b_hi * scale).tolist(), (center - b_lo * scale).tolist()
+        )))
+        membership = membership_curves(entries, self.data.p)
+        return IntervalSet(
+            corr, coef, membership, self.m_bar, cfg.alpha, cfg.draws, self.terminal
+        )
+
+
+def _collect(
+    engines: list[BootstrapEngine], cfgs: list[BootstrapConfig]
+) -> Iterator[tuple[Matrix, Matrix, Matrix]]:
+    """``collect`` of each engine in turn, with the draws of its config.
+
+    The replicas of all engines, in engine order, run in chunks of at most
+    CHUNK_BYTES / (8 p^2) rows, one ``lar_batch`` call per chunk, so a chunk
+    may hold the replicas of several engines and an engine's replicas may
+    span chunks.  An engine's statistics are yielded when its last chunk is
+    done; a chunk's work arrays are freed before the next chunk starts.
+    """
+    p = engines[0].data.p
+    chunk = max(1, CHUNK_BYTES // (8 * p**2))
+    draws = [cfg.draws for cfg in cfgs]
+    ends = np.cumsum(draws)
+    owner = np.repeat(np.arange(len(engines)), draws)
+    index = np.concatenate([np.arange(d) for d in draws])
+    seeds = [cfg.seed for cfg in cfgs]
+    parts: list[tuple[Matrix, Matrix, Matrix]] = []
+    for start in range(0, owner.size, chunk):
+        stop = min(start + chunk, owner.size)
+        t_star, coef_rows, sigma_star, entries = _replicas(
+            engines, seeds, owner[start:stop], index[start:stop]
+        )
+        for e in range(owner[start], owner[stop - 1] + 1):
+            rows = slice(max(start, ends[e] - draws[e]) - start, min(stop, ends[e]) - start)
+            parts.append((
+                t_star[rows].copy(),
+                engines[e]._b_star(coef_rows[rows], sigma_star[rows]),
+                entries[rows].copy(),
+            ))
+            if ends[e] <= stop:
+                yield tuple(np.concatenate(arrays) for arrays in zip(*parts))
+                parts = []
+        del t_star, coef_rows, sigma_star, entries
+
+
+def _replicas(
+    engines: list[BootstrapEngine], seeds: list[int], owner: NDArray[np.int64],
+    index: NDArray[np.int64],
+) -> tuple[Matrix, NDArray[np.float64], Vector, Matrix]:
+    """Replica ``index[i]`` of engine ``owner[i]``, one row each: (studentized
+    T*, coefficient rows with the terminal step re-fit, residual scale sigma*,
+    entry step per variable)."""
+    data = engines[0].data
+    n, p = data.n, data.p
+    rows = owner.size
+    xte = np.empty((rows, p))
+    ee = np.empty(rows)
+    for i, (e, b) in enumerate(zip(owner.tolist(), index.tolist())):
+        eps = engines[e].pool[replica_rng(seeds[e], b).integers(0, n, n)]
+        xte[i] = data.X.T @ eps
+        ee[i] = eps @ eps
+    sigma_star = _residual_scale(data, xte, ee)
+    start_corr = np.array([engine.start for engine in engines])[owner] + xte
+    m_bars = np.array([engine.m_bar for engine in engines])[owner]
+    batch = lar_batch(
+        start_corr, data.gram_factor, zero_tol=0.0, coef_steps=int(m_bars.max()),
+        row_name=lambda i: f"bootstrap replica {index[i]}",
+    )
+    done = np.arange(p) < batch.terminated_at[:, None]
+    ok = sigma_star > 0.0
+    signs = np.where(done, batch.signs, 1.0)
+    centers = np.array([engine.centers for engine in engines])[owner]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_star = (
+            signs * np.sqrt(batch.inv_angle_sq_increments) * math.sqrt(n)
+            * (batch.correlations - centers) / sigma_star[:, None]
+        )
+    t_star[~ok] = 0.0
+
+    coef_rows = batch.coefficients
+    for m_bar in set(m_bars.tolist()) - {0}:
+        refit = np.flatnonzero(ok & (batch.terminated_at >= m_bar) & (m_bars == m_bar))
+        if refit.size:
+            coef_rows[refit, m_bar - 1] = _ols_from_correlations(
+                data, batch.entrants[refit, :m_bar], start_corr[refit]
+            )
+
+    entries = np.full((rows, p), p, dtype=np.float64)
+    rows_done, steps = np.nonzero(done)
+    entries[rows_done, batch.entrants[rows_done, steps]] = steps + 1
+    return t_star, coef_rows, sigma_star, entries
 
 
 def bootstrap_intervals(
@@ -248,38 +373,29 @@ def bootstrap_intervals(
     intervals are clamped to zero.
     """
     engine = BootstrapEngine(data, path, m_bar, naive=naive)
-    t_star, b_star, entries = engine.collect(cfg)
-    n, p = data.n, data.p
-    lo_level, hi_level = cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0
+    return engine.intervals(cfg, *engine.collect(cfg))
 
-    corr = np.zeros((len(path.steps), 2))
-    increments = path.inv_angle_sq_increments
-    for k in range(1, len(path.steps) + 1):
-        # inverts the pivot: the replica statistic carries the square-root
-        # increment in its numerator, so the interval scale divides by it
-        q_hat = (
-            path.steps[k - 1].sign
-            * engine.sigma
-            / (math.sqrt(increments[k - 1]) * math.sqrt(n))
-        )
-        t_lo = nearest_rank_quantile(t_star[:, k - 1], lo_level)
-        t_hi = nearest_rank_quantile(t_star[:, k - 1], hi_level)
-        c_hat = path.correlations[k - 1]
-        ends = (c_hat - t_hi * q_hat, c_hat - t_lo * q_hat)
-        lo, hi = min(ends), max(ends)
-        corr[k - 1] = (max(0.0, lo), hi)
 
-    coef: dict[tuple[int, int], tuple[float, float]] = {}
-    scale = engine.sigma / math.sqrt(n)
-    for i, (k, j) in enumerate(engine.cells):
-        b_lo = nearest_rank_quantile(b_star[:, i], lo_level)
-        b_hi = nearest_rank_quantile(b_star[:, i], hi_level)
-        center = engine.sample_coefs[k - 1, j]
-        coef[(k, j)] = (center - b_hi * scale, center - b_lo * scale)
+def interval_sets(
+    data: StandardizedData,
+    Y: Matrix,
+    paths: list[LarPath],
+    m_bars,
+    cfgs: list[BootstrapConfig],
+    naive: bool = False,
+) -> Iterator[IntervalSet]:
+    """``bootstrap_intervals`` of each response row of Y (on the scale of
+    ``data.y``) with its sample path, m_bar and config, yielded in order.
 
-    membership = membership_curves(entries, p)
-    return IntervalSet(
-        corr, coef, membership, m_bar, cfg.alpha, cfg.draws, engine.terminal
+    The engines are set up together on the call, and their replicas run in
+    shared chunks as the sets are drawn,
+    so a study of many responses makes a few engine calls instead of one per
+    response; each replica still draws from ``replica_rng(cfg.seed, b)``.
+    """
+    engines = BootstrapEngine.many(data, Y, paths, m_bars, naive)
+    return (
+        engine.intervals(cfg, *stats)
+        for engine, cfg, stats in zip(engines, cfgs, _collect(engines, cfgs))
     )
 
 

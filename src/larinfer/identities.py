@@ -3,10 +3,11 @@
 Every routine here restates a quantity that the production code computes
 another way: alternative step-length and equiangular formulas, an n-space
 Gram-Schmidt basis and a replay of a recorded path through it, the entrance
-criteria, a closed form of the step correlation, single-draw forms of the
-bootstrap, and the asymptotic covariance of the step-coefficient errors.  The
-tests check the engine against them.  The library itself never imports this
-module; ``larinfer`` re-exports its names for callers.
+criteria, a closed form of the step correlation, the one-column quantile
+and single-draw forms of the bootstrap, and the asymptotic covariance of the
+step-coefficient errors.  The tests check the engine against them.  The
+library itself never imports this module; ``larinfer`` re-exports its names
+for callers.
 """
 
 from __future__ import annotations
@@ -275,6 +276,14 @@ def population_correlation_closed_form(
     xj = data.X[:, state.entrant]
     denom = 1.0 - state.sign * float(xj @ state.direction_prev)
     return num / denom
+
+
+def nearest_rank_quantile(values: Vector, level: float) -> float:
+    """Nearest-rank (type-1) empirical quantile of a replica multiset."""
+    ordered = np.sort(np.asarray(values, dtype=np.float64))
+    draws = ordered.shape[0]
+    rank = min(draws, max(1, math.ceil(draws * level)))
+    return float(ordered[rank - 1])
 
 
 def bootstrap_errors(data: StandardizedData, y: Vector, rng: np.random.Generator) -> Vector:

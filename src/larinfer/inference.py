@@ -17,7 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .exceptions import InvalidTail
-from .path import LarPath, StandardizedData
+from .path import LarBatch, LarPath, StandardizedData
 
 Vector = NDArray[np.float64]
 
@@ -29,23 +29,28 @@ def full_fit(data: StandardizedData, y: Vector) -> Vector:
     """Least-squares coefficients of y on every column of the design.
 
     Solved from X'y with the cached triangular factor R of X'X, so the only
-    n-space work is the product X'y.
+    n-space work is the product X'y.  A stack of responses (R x n) gives one
+    row of coefficients per response.
     """
     R = data.gram_factor
-    return np.linalg.solve(R, np.linalg.solve(R.T, data.X.T @ y))
+    return np.linalg.solve(R, np.linalg.solve(R.T, data.X.T @ y.T)).T
 
 
-def sigma_hat(data: StandardizedData, y_raw: Vector) -> float:
+def sigma_hat(data: StandardizedData, y_raw: Vector) -> float | Vector:
     """Residual-scale estimate sqrt(RSS / (n - p)) of the full fit.
 
     ``y_raw`` is the response in original units with the same centering as
     ``data.y`` (i.e. ``data.y * data.response_scale``).  The projection onto
     the column space is invariant to column scaling, so the standardized
-    design is used directly.  The fit comes from ``full_fit``.
+    design is used directly.  The fit comes from ``full_fit``.  A stack of
+    responses (R x n) gives an array of R estimates, each equal to the
+    estimate of its row up to the rounding of the stacked products.
     """
     y = np.asarray(y_raw, dtype=np.float64)
-    resid = y - data.X @ full_fit(data, y)
-    return math.sqrt(float(resid @ resid) / (data.n - data.p))
+    resid = y - (data.X @ full_fit(data, y).T).T
+    rss = (resid[..., None, :] @ resid[..., :, None])[..., 0, 0]
+    sigma = np.sqrt(rss / (data.n - data.p))
+    return float(sigma) if sigma.ndim == 0 else sigma
 
 
 def _log_upper_gamma(a: float, x: float) -> tuple[float, float]:
@@ -116,29 +121,33 @@ def chi2_thresholds(p: int, n: int) -> Vector:
     return np.array([chi2_upper_quantile(p - k + 1, 1.0 / n) for k in range(1, p + 1)])
 
 
-def tail_sums(path: LarPath, sigma: float, n: int) -> tuple[Vector, Vector]:
-    """Per-step statistics W and their tail sums S over a full sample path."""
+def tail_sums(
+    path: LarPath | LarBatch, sigma: float | Vector, n: int
+) -> tuple[Vector, Vector]:
+    """Per-step statistics W and their tail sums S over a full sample path.
+
+    For a LarBatch, ``sigma`` is a column with one estimate per row, and W and
+    S have one row per path (0 past the row's last step).
+    """
     increments = path.inv_angle_sq_increments
     W = n * increments * path.correlations**2 / sigma**2
-    S = W[::-1].cumsum()[::-1]
+    S = W[..., ::-1].cumsum(axis=-1)[..., ::-1]
     return W, S
 
 
-def estimate_m(S: Vector, thresholds: Vector) -> int:
+def estimate_m(S: Vector, thresholds: Vector) -> int | NDArray[np.int64]:
     """Largest prefix length over which tail sums strictly exceed thresholds.
 
     Returns 0 when the first tail sum does not exceed its threshold; equality
-    counts as failure.
+    counts as failure.  A matrix of tail sums gives one estimate per row.
     """
     S = np.asarray(S, dtype=np.float64)
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    if S.shape != thresholds.shape:
+    if S.shape[-1:] != thresholds.shape:
         raise ValueError("S and thresholds must have equal length")
     exceeds = S > thresholds
-    if not exceeds[0]:
-        return 0
-    below = np.flatnonzero(~exceeds)
-    return int(below[0]) if below.size else S.shape[0]
+    m = np.where(exceeds.all(axis=-1), S.shape[-1], exceeds.argmin(axis=-1))
+    return int(m) if m.ndim == 0 else m
 
 
 def studentized_T(

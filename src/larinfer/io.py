@@ -43,7 +43,7 @@ def read_csv(path: str | Path) -> tuple[list[str], Matrix]:
     raises the error with its coordinates.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        names = _header(csv.reader(fh))
+        names = _header(_rows(fh))
         try:
             table = np.loadtxt(_body_lines(fh), delimiter=",", comments=None, ndmin=2)
         except ValueError:
@@ -51,9 +51,19 @@ def read_csv(path: str | Path) -> tuple[list[str], Matrix]:
     if table is not None and table.shape[1] == len(names) and np.isfinite(table).all():
         return names, table
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = _rows(fh)
         next(reader)
         return names, _parse_cells(reader, len(names))
+
+
+def _rows(fh):
+    """The rows of a CSV file; a ``csv.Error`` (such as a field over the csv
+    module's size limit) becomes a CsvParseError that names its line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise CsvParseError(f"unreadable row: {exc}", reader.line_num, 1) from None
 
 
 def _header(reader) -> list[str]:

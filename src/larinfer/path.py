@@ -8,8 +8,9 @@ and X'response, so the engine runs in p-space on the triangular factor of X'X
 and takes the starting correlations X'response as input.  ``lar_path`` is
 the one-response wrapper: the observed response gives the sample path, a
 noiseless mean vector the population path.  The bootstrap and the tie
-demonstration run all their responses through the batch engine.  The
-alternative formulas that the tests check the engine against live in
+demonstration run all their responses through the batch engine, and a
+coverage study runs the sample paths of all its replications as one batch.
+The alternative formulas that the tests check the engine against live in
 ``larinfer.identities``.
 """
 
@@ -268,6 +269,26 @@ class LarBatch:
     correlations_all: NDArray[np.float64] | None
     equiangular_dots: NDArray[np.float64] | None
 
+    @property
+    def inv_angle_sq_increments(self) -> Matrix:
+        """1/A_k^2 - 1/A_{k-1}^2 per row (1/A_0 = 0), and 0 past the row's last step."""
+        done = np.arange(self.signs.shape[1]) < self.terminated_at[:, None]
+        return np.where(done, np.diff(self.inv_angle_sq, axis=1, prepend=0.0), 0.0)
+
+    def path(self, row: int, kind: str = "sample") -> LarPath:
+        """Batch row ``row`` as a LarPath; the batch must hold the traces."""
+        m = int(self.terminated_at[row])
+        fields = (self.entrants, self.signs, self.correlations, self.angles,
+                  self.weights, self.inv_angle_sq, self.ties)
+        entrant, sign, corr, angle, weight, inv_a2, tie = (a[row, :m].tolist() for a in fields)
+        steps = tuple(
+            LarStep(entrant[k], sign[k], corr[k], angle[k], weight[k],
+                    self.correlations_all[row, k], self.equiangular_dots[row, k],
+                    inv_a2[k], tie[k])
+            for k in range(m)
+        )
+        return LarPath(steps, self.coefficients[row, :m], kind, m)
+
 
 def lar_batch(
     start: Matrix,
@@ -457,18 +478,7 @@ def lar_path(
     if resp.shape != (n,):
         raise DimensionMismatch(f"response shape {resp.shape} != ({n},)")
     batch = lar_batch((X.T @ resp)[None], data.gram_factor, zero_tol, traces=True)
-    m = int(batch.terminated_at[0])
-    steps = tuple(
-        LarStep(
-            int(batch.entrants[0, k]), float(batch.signs[0, k]),
-            float(batch.correlations[0, k]), float(batch.angles[0, k]),
-            float(batch.weights[0, k]), batch.correlations_all[0, k],
-            batch.equiangular_dots[0, k], float(batch.inv_angle_sq[0, k]),
-            bool(batch.ties[0, k]),
-        )
-        for k in range(m)
-    )
-    return LarPath(steps, batch.coefficients[0, :m], kind, m)
+    return batch.path(0, kind)
 
 
 @dataclass(frozen=True)
@@ -479,9 +489,7 @@ class MarginReport:
     vacuous: bool
 
 
-def margins(
-    population_path: LarPath, data: StandardizedData, mu: Vector
-) -> MarginReport:
+def margins(population_path: LarPath) -> MarginReport:
     """Largest separation constants satisfied by a prototypical path.
 
     delta_m1 is the smallest gap between the step correlation and any

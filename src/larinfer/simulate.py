@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .bootstrap import BootstrapConfig, bootstrap_intervals
+from .bootstrap import BootstrapConfig, IntervalSet, interval_sets
 from .exceptions import DegenerateResponse, NotPrototypical, RejectionBudgetExceeded
 from .inference import chi2_thresholds, estimate_m, sigma_hat, tail_sums
 from .linalg import solve_spd
@@ -84,7 +84,7 @@ def generate_scenario(spec: ScenarioSpec, rng: np.random.Generator) -> ScenarioD
         if pop_path.tie_steps or pop_path.terminated_at != spec.m:
             continue
         try:
-            report = margins(pop_path, data, mu)
+            report = margins(pop_path)
         except NotPrototypical:
             continue
         if report.delta >= spec.delta0:
@@ -117,7 +117,7 @@ def run_coverage(
     """
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
     draw = generate_scenario(spec, rng)
-    data, mu, pop = draw.data, draw.mu, draw.pop_path
+    data, pop = draw.data, draw.pop_path
     n, p, m = spec.n, spec.p, spec.m
     thresholds = chi2_thresholds(p, n)
     target_C = np.zeros(p)
@@ -125,26 +125,15 @@ def run_coverage(
     # population step coefficients; constant at the terminal value beyond m
     target_b = np.vstack([pop.coefficients, np.tile(pop.coefficients[-1], (p - m, 1))])
 
+    m_bars, intervals = _replications(spec, data, thresholds, naive)
+
     corr_cov: list[float] = []
     coef_cov: list[float] = []
     term_cov: list[float] = []
     zero_cov: list[float] = []
-    m_hits = 0
-    evaluated = 0
-    for i in range(spec.reps):
-        noise_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1, i]))
-        eps = noise_rng.standard_normal(n)
-        d = data.with_response(data.y * data.response_scale + eps)
-        path = lar_path(d, d.y, zero_tol=0.0, kind="sample")
-        sigma = sigma_hat(d, d.y * d.response_scale)
-        _, S = tail_sums(path, sigma, n)
-        m_bar = estimate_m(S, thresholds)
-        m_hits += m_bar == m
+    for i, m_bar in enumerate(m_bars.tolist()):
         if m_bar > 0:
-            evaluated += 1
-            boot_seed = int(np.random.SeedSequence([spec.seed, 2, i]).generate_state(1)[0])
-            cfg = BootstrapConfig(draws=spec.boot_draws, alpha=spec.alpha, seed=boot_seed)
-            iv = bootstrap_intervals(d, path, m_bar, cfg, naive=naive)
+            iv = next(intervals)
             corr = iv.correlation_intervals
             hits = [
                 corr[k - 1, 0] <= target_C[k - 1] <= corr[k - 1, 1]
@@ -176,10 +165,46 @@ def run_coverage(
     return CoverageResult(
         _mean(corr_cov),
         _mean(coef_cov),
-        m_hits / spec.reps,
+        int(np.count_nonzero(m_bars == m)) / spec.reps,
         _mean(term_cov),
         _mean(zero_cov),
-        evaluated,
+        int(np.count_nonzero(m_bars)),
+    )
+
+
+def _replications(
+    spec: ScenarioSpec, data: StandardizedData, thresholds: Vector, naive: bool
+) -> tuple[NDArray[np.int64], Iterator[IntervalSet]]:
+    """m_bar of every replication, and the bootstrap intervals of those with
+    m_bar > 0 in order.
+
+    The responses are one stack, each drawn from its replication's own noise
+    stream, and run as one path batch; the intervals come from one
+    ``interval_sets`` stream, whose replicas run a few replications per
+    engine call.  The stack is freed on return.
+    """
+    n = data.n
+    Y = np.empty((spec.reps, n))
+    for i in range(spec.reps):
+        Y[i] = np.random.default_rng(np.random.SeedSequence([spec.seed, 1, i])).standard_normal(n)
+    # the standardized responses of the replications (scenario designs are centered)
+    Y += data.y * data.response_scale
+    Y -= Y.mean(axis=1, keepdims=True)
+    Y /= data.response_scale
+    paths = lar_batch(Y @ data.X, data.gram_factor, traces=True,
+                      row_name=lambda i: f"replication {i}")
+    sigma = sigma_hat(data, Y * data.response_scale)
+    _, S = tail_sums(paths, sigma[:, None], n)
+    m_bars = estimate_m(S, thresholds)
+    boot = np.flatnonzero(m_bars > 0)
+    cfgs = [
+        BootstrapConfig(draws=spec.boot_draws, alpha=spec.alpha, seed=int(
+            np.random.SeedSequence([spec.seed, 2, i]).generate_state(1)[0]))
+        for i in boot
+    ]
+    Y = Y[boot]
+    return m_bars, interval_sets(
+        data, Y, [paths.path(i) for i in boot], m_bars[boot], cfgs, naive=naive
     )
 
 

@@ -1,5 +1,6 @@
 """Shared generators for randomized tests, the n-space reference path engine,
-and the per-replica reference bootstrap."""
+the per-replica reference bootstrap, and the per-replication reference
+coverage study."""
 
 import math
 
@@ -9,6 +10,7 @@ from larinfer.bootstrap import (
     BootstrapConfig,
     BootstrapEngine,
     _ols_from_correlations,
+    bootstrap_intervals,
     replica_rng,
 )
 from larinfer.exceptions import NoPositiveCandidate
@@ -20,6 +22,7 @@ from larinfer.identities import (
     gamma_crossings,
     project,
 )
+from larinfer.inference import chi2_thresholds, estimate_m, sigma_hat, tail_sums
 from larinfer.path import (
     TIE_TOL,
     LarPath,
@@ -29,6 +32,7 @@ from larinfer.path import (
     lar_path,
     standardize,
 )
+from larinfer.simulate import CoverageResult, ScenarioSpec, generate_scenario
 
 
 def random_instance(
@@ -218,3 +222,66 @@ def reference_collect(
         b_rows.append(b_star)
         entry_rows.append(entry)
     return np.array(t_rows), np.array(b_rows), np.array(entry_rows)
+
+
+def reference_run_coverage(spec: ScenarioSpec, naive: bool = False) -> CoverageResult:
+    """Test-only reference: ``run_coverage`` one replication at a time.
+
+    A copy of the loop the library ran before the coverage study moved to
+    batches: each replication builds its own response from its noise stream,
+    runs ``lar_path`` and ``sigma_hat`` on it, and, when its m_bar is
+    positive, calls ``bootstrap_intervals`` with its own seed, so every
+    replication makes its own two engine calls.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
+    draw = generate_scenario(spec, rng)
+    data, pop = draw.data, draw.pop_path
+    n, p, m = spec.n, spec.p, spec.m
+    thresholds = chi2_thresholds(p, n)
+    target_C = np.zeros(p)
+    target_C[:m] = pop.correlations
+    target_b = np.vstack([pop.coefficients, np.tile(pop.coefficients[-1], (p - m, 1))])
+
+    corr_cov, coef_cov, term_cov, zero_cov = [], [], [], []
+    m_hits = 0
+    evaluated = 0
+    for i in range(spec.reps):
+        noise_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1, i]))
+        eps = noise_rng.standard_normal(n)
+        d = data.with_response(data.y * data.response_scale + eps)
+        path = lar_path(d, d.y, zero_tol=0.0, kind="sample")
+        sigma = sigma_hat(d, d.y * d.response_scale)
+        _, S = tail_sums(path, sigma, n)
+        m_bar = estimate_m(S, thresholds)
+        m_hits += m_bar == m
+        if m_bar > 0:
+            evaluated += 1
+            boot_seed = int(np.random.SeedSequence([spec.seed, 2, i]).generate_state(1)[0])
+            cfg = BootstrapConfig(draws=spec.boot_draws, alpha=spec.alpha, seed=boot_seed)
+            iv = bootstrap_intervals(d, path, m_bar, cfg, naive=naive)
+            corr = iv.correlation_intervals
+            hits = [
+                corr[k - 1, 0] <= target_C[k - 1] <= corr[k - 1, 1]
+                for k in range(1, m_bar + 1)
+            ]
+            corr_cov.append(float(np.mean(hits)))
+            cells = list(iv.coefficient_intervals.items())
+            coef_hits = [lo <= target_b[k - 1, j] <= hi for (k, j), (lo, hi) in cells]
+            coef_cov.append(float(np.mean(coef_hits)))
+            term_hits = [
+                lo <= target_b[m - 1, j] <= hi for (k, j), (lo, hi) in cells if k == m_bar
+            ]
+            term_cov.append(float(np.mean(term_hits)))
+            if m < p:
+                zero_hits = [
+                    corr[k - 1, 0] <= 0.0 <= corr[k - 1, 1] for k in range(m + 1, p + 1)
+                ]
+                zero_cov.append(float(np.mean(zero_hits)))
+
+    def _mean(xs):
+        return float(np.mean(xs)) if xs else math.nan
+
+    return CoverageResult(
+        _mean(corr_cov), _mean(coef_cov), m_hits / spec.reps,
+        _mean(term_cov), _mean(zero_cov), evaluated,
+    )

@@ -2,8 +2,9 @@
 identities, null calibration, termination consistency, coverage studies, the
 tie demonstration, and the asymptotic covariance oracle.
 
-Each test prints a PASS line with its headline numbers.  The two long
-coverage studies are marked ``slow`` and deselected by default.
+Each test prints a PASS line with its headline numbers.  The two coverage
+studies run at the paper's scale (n = 1000, p = 20, 200 replications of 200
+bootstrap draws) in the default suite.
 """
 
 import math
@@ -213,7 +214,6 @@ def test_06_termination_estimate_consistency():
     print(f"PASS termination consistency: rate={rate:.3f} in {elapsed:.1f}s")
 
 
-@pytest.mark.slow
 def test_07_coverage_at_scale():
     start = time.perf_counter()
     spec = ScenarioSpec(n=1000, p=20, m=3, delta0=0.2, reps=200,
@@ -227,7 +227,6 @@ def test_07_coverage_at_scale():
           f"terminal={result.terminal_coverage:.3f} in {elapsed:.0f}s")
 
 
-@pytest.mark.slow
 def test_08_modified_vs_naive_bootstrap():
     start = time.perf_counter()
     spec = ScenarioSpec(n=1000, p=20, m=3, delta0=0.2, reps=200,

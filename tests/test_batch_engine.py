@@ -5,7 +5,12 @@ import pytest
 from helpers import orthonormal_design, reference_collect
 
 import larinfer.bootstrap as bootstrap
-from larinfer.bootstrap import BootstrapConfig, BootstrapEngine, bootstrap_intervals
+from larinfer.bootstrap import (
+    BootstrapConfig,
+    BootstrapEngine,
+    bootstrap_intervals,
+    interval_sets,
+)
 from larinfer.exceptions import RankDeficient
 from larinfer.inference import build_inference_report
 from larinfer.path import lar_batch, lar_path, standardize
@@ -183,3 +188,30 @@ def test_chunking_does_not_change_results(diabetes, monkeypatch):
     for a, b in zip(whole, chunked):
         assert _max_rel_diff(a, b) <= 1e-12
     assert np.array_equal(whole[2], chunked[2])
+
+
+@pytest.mark.parametrize("naive", [False, True])
+def test_interval_sets_match_one_response_at_a_time(naive, diabetes, monkeypatch):
+    """Several responses on one design, with different m_bar (0 included) and
+    seeds, through shared chunks that split their replicas."""
+    _, data = diabetes
+    rng = np.random.default_rng(46)
+    Y = data.y + 0.02 * rng.standard_normal((4, data.n))
+    Y -= Y.mean(axis=1, keepdims=True)
+    paths = [lar_path(data, y) for y in Y]
+    m_bars = [5, 0, 2, 5]
+    cfgs = [BootstrapConfig(draws=60, seed=50 + i) for i in range(4)]
+    # 8 * p^2 = 800 bytes per replica: chunks of 25
+    monkeypatch.setattr(bootstrap, "CHUNK_BYTES", 25 * 800)
+    sets = list(interval_sets(data, Y, paths, m_bars, cfgs, naive=naive))
+    assert len(sets) == 4
+    for y, path, m_bar, cfg, iv in zip(Y, paths, m_bars, cfgs, sets):
+        ref = bootstrap_intervals(data.with_response(y * data.response_scale), path,
+                                  m_bar, cfg, naive=naive)
+        assert iv.m_bar == m_bar and iv.draws == cfg.draws
+        assert np.array_equal(iv.membership_freq, ref.membership_freq)
+        assert _max_rel_diff(iv.correlation_intervals, ref.correlation_intervals) <= 1e-12
+        assert iv.coefficient_intervals.keys() == ref.coefficient_intervals.keys()
+        for cell, ends in iv.coefficient_intervals.items():
+            assert _max_rel_diff(ends, ref.coefficient_intervals[cell]) <= 1e-12
+        assert np.allclose(iv.terminal.b_bar, ref.terminal.b_bar, rtol=1e-12, atol=1e-15)

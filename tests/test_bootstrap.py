@@ -6,13 +6,18 @@ from helpers import random_instance
 
 from larinfer.bootstrap import (
     BootstrapConfig,
+    BootstrapEngine,
     bootstrap_intervals,
     membership_curves,
-    nearest_rank_quantile,
     residual_pool,
     terminal_coefficients,
 )
-from larinfer.identities import bootstrap_errors, bootstrap_path_draw, full_column_basis
+from larinfer.identities import (
+    bootstrap_errors,
+    bootstrap_path_draw,
+    full_column_basis,
+    nearest_rank_quantile,
+)
 from larinfer.inference import build_inference_report
 from larinfer.path import lar_path, standardize
 
@@ -196,6 +201,34 @@ class TestIntervals:
         widths_narrow = np.diff(narrow.correlation_intervals, axis=1)
         widths_wide = np.diff(wide.correlation_intervals, axis=1)
         assert np.all(widths_narrow <= widths_wide + 1e-12)
+
+
+    @pytest.mark.parametrize("naive", [False, True])
+    def test_assembly_matches_per_cell_quantiles(self, diabetes, naive):
+        """The interval endpoints, from one sort per replication, equal the
+        per-step and per-cell nearest-rank quantiles bit for bit."""
+        _, data = diabetes
+        path = lar_path(data, data.y)
+        cfg = BootstrapConfig(draws=199, alpha=0.1, seed=12)
+        engine = BootstrapEngine(data, path, 5, naive=naive)
+        t_star, b_star, entries = engine.collect(cfg)
+        iv = engine.intervals(cfg, t_star, b_star, entries)
+        lo_level, hi_level = cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0
+        root_n = math.sqrt(data.n)
+        for k in range(1, len(path.steps) + 1):
+            q_hat = (path.steps[k - 1].sign * engine.sigma
+                     / (math.sqrt(path.inv_angle_sq_increments[k - 1]) * root_n))
+            c_hat = path.correlations[k - 1]
+            ends = (c_hat - nearest_rank_quantile(t_star[:, k - 1], hi_level) * q_hat,
+                    c_hat - nearest_rank_quantile(t_star[:, k - 1], lo_level) * q_hat)
+            assert tuple(iv.correlation_intervals[k - 1]) == (max(0.0, min(ends)), max(ends))
+        scale = engine.sigma / root_n
+        for i, (k, j) in enumerate(engine.cells):
+            center = engine.sample_coefs[k - 1, j]
+            assert iv.coefficient_intervals[(k, j)] == (
+                center - nearest_rank_quantile(b_star[:, i], hi_level) * scale,
+                center - nearest_rank_quantile(b_star[:, i], lo_level) * scale,
+            )
 
 
 class TestMembership:

@@ -359,6 +359,12 @@ class TestSimulate:
         assert "error:" in capsys.readouterr().err
 
 
+def _csv_file(tmp_path, text):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    return str(path)
+
+
 def _scenario_file(tmp_path, text):
     path = tmp_path / "scenario.json"
     path.write_text(text)
@@ -383,6 +389,8 @@ INPUT_ERRORS = {
     "non-integer scenario n": lambda tmp: ["simulate", _scenario_file(
         tmp, json.dumps({"n": 100.5, "p": 5, "m": 2, "delta0": 0.05, "reps": 2,
                          "boot_draws": 50})), "--out", str(tmp / "x.csv")],
+    "CSV cell over the csv field limit": lambda tmp: ["fit", _csv_file(
+        tmp, "a,b\n" + "1" * 200_000 + ",2\n"), "--response", "b"],
 }
 
 

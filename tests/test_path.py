@@ -423,7 +423,7 @@ class TestMargins:
         data = standardize(rng.standard_normal((10, 1)), rng.standard_normal(10),
                            center=False)
         path = lar_path(data, data.y, zero_tol=1e-10, kind="population")
-        report = margins(path, data, data.y)
+        report = margins(path)
         assert report.vacuous
         assert math.isinf(report.delta)
 
@@ -433,7 +433,7 @@ class TestMargins:
         data = standardize(Q, rng.standard_normal(40), center=False)
         mu = data.X @ np.array([3.0, 2.0, 1.0, 0.0])
         path = lar_path(data, mu, zero_tol=1e-10, kind="population")
-        report = margins(path, data, mu)
+        report = margins(path)
         magnitudes = np.abs(data.X.T @ mu)
         nonzero = np.sort(magnitudes[magnitudes > 1e-12])
         expected = min(np.min(np.diff(nonzero)), nonzero[0])
@@ -447,4 +447,4 @@ class TestMargins:
         path = lar_path(data, mu, zero_tol=1e-10, kind="population")
         assert path.tie_steps
         with pytest.raises(NotPrototypical):
-            margins(path, data, mu)
+            margins(path)

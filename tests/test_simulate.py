@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from helpers import orthonormal_design
+
+import larinfer.bootstrap as bootstrap
+from helpers import orthonormal_design, reference_run_coverage
 
 from larinfer.exceptions import RejectionBudgetExceeded
 from larinfer.identities import asymptotic_coef_cov, ols_on_active
@@ -53,7 +55,7 @@ class TestGenerateScenario:
         # recompute the margin from scratch on the returned design
         fresh = lar_path(draw.data, draw.mu, zero_tol=1e-10, kind="population")
         assert fresh.entrants == draw.pop_path.entrants
-        report = margins(fresh, draw.data, draw.mu)
+        report = margins(fresh)
         assert report.delta == pytest.approx(draw.delta, rel=1e-12)
         assert not report.vacuous
 
@@ -84,6 +86,44 @@ class TestRunCoverage:
         result = run_coverage(spec, progress=lambda done, total: calls.append((done, total)))
         assert 0 < result.reps_evaluated < spec.reps
         assert calls == [(i, spec.reps) for i in range(1, spec.reps + 1)]
+
+
+# Small scenarios for the batched study against the per-replication loop.
+# The first mixes replications whose m_bar differs, and the last has a weak
+# signal, so that some replications estimate m_bar = 0 and skip the bootstrap.
+PARITY_SCENARIOS = {
+    "mixed m_bar": dict(n=120, p=6, m=2, delta0=0.05, reps=6, boot_draws=40, seed=5),
+    "m=3": dict(n=200, p=8, m=3, delta0=0.1, reps=5, boot_draws=40, seed=11),
+    "m=1": dict(n=80, p=5, m=1, delta0=0.05, reps=6, boot_draws=50, seed=2),
+    "m=4 of 10": dict(n=150, p=10, m=4, delta0=0.05, reps=4, boot_draws=40, seed=9),
+    "some m_bar=0": dict(n=60, p=4, m=1, delta0=1e-3, beta_range=1.0, reps=8,
+                         boot_draws=40, seed=3),
+}
+
+
+@pytest.mark.parametrize("naive", [False, True])
+@pytest.mark.parametrize("name", list(PARITY_SCENARIOS))
+def test_batched_study_matches_per_replication_loop(name, naive, monkeypatch):
+    spec = ScenarioSpec(**PARITY_SCENARIOS[name])
+    expected = reference_run_coverage(spec, naive=naive)
+    if name == "some m_bar=0":
+        assert 0 < expected.reps_evaluated < spec.reps
+    # repr equality: equal values and types, with NaN equal to NaN
+    assert repr(run_coverage(spec, naive=naive)) == repr(expected)
+    # chunks of 7 replicas: every replication's replicas are split across
+    # chunks, and most chunks hold the replicas of two replications
+    monkeypatch.setattr(bootstrap, "CHUNK_BYTES", 7 * 8 * spec.p**2)
+    sizes = []
+    engine = bootstrap.lar_batch
+
+    def counted(start, *args, **kwargs):
+        sizes.append(len(start))
+        return engine(start, *args, **kwargs)
+
+    monkeypatch.setattr(bootstrap, "lar_batch", counted)
+    assert repr(run_coverage(spec, naive=naive)) == repr(expected)
+    rows = expected.reps_evaluated * spec.boot_draws
+    assert sizes == [7] * (rows // 7) + ([rows % 7] if rows % 7 else [])
 
 
 class TestTieDemo:
