@@ -33,12 +33,21 @@ from .path import LarPath, StandardizedData, lar_batch
 Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
 
-# Replicas are run in chunks of at most CHUNK_BYTES / (8 p^2) rows, which
-# bounds the engine's B x p x p basis; its B x p arrays add a few times as
-# much again.  At p = 20 a chunk holds 163 replicas: the peak resident memory
-# of a coverage study grows with the chunk, and at this size its engine calls
-# still amortize their per-step overhead.
-CHUNK_BYTES = 512 * 2**10
+# An engine call holds at most CHUNK_BYTES of per-row work arrays, which
+# bounds the memory of wide designs; a replica row counts its p x p basis
+# (8 p^2 bytes), whose B x p companions add a few times as much again.  Calls
+# that run the responses or replicas of several engines hold at most
+# CHUNK_ROWS rows, or the draws of one bootstrap if that is more: about a
+# hundred rows amortize an engine call's per-step overhead, and larger calls
+# raise peak memory without saving time.
+CHUNK_BYTES = 32 * 2**20
+CHUNK_ROWS = 128
+
+
+def chunk_rows(row_bytes: int, floor: int = 0) -> int:
+    """Rows per engine call: CHUNK_ROWS, or ``floor`` if that is more, but at
+    most CHUNK_BYTES worth of rows of ``row_bytes`` each (and at least one)."""
+    return max(1, min(CHUNK_BYTES // row_bytes, max(CHUNK_ROWS, floor)))
 
 
 @dataclass(frozen=True)
@@ -122,33 +131,44 @@ def _ols_from_correlations(data: StandardizedData, order, xty: Vector) -> Vector
     return b
 
 
+def _refits(data: StandardizedData, entrants, corr: Matrix, m_bars) -> Matrix:
+    """Least-squares p-vector of each row on its first m_bars[i] entrants,
+    from its row of X'y in ``corr``; zero where m_bar is 0.  One batched
+    solve per distinct m_bar."""
+    m_bars = np.asarray(m_bars, dtype=np.int64)
+    b = np.zeros(np.shape(corr))
+    for m_bar in set(m_bars.tolist()) - {0}:
+        rows = np.flatnonzero(m_bars == m_bar)
+        b[rows] = _ols_from_correlations(data, entrants[rows, :m_bar], corr[rows])
+    return b
+
+
+def _terminal_b_bars(data: StandardizedData, paths: list[LarPath], m_bars) -> Matrix:
+    """Terminal refit b_bar of each path (rows), on its first m_bar entrants."""
+    entrants = np.zeros((len(paths), data.p), dtype=np.int64)
+    corr = np.zeros((len(paths), data.p))
+    for i, (path, m_bar) in enumerate(zip(paths, m_bars)):
+        if m_bar:
+            entrants[i, :m_bar] = path.entrants[:m_bar]
+            corr[i] = path.start_correlations
+    return _refits(data, entrants, corr, m_bars)
+
+
 @dataclass(frozen=True)
 class TerminalCoefficients:
     b_bar: Vector  # p-vector supported on the estimated active set
     raw_scale: Vector  # back-mapped coefficients in original units
 
 
-def _terminal_fits(
-    data: StandardizedData, paths: list[LarPath], m_bars
-) -> list[TerminalCoefficients]:
-    """``terminal_coefficients`` of each path, one batched solve per distinct m_bar."""
-    m_bars = np.asarray(m_bars, dtype=np.int64)
-    b_bars = np.zeros((len(paths), data.p))
-    for m_bar in set(m_bars.tolist()) - {0}:
-        rows = np.flatnonzero(m_bars == m_bar)
-        b_bars[rows] = _ols_from_correlations(
-            data, [paths[i].entrants[:m_bar] for i in rows],
-            np.array([paths[i].start_correlations for i in rows]),
-        )
-    raw = b_bars * data.response_scale / data.column_scales
-    return [TerminalCoefficients(b, r) for b, r in zip(b_bars, raw)]
+def _terminal(data: StandardizedData, b_bar: Vector) -> TerminalCoefficients:
+    return TerminalCoefficients(b_bar, b_bar * data.response_scale / data.column_scales)
 
 
 def terminal_coefficients(
     data: StandardizedData, path: LarPath, m_bar: int
 ) -> TerminalCoefficients:
     """Least-squares refit of the path's response on its first m_bar entrants."""
-    return _terminal_fits(data, [path], [m_bar])[0]
+    return _terminal(data, _terminal_b_bars(data, [path], [m_bar])[0])
 
 
 @dataclass(frozen=True)
@@ -162,11 +182,46 @@ class IntervalSet:
     terminal: TerminalCoefficients  # least-squares refit on the first m_bar entrants
 
 
+@dataclass(frozen=True)
+class EngineFit:
+    """The set-up of one engine that depends on its response; ``_engine_fits``
+    computes it for several responses at once."""
+
+    pool: Vector  # centered, scaled full-fit residuals to resample from
+    sigma: float
+    b_bar: Vector  # terminal refit on the first m_bar entrants
+    b_center: Vector  # coefficients of the resampling center mu = X b_center
+    start: Vector  # X'mu
+
+
+def _engine_fits(
+    data: StandardizedData, Y: Matrix, paths: list[LarPath], m_bars, naive: bool
+) -> list[EngineFit]:
+    """``EngineFit`` of each response row of Y (on the scale of ``data.y``),
+    with its sample path and m_bar; each quantity is computed for all rows at
+    once."""
+    sigmas = sigma_hat(data, Y * data.response_scale)
+    fits = full_fit(data, Y)
+    pools = _residual_pools(data, Y, fits)
+    b_bars = _terminal_b_bars(data, paths, m_bars)
+    # full least-squares resampling center when naive: its path
+    # correlations equal the sample ones at every step, so the replica
+    # statistics are centered at the full correlation sequence.
+    # Demonstrates the failure mode for steps beyond the true
+    # termination point.
+    b_centers = fits if naive else b_bars
+    starts = (data.gram @ b_centers.T).T
+    return [
+        EngineFit(*row) for row in zip(pools, sigmas.tolist(), b_bars, b_centers, starts)
+    ]
+
+
 class BootstrapEngine:
     """Precomputed state for drawing replicas of one fitted sample path.
 
-    ``BootstrapEngine.many`` builds the engines of several responses on one
-    design at once; a single engine is the case of one response.
+    ``fit`` is the engine's set-up from ``_engine_fits`` (with the same
+    ``naive``), which ``interval_sets`` computes for several responses at
+    once; by default the engine computes the set-up of ``data.y``.
     """
 
     def __init__(
@@ -175,56 +230,26 @@ class BootstrapEngine:
         path: LarPath,
         m_bar: int,
         naive: bool = False,
+        fit: EngineFit | None = None,
     ):
-        (engine,) = BootstrapEngine.many(data, data.y[None], [path], [m_bar], naive)
-        self.__dict__.update(engine.__dict__)
-
-    @classmethod
-    def many(
-        cls,
-        data: StandardizedData,
-        Y: Matrix,
-        paths: list[LarPath],
-        m_bars,
-        naive: bool = False,
-    ) -> list["BootstrapEngine"]:
-        """One engine per response row of Y (on the scale of ``data.y``), with
-        its sample path and m_bar.  The full fits, residual pools, residual
-        scales and terminal refits are each computed for all rows at once."""
-        sigmas = sigma_hat(data, Y * data.response_scale)
-        fits = full_fit(data, Y)
-        pools = _residual_pools(data, Y, fits)
-        terminals = _terminal_fits(data, paths, m_bars)
-        # full least-squares resampling center when naive: its path
-        # correlations equal the sample ones at every step, so the replica
-        # statistics are centered at the full correlation sequence.
-        # Demonstrates the failure mode for steps beyond the true
-        # termination point.
-        b_centers = fits if naive else np.array([t.b_bar for t in terminals])
-        # X'mu of each resampling center mu = X b_center
-        starts = (data.gram @ b_centers.T).T
-        engines = []
-        for i, (path, m_bar) in enumerate(zip(paths, map(int, m_bars))):
-            engine = cls.__new__(cls)
-            engine.data, engine.path, engine.m_bar = data, path, m_bar
-            engine.pool, engine.sigma = pools[i], float(sigmas[i])
-            engine.terminal, engine.b_center, engine.start = terminals[i], b_centers[i], starts[i]
-            engine.centers = np.zeros(data.p)
-            if naive:
-                engine.centers[: len(path.steps)] = path.correlations
-            else:
-                engine.centers[:m_bar] = path.correlations[:m_bar]
-            # sample-side coefficient rows with the terminal step re-fit
-            engine.sample_coefs = path.coefficients[:m_bar].copy()
-            if m_bar:
-                engine.sample_coefs[m_bar - 1] = terminals[i].b_bar
-            engine.cells = [
-                (k, j) for k in range(1, m_bar + 1) for j in path.entrants[:k]
-            ]
-            engine._ks = np.array([k - 1 for k, _ in engine.cells], dtype=np.int64)
-            engine._js = np.array([j for _, j in engine.cells], dtype=np.int64)
-            engines.append(engine)
-        return engines
+        if fit is None:
+            (fit,) = _engine_fits(data, data.y[None], [path], [m_bar], naive)
+        self.data, self.path, self.m_bar = data, path, m_bar
+        self.pool, self.sigma = fit.pool, fit.sigma
+        self.terminal = _terminal(data, fit.b_bar)
+        self.b_center, self.start = fit.b_center, fit.start
+        self.centers = np.zeros(data.p)
+        if naive:
+            self.centers[: len(path.steps)] = path.correlations
+        else:
+            self.centers[:m_bar] = path.correlations[:m_bar]
+        # sample-side coefficient rows with the terminal step re-fit
+        self.sample_coefs = path.coefficients[:m_bar].copy()
+        if m_bar:
+            self.sample_coefs[m_bar - 1] = fit.b_bar
+        self.cells = [(k, j) for k in range(1, m_bar + 1) for j in path.entrants[:k]]
+        self._ks = np.array([k - 1 for k, _ in self.cells], dtype=np.int64)
+        self._js = np.array([j for _, j in self.cells], dtype=np.int64)
 
     def collect(self, cfg: BootstrapConfig) -> tuple[Matrix, Matrix, Matrix]:
         """(studentized T*, studentized B* per cell, entry step per variable),
@@ -277,15 +302,15 @@ def _collect(
 ) -> Iterator[tuple[Matrix, Matrix, Matrix]]:
     """``collect`` of each engine in turn, with the draws of its config.
 
-    The replicas of all engines, in engine order, run in chunks of at most
-    CHUNK_BYTES / (8 p^2) rows, one ``lar_batch`` call per chunk, so a chunk
-    may hold the replicas of several engines and an engine's replicas may
-    span chunks.  An engine's statistics are yielded when its last chunk is
-    done; a chunk's work arrays are freed before the next chunk starts.
+    The replicas of all engines, in engine order, run in chunks of
+    ``chunk_rows(8 p^2, draws)`` rows (draws of the largest config), one
+    ``lar_batch`` call per chunk, so a chunk may hold the replicas of several
+    engines and an engine's replicas may span chunks.  An engine's statistics
+    are yielded when its last chunk is done; a chunk's work arrays are freed
+    before the next chunk starts.
     """
-    p = engines[0].data.p
-    chunk = max(1, CHUNK_BYTES // (8 * p**2))
     draws = [cfg.draws for cfg in cfgs]
+    chunk = chunk_rows(8 * engines[0].data.p ** 2, max(draws))
     ends = np.cumsum(draws)
     owner = np.repeat(np.arange(len(engines)), draws)
     index = np.concatenate([np.arange(d) for d in draws])
@@ -344,12 +369,11 @@ def _replicas(
     t_star[~ok] = 0.0
 
     coef_rows = batch.coefficients
-    for m_bar in set(m_bars.tolist()) - {0}:
-        refit = np.flatnonzero(ok & (batch.terminated_at >= m_bar) & (m_bars == m_bar))
-        if refit.size:
-            coef_rows[refit, m_bar - 1] = _ols_from_correlations(
-                data, batch.entrants[refit, :m_bar], start_corr[refit]
-            )
+    refit = np.where(ok & (batch.terminated_at >= m_bars), m_bars, 0)
+    rows_refit = np.flatnonzero(refit)
+    coef_rows[rows_refit, refit[rows_refit] - 1] = _refits(
+        data, batch.entrants, start_corr, refit
+    )[rows_refit]
 
     entries = np.full((rows, p), p, dtype=np.float64)
     rows_done, steps = np.nonzero(done)
@@ -388,11 +412,15 @@ def interval_sets(
     ``data.y``) with its sample path, m_bar and config, yielded in order.
 
     The engines are set up together on the call, and their replicas run in
-    shared chunks as the sets are drawn,
-    so a study of many responses makes a few engine calls instead of one per
-    response; each replica still draws from ``replica_rng(cfg.seed, b)``.
+    shared chunks as the sets are drawn, so a study of many responses makes a
+    few engine calls instead of one per response; each replica still draws
+    from ``replica_rng(cfg.seed, b)``.
     """
-    engines = BootstrapEngine.many(data, Y, paths, m_bars, naive)
+    fits = _engine_fits(data, Y, paths, m_bars, naive)
+    engines = [
+        BootstrapEngine(data, path, int(m_bar), naive, fit)
+        for path, m_bar, fit in zip(paths, m_bars, fits)
+    ]
     return (
         engine.intervals(cfg, *stats)
         for engine, cfg, stats in zip(engines, cfgs, _collect(engines, cfgs))

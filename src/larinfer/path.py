@@ -9,7 +9,7 @@ and takes the starting correlations X'response as input.  ``lar_path`` is
 the one-response wrapper: the observed response gives the sample path, a
 noiseless mean vector the population path.  The bootstrap and the tie
 demonstration run all their responses through the batch engine, and a
-coverage study runs the sample paths of all its replications as one batch.
+coverage study runs the sample paths of its replications in a few batches.
 The alternative formulas that the tests check the engine against live in
 ``larinfer.identities``.
 """

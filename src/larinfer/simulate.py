@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 import numpy as np
 from numpy.typing import NDArray
 
-from .bootstrap import BootstrapConfig, IntervalSet, interval_sets
+from .bootstrap import BootstrapConfig, IntervalSet, chunk_rows, interval_sets
 from .exceptions import DegenerateResponse, NotPrototypical, RejectionBudgetExceeded
 from .inference import chi2_thresholds, estimate_m, sigma_hat, tail_sums
 from .linalg import solve_spd
@@ -125,15 +125,14 @@ def run_coverage(
     # population step coefficients; constant at the terminal value beyond m
     target_b = np.vstack([pop.coefficients, np.tile(pop.coefficients[-1], (p - m, 1))])
 
-    m_bars, intervals = _replications(spec, data, thresholds, naive)
-
     corr_cov: list[float] = []
     coef_cov: list[float] = []
     term_cov: list[float] = []
     zero_cov: list[float] = []
-    for i, m_bar in enumerate(m_bars.tolist()):
-        if m_bar > 0:
-            iv = next(intervals)
+    m_bars: list[int] = []
+    for i, (m_bar, iv) in enumerate(_replications(spec, data, thresholds, naive)):
+        m_bars.append(m_bar)
+        if iv is not None:
             corr = iv.correlation_intervals
             hits = [
                 corr[k - 1, 0] <= target_C[k - 1] <= corr[k - 1, 1]
@@ -165,47 +164,58 @@ def run_coverage(
     return CoverageResult(
         _mean(corr_cov),
         _mean(coef_cov),
-        int(np.count_nonzero(m_bars == m)) / spec.reps,
+        m_bars.count(m) / spec.reps,
         _mean(term_cov),
         _mean(zero_cov),
-        int(np.count_nonzero(m_bars)),
+        len(m_bars) - m_bars.count(0),
     )
 
 
 def _replications(
     spec: ScenarioSpec, data: StandardizedData, thresholds: Vector, naive: bool
-) -> tuple[NDArray[np.int64], Iterator[IntervalSet]]:
-    """m_bar of every replication, and the bootstrap intervals of those with
-    m_bar > 0 in order.
+) -> Iterator[tuple[int, IntervalSet | None]]:
+    """(m_bar, bootstrap intervals) of each replication in order; the
+    intervals are None where m_bar is 0.
 
-    The responses are one stack, each drawn from its replication's own noise
-    stream, and run as one path batch; the intervals come from one
-    ``interval_sets`` stream, whose replicas run a few replications per
-    engine call.  The stack is freed on return.
+    The replications run in blocks of ``chunk_rows(8 (n + 4 p^2))`` rows,
+    counting a response row and the batch's two traces, basis and
+    coefficients: the responses of a block, each drawn from its replication's
+    own noise stream, are one stack and run as one path batch, and the
+    bootstrap replicas of the block come from one ``interval_sets`` stream,
+    which runs a few replications per engine call.  A block's stack is freed
+    before its replicas run, and its engines before the next block starts.
     """
-    n = data.n
-    Y = np.empty((spec.reps, n))
-    for i in range(spec.reps):
-        Y[i] = np.random.default_rng(np.random.SeedSequence([spec.seed, 1, i])).standard_normal(n)
-    # the standardized responses of the replications (scenario designs are centered)
-    Y += data.y * data.response_scale
-    Y -= Y.mean(axis=1, keepdims=True)
-    Y /= data.response_scale
-    paths = lar_batch(Y @ data.X, data.gram_factor, traces=True,
-                      row_name=lambda i: f"replication {i}")
-    sigma = sigma_hat(data, Y * data.response_scale)
-    _, S = tail_sums(paths, sigma[:, None], n)
-    m_bars = estimate_m(S, thresholds)
-    boot = np.flatnonzero(m_bars > 0)
-    cfgs = [
-        BootstrapConfig(draws=spec.boot_draws, alpha=spec.alpha, seed=int(
-            np.random.SeedSequence([spec.seed, 2, i]).generate_state(1)[0]))
-        for i in boot
-    ]
-    Y = Y[boot]
-    return m_bars, interval_sets(
-        data, Y, [paths.path(i) for i in boot], m_bars[boot], cfgs, naive=naive
-    )
+    n, p = data.n, data.p
+    block = chunk_rows(8 * (n + 4 * p * p))
+    for first in range(0, spec.reps, block):
+        reps = range(first, min(first + block, spec.reps))
+        Y = np.array([
+            np.random.default_rng(np.random.SeedSequence([spec.seed, 1, i])).standard_normal(n)
+            for i in reps
+        ])
+        # the standardized responses of the replications (scenario designs are centered)
+        Y += data.y * data.response_scale
+        Y -= Y.mean(axis=1, keepdims=True)
+        Y /= data.response_scale
+        paths = lar_batch(Y @ data.X, data.gram_factor, traces=True,
+                          row_name=lambda r: f"replication {reps[r]}")
+        sigma = sigma_hat(data, Y * data.response_scale)
+        _, S = tail_sums(paths, sigma[:, None], n)
+        m_bars = estimate_m(S, thresholds)
+        boot = np.flatnonzero(m_bars > 0)
+        cfgs = [
+            BootstrapConfig(draws=spec.boot_draws, alpha=spec.alpha, seed=int(
+                np.random.SeedSequence([spec.seed, 2, reps[i]]).generate_state(1)[0]))
+            for i in boot
+        ]
+        sets = interval_sets(
+            data, Y[boot], [paths.path(i) for i in boot], m_bars[boot], cfgs, naive=naive
+        )
+        del Y, paths
+        for m_bar in m_bars.tolist():
+            yield m_bar, (next(sets) if m_bar > 0 else None)
+        # the drained stream still holds the block's engines
+        del sets
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from larinfer.bootstrap import (
     BootstrapConfig,
     BootstrapEngine,
     bootstrap_intervals,
+    chunk_rows,
     interval_sets,
 )
 from larinfer.exceptions import RankDeficient
@@ -188,6 +189,18 @@ def test_chunking_does_not_change_results(diabetes, monkeypatch):
     for a, b in zip(whole, chunked):
         assert _max_rel_diff(a, b) <= 1e-12
     assert np.array_equal(whole[2], chunked[2])
+
+
+def test_chunk_rows():
+    # p = 20 and 40 draws a response (the bench coverage shape): engines
+    # share chunks of CHUNK_ROWS
+    assert chunk_rows(8 * 20**2, 40) == bootstrap.CHUNK_ROWS
+    # one bootstrap of 500 draws at p = 10 is one engine call
+    assert chunk_rows(8 * 10**2, 500) == 500
+    # at p = 100 and 200 the byte budget binds
+    assert chunk_rows(8 * 100**2, 500) == 419
+    assert chunk_rows(8 * 200**2, 500) == 104
+    assert chunk_rows(2 * bootstrap.CHUNK_BYTES) == 1
 
 
 @pytest.mark.parametrize("naive", [False, True])

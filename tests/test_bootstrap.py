@@ -73,6 +73,20 @@ class TestResidualPool:
         assert np.allclose(eps, 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("naive", [False, True])
+def test_resampling_center(diabetes, naive):
+    """The modified bootstrap resamples around the least-squares fit on the
+    first m_bar entrants, the naive one around the full least-squares fit."""
+    _, data = diabetes
+    path = lar_path(data, data.y)
+    engine = BootstrapEngine(data, path, 4, naive=naive)
+    cols = list(range(data.p)) if naive else path.entrants[:4]
+    expected = np.zeros(data.p)
+    expected[cols] = np.linalg.lstsq(data.X[:, cols], data.y, rcond=None)[0]
+    assert np.allclose(engine.b_center, expected, rtol=1e-10, atol=1e-12)
+    assert np.allclose(engine.start, data.X.T @ (data.X @ expected), rtol=1e-10, atol=1e-12)
+
+
 class TestPathDraw:
     def test_degenerate_draw_reproduces_prefix(self):
         rng = np.random.default_rng(3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import larinfer.bootstrap as bootstrap
+import larinfer.simulate as simulate
 from helpers import orthonormal_design, reference_run_coverage
 
 from larinfer.exceptions import RejectionBudgetExceeded
@@ -89,8 +90,9 @@ class TestRunCoverage:
 
 
 # Small scenarios for the batched study against the per-replication loop.
-# The first mixes replications whose m_bar differs, and the last has a weak
-# signal, so that some replications estimate m_bar = 0 and skip the bootstrap.
+# The first mixes replications whose m_bar differs; the last two have a weak
+# signal, so that some or all replications estimate m_bar = 0 and skip the
+# bootstrap.
 PARITY_SCENARIOS = {
     "mixed m_bar": dict(n=120, p=6, m=2, delta0=0.05, reps=6, boot_draws=40, seed=5),
     "m=3": dict(n=200, p=8, m=3, delta0=0.1, reps=5, boot_draws=40, seed=11),
@@ -98,7 +100,13 @@ PARITY_SCENARIOS = {
     "m=4 of 10": dict(n=150, p=10, m=4, delta0=0.05, reps=4, boot_draws=40, seed=9),
     "some m_bar=0": dict(n=60, p=4, m=1, delta0=1e-3, beta_range=1.0, reps=8,
                          boot_draws=40, seed=3),
+    "all m_bar=0": dict(n=60, p=4, m=1, delta0=1e-3, beta_range=1.0, reps=3,
+                        boot_draws=40, seed=8),
 }
+
+
+def _split(rows: int, size: int) -> list[int]:
+    return [size] * (rows // size) + ([rows % size] if rows % size else [])
 
 
 @pytest.mark.parametrize("naive", [False, True])
@@ -108,22 +116,37 @@ def test_batched_study_matches_per_replication_loop(name, naive, monkeypatch):
     expected = reference_run_coverage(spec, naive=naive)
     if name == "some m_bar=0":
         assert 0 < expected.reps_evaluated < spec.reps
-    # repr equality: equal values and types, with NaN equal to NaN
-    assert repr(run_coverage(spec, naive=naive)) == repr(expected)
-    # chunks of 7 replicas: every replication's replicas are split across
-    # chunks, and most chunks hold the replicas of two replications
-    monkeypatch.setattr(bootstrap, "CHUNK_BYTES", 7 * 8 * spec.p**2)
-    sizes = []
-    engine = bootstrap.lar_batch
+    if name == "all m_bar=0":
+        assert expected.reps_evaluated == 0
+    calls = {"sample": [], "replica": []}
+    for module, kind in ((simulate, "sample"), (bootstrap, "replica")):
+        def counted(start, *args, engine=module.lar_batch, sizes=calls[kind], **kwargs):
+            sizes.append(len(start))
+            return engine(start, *args, **kwargs)
 
-    def counted(start, *args, **kwargs):
-        sizes.append(len(start))
-        return engine(start, *args, **kwargs)
-
-    monkeypatch.setattr(bootstrap, "lar_batch", counted)
-    assert repr(run_coverage(spec, naive=naive)) == repr(expected)
+        monkeypatch.setattr(module, "lar_batch", counted)
     rows = expected.reps_evaluated * spec.boot_draws
-    assert sizes == [7] * (rows // 7) + ([rows % 7] if rows % 7 else [])
+
+    # repr equality: equal values and types, with NaN equal to NaN.  By
+    # default the replications are one block, and their replicas share
+    # chunks of CHUNK_ROWS.
+    assert repr(run_coverage(spec, naive=naive)) == repr(expected)
+    assert calls["sample"] == [spec.reps]
+    assert calls["replica"] == _split(rows, bootstrap.CHUNK_ROWS)
+
+    # a byte budget of three replications a block: several blocks, and
+    # replica chunks that split replications and hold parts of two
+    monkeypatch.setattr(bootstrap, "CHUNK_BYTES", 3 * 8 * (spec.n + 4 * spec.p**2))
+    chunk = bootstrap.CHUNK_BYTES // (8 * spec.p**2)
+    assert chunk < spec.boot_draws and spec.boot_draws % chunk
+    calls["sample"].clear()
+    calls["replica"].clear()
+    assert repr(run_coverage(spec, naive=naive)) == repr(expected)
+    assert calls["sample"] == _split(spec.reps, 3)
+    sizes = calls["replica"]
+    assert sum(sizes) == rows and all(0 < size <= chunk for size in sizes)
+    # only a block's last chunk may be short
+    assert len(sizes) <= -(-rows // chunk) + len(calls["sample"]) - 1
 
 
 class TestTieDemo:
