@@ -37,6 +37,7 @@ from .inference import (
 from .identities import (
     AsymptoticCoefCov,
     ProjectionBasis,
+    StepState,
     append_innovation,
     asymptotic_coef_cov,
     bootstrap_errors,
@@ -59,7 +60,6 @@ from .path import (
     LarStep,
     MarginReport,
     StandardizedData,
-    StepState,
     lar_batch,
     lar_path,
     margins,

@@ -34,12 +34,12 @@ Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
 
 # An engine call holds at most CHUNK_BYTES of per-row work arrays, which
-# bounds the memory of wide designs; a replica row counts its p x p basis
-# (8 p^2 bytes), whose B x p companions add a few times as much again.  Calls
-# that run the responses or replicas of several engines hold at most
-# CHUNK_ROWS rows, or the draws of one bootstrap if that is more: about a
-# hundred rows amortize an engine call's per-step overhead, and larger calls
-# raise peak memory without saving time.
+# bounds the memory of wide designs; a replica row counts its p x p inverse
+# factor (8 p^2 bytes), whose B x p companions add a few times as much
+# again.  Calls that run the responses or replicas of several engines hold
+# at most CHUNK_ROWS rows, or the draws of one bootstrap if that is more:
+# about a hundred rows amortize an engine call's per-step overhead, and
+# larger calls raise peak memory without saving time.
 CHUNK_BYTES = 32 * 2**20
 CHUNK_ROWS = 128
 
@@ -354,7 +354,7 @@ def _replicas(
     start_corr = np.array([engine.start for engine in engines])[owner] + xte
     m_bars = np.array([engine.m_bar for engine in engines])[owner]
     batch = lar_batch(
-        start_corr, data.gram_factor, zero_tol=0.0, coef_steps=int(m_bars.max()),
+        start_corr, data.gram, zero_tol=0.0, coef_steps=int(m_bars.max()),
         row_name=lambda i: f"bootstrap replica {index[i]}",
     )
     done = np.arange(p) < batch.terminated_at[:, None]

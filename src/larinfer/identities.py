@@ -5,9 +5,9 @@ another way: alternative step-length and equiangular formulas, an n-space
 Gram-Schmidt basis and a replay of a recorded path through it, the entrance
 criteria, a closed form of the step correlation, the one-column quantile
 and single-draw forms of the bootstrap, and the asymptotic covariance of the
-step-coefficient errors.  The tests check the engine against them.  The
-library itself never imports this module; ``larinfer`` re-exports its names
-for callers.
+step-coefficient errors.  The tests check the engine against them.  No
+engine module imports this one; the package root re-exports its names for
+callers.
 """
 
 from __future__ import annotations
@@ -20,16 +20,8 @@ from numpy.typing import NDArray
 
 from .bootstrap import BootstrapEngine, _ols_from_correlations, _residual_scale, residual_pool
 from .exceptions import DimensionMismatch, NoPositiveCandidate, NonPositiveScale, RankDeficient
-from .linalg import orthogonal_component, rank_failures, solve_spd
-from .path import (
-    ZERO_SIGN_TOL,
-    LarPath,
-    StandardizedData,
-    StepState,
-    _crossings,
-    _direction_step,
-    lar_path,
-)
+from .linalg import RANK_TOL, solve_spd
+from .path import ZERO_SIGN_TOL, LarPath, StandardizedData, _crossings, lar_path
 
 Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
@@ -79,8 +71,11 @@ def append_innovation(
     x = np.asarray(x_new, dtype=np.float64)
     if x.shape[0] != Q.shape[0]:
         raise DimensionMismatch(f"vector length {x.shape[0]} != basis rows {Q.shape[0]}")
-    _, e, norm = orthogonal_component(Q, x)
-    if rank_failures(norm, np.linalg.norm(x)):
+    # classical Gram-Schmidt with one reorthogonalization pass
+    e = x - (Q @ (Q.T @ x[:, None]))[:, 0]
+    e = e - (Q @ (Q.T @ e[:, None]))[:, 0]
+    norm = np.sqrt((e * e).sum())
+    if norm <= RANK_TOL * max(1.0, np.linalg.norm(x)):
         raise RankDeficient(f"innovation norm {norm:.3e} below rank tolerance")
     extended = ProjectionBasis(
         np.column_stack([Q, e / norm]), basis.indices + (int(index),)
@@ -94,6 +89,31 @@ def full_column_basis(data: StandardizedData) -> ProjectionBasis:
     for j in range(data.p):
         basis, _ = append_innovation(basis, data.X[:, j], j)
     return basis
+
+
+@dataclass(frozen=True)
+class StepState:
+    """Quantities in hand when the step length is chosen at one step.
+
+    ``correlations_all`` is c_k = X'(response - fit), ``correlation`` its
+    maximum absolute entry C_k, ``angle`` the common cosine A_k,
+    ``equiangular_dots`` is w_k = X'a_k, and ``active_mask`` marks the active
+    set including the step-k entrant.
+    """
+
+    correlations_all: Vector
+    correlation: float
+    angle: float
+    equiangular_dots: Vector
+    active_mask: NDArray[np.bool_]
+
+
+def step_state(path: LarPath, k: int) -> StepState:
+    """The StepState of step k (1-based) of a recorded path."""
+    s = path.steps[k - 1]
+    mask = np.zeros(path.coefficients.shape[1], dtype=bool)
+    mask[path.entrants[:k]] = True
+    return StepState(s.correlations_all, s.correlation, s.angle, s.equiangular_dots, mask)
 
 
 def gamma_crossings(state: StepState) -> tuple[float, Vector, Vector]:
@@ -183,12 +203,11 @@ def _advance_direction(
     sign: float,
 ) -> tuple[Vector, float]:
     """One step of the a_k/A_k and 1/A_k^2 recursions."""
-    u, direction, inv_a2 = _direction_step(
-        direction_prev, inv_a2_prev, x_new, innovation, sign
-    )
+    ee = (innovation * innovation).sum()
+    u = (1.0 - sign * (x_new * direction_prev).sum()) / ee
     if u <= 0.0:
         raise NonPositiveScale(f"recursion scale u = {u:.3e} is not positive")
-    return direction, float(inv_a2)
+    return direction_prev + (u * sign) * innovation, float(inv_a2_prev + u * u * ee)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,9 @@
 """Dense linear-algebra kernels for p < n problems.
 
-Symmetric positive-definite solves, the Gram matrix of the design with its
-triangular factor, and sequential innovation vectors.  Innovations use
-classical Gram-Schmidt with one reorthogonalization pass.  The path engine
-applies it in p-space, to the columns of the factor R with R'R = X'X, for a
-whole batch of responses at once; ``solve_spd`` and ``orthogonal_component``
-therefore accept stacked operands (leading batch axes).  The n-space basis
-that the tests use as a reference lives in ``larinfer.identities``.  All
-arithmetic is 64-bit floating point.
+Symmetric positive-definite solves, which accept stacked operands (leading
+batch axes) so that a batch of systems is one call, and the Gram matrix of
+the design with its triangular factor.  All arithmetic is 64-bit floating
+point.
 """
 
 from __future__ import annotations
@@ -105,23 +101,3 @@ def gram_factor(X: Matrix) -> tuple[Matrix, Matrix]:
             f"<= {limit:.1e} in the factor of X'X"
         )
     return G, R
-
-
-def orthogonal_component(Q: Matrix, x: Vector) -> tuple[Vector, Vector, Vector]:
-    """Coordinates Q'x, the component e of x orthogonal to span(Q), and |e|.
-
-    ``Q`` (..., m, k) has orthonormal columns and ``x`` is (..., m); leading
-    axes are a batch.  One reorthogonalization pass (classical Gram-Schmidt
-    applied twice) keeps e orthogonal to the span.  No rank check; see
-    ``rank_failures``.
-    """
-    Qt = np.swapaxes(Q, -1, -2)
-    head = (Qt @ x[..., None])[..., 0]
-    e = x - (Q @ head[..., None])[..., 0]
-    e = e - (Q @ (Qt @ e[..., None]))[..., 0]
-    return head, e, np.sqrt((e * e).sum(axis=-1))
-
-
-def rank_failures(norm: Vector, x_norm: Vector) -> NDArray[np.bool_]:
-    """Where the innovation norm |e| is at or below RANK_TOL * max(1, |x|)."""
-    return norm <= RANK_TOL * np.maximum(1.0, x_norm)

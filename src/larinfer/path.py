@@ -4,8 +4,8 @@ One implementation of the path algorithm, ``lar_batch``, advances a batch of
 responses on one design in lockstep: every step adds one variable to every
 row, so all live rows sit at the same step, and a row leaves the batch when
 its own stopping rule fires.  The path depends on the data only through X'X
-and X'response, so the engine runs in p-space on the triangular factor of X'X
-and takes the starting correlations X'response as input.  ``lar_path`` is
+and X'response, so the engine runs in p-space on the Gram matrix X'X and
+takes the starting correlations X'response as input.  ``lar_path`` is
 the one-response wrapper: the observed response gives the sample path, a
 noiseless mean vector the population path.  The bootstrap and the tie
 demonstration run all their responses through the batch engine, and a
@@ -33,7 +33,7 @@ from .exceptions import (
     RankDeficient,
     ZeroColumn,
 )
-from .linalg import gram_factor, orthogonal_component, rank_failures
+from .linalg import RANK_TOL, gram_factor
 
 Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
@@ -129,23 +129,6 @@ def standardize(X_raw: Matrix, y_raw: Vector, center: bool = True) -> Standardiz
 
 
 @dataclass(frozen=True)
-class StepState:
-    """Quantities in hand when the step length is chosen at one step.
-
-    ``correlations_all`` is c_k = X'(response - fit), ``correlation`` its
-    maximum absolute entry C_k, ``angle`` the common cosine A_k,
-    ``equiangular_dots`` is w_k = X'a_k, and ``active_mask`` marks the active
-    set including the step-k entrant.
-    """
-
-    correlations_all: Vector
-    correlation: float
-    angle: float
-    equiangular_dots: Vector
-    active_mask: NDArray[np.bool_]
-
-
-@dataclass(frozen=True)
 class LarStep:
     entrant: int
     sign: float
@@ -204,21 +187,6 @@ class LarPath:
     def tie_steps(self) -> list[int]:
         return [k + 1 for k, s in enumerate(self.steps) if s.tie]
 
-    def active_mask(self, k: int) -> NDArray[np.bool_]:
-        """Boolean mask of the active set after step k (1-based)."""
-        p = self.coefficients.shape[1]
-        mask = np.zeros(p, dtype=bool)
-        mask[self.entrants[:k]] = True
-        return mask
-
-    def step_state(self, k: int) -> StepState:
-        """Reconstruct the StepState of step k (1-based) from stored fields."""
-        s = self.steps[k - 1]
-        return StepState(
-            s.correlations_all, s.correlation, s.angle,
-            s.equiangular_dots, self.active_mask(k),
-        )
-
 
 def _crossings(
     c: Matrix, C: Vector, A: Vector, w: Matrix, active: NDArray[np.bool_]
@@ -236,14 +204,6 @@ def _crossings(
         per = np.where(r == 0.0, ratio, (C[:, None] - c * r) / (A[:, None] - w * r))
     per = np.where(active, np.inf, per)
     return per.min(axis=1), per, r
-
-
-def _direction_step(direction_prev, inv_a2_prev, x_new, innovation, sign):
-    """(u, a_k/A_k, 1/A_k^2) over the last axis; leading axes are a batch."""
-    ee = (innovation * innovation).sum(axis=-1)
-    u = (1.0 - sign * (x_new * direction_prev).sum(axis=-1)) / ee
-    direction = direction_prev + (u * sign)[..., None] * innovation
-    return u, direction, inv_a2_prev + u * u * ee
 
 
 @dataclass(frozen=True)
@@ -292,7 +252,7 @@ class LarBatch:
 
 def lar_batch(
     start: Matrix,
-    R: Matrix,
+    G: Matrix,
     zero_tol: float = 0.0,
     coef_steps: int | None = None,
     traces: bool = False,
@@ -301,20 +261,22 @@ def lar_batch(
     """Run the path algorithm on a batch of responses in lockstep.
 
     ``start`` is B x p, the starting correlations X'response of each row, and
-    ``R`` the upper-triangular factor with R'R = X'X.  The loop is fed the
-    columns of R, which have the inner products of the columns of X, so the
-    orthonormal basis, the equiangular direction and w_k = X'a_k are all
-    p-space quantities, and the correlations are updated as
-    c <- c - gamma * w.
+    ``G`` the Gram matrix X'X.  Each row carries the inverse T^-1 of the
+    triangular factor of its active Gram block, G_AA = T'T in entry order,
+    grown by one column per step; z = T^-T s_A for the signs s_A; and the
+    equiangular weights G_AA^-1 s_A = T^-1 z scattered to columns.  So
+    1/A_k^2 = |z|^2, w_k = X'a_k = A_k G G_AA^-1 s_A, the correlations are
+    updated as c <- c - gamma * w and the coefficients as
+    b <- b + gamma * A_k * G_AA^-1 s_A, all in p-space.
 
     Each row follows the rules of a single path: ``zero_tol`` is relative to
     the row's first step correlation (the row stops when C_k <= zero_tol * C_1,
     and at C_1 <= zero_tol for the first step); entrant candidates within
     TIE_TOL are flagged as a tie and the lowest index wins.  Only the first
-    ``coef_steps`` coefficient rows are computed (default p), through the
-    inverse of the triangular factor of the active columns, which grows by
-    one column per step.  ``traces`` keeps c_k and w_k, which take B * p * p
-    floats each.  A failing row raises RankDeficient, NonPositiveScale or
+    ``coef_steps`` coefficient rows are kept (default p).  ``traces`` keeps c_k
+    and w_k, which take B * p * p floats each.  A failing row raises
+    RankDeficient (the new column's norm orthogonal to the active columns is
+    at or below RANK_TOL * max(1, |x_j|)), NonPositiveScale or
     NoPositiveCandidate; ``row_name`` maps its batch row to the phrase the
     message names it by (none by default).
     """
@@ -322,11 +284,10 @@ def lar_batch(
         raise ValueError("zero_tol must be nonnegative")
     c = np.array(start, dtype=np.float64, ndmin=2)
     B, p = c.shape
-    if R.shape != (p, p):
-        raise DimensionMismatch(f"factor shape {R.shape} != ({p}, {p})")
+    if G.shape != (p, p):
+        raise DimensionMismatch(f"Gram matrix shape {G.shape} != ({p}, {p})")
     m = p if coef_steps is None else min(int(coef_steps), p)
-    R_cols = np.ascontiguousarray(R.T)  # row j is column j of R
-    R_norms = np.sqrt((R_cols * R_cols).sum(axis=1))
+    G_diag = np.diag(G)
 
     # per-step records: (B, p) arrays, then (B, p, p) traces when kept
     out = [
@@ -341,32 +302,19 @@ def lar_batch(
     terminated_at = np.full(B, p, dtype=np.int64)
     coefficients = np.zeros((B, m, p))
 
-    # State of the live rows; rows[i] is the batch row of live row i.  The
-    # records of live rows are written to ``rec`` (the arrays of ``out``
-    # until a row leaves) and copied out when rows leave or the loop ends.
+    # State of the live rows; rows[i] is the batch row of live row i.
     rows = np.arange(B)
     live = rows
-    rec = list(out)
-    coef_entry = np.zeros((B, m, m))  # coefficient rows in entry order
-    basis = np.zeros((B, p, p))  # orthonormal columns in entry order
-    t_inv = np.zeros((B, m, m))  # inverse of T, where R[:, order] = basis @ T
-    direction = np.zeros((B, p))  # a_{k-1} / A_{k-1}, in the coordinates of R
+    t_inv = np.zeros((B, p, p))  # inverse of T, where G_AA = T'T in entry order
+    z = np.zeros((B, p))  # T^-T s_A, in entry order
+    direction = np.zeros((B, p))  # G_AA^-1 s_A = a_k / A_k, by column
+    coef = np.zeros((B, p))  # the last coefficient row
     inv_a2 = np.zeros(B)
     active = np.zeros((B, p), dtype=bool)
     order = np.zeros((B, p), dtype=np.int64)
     entrant = np.zeros(B, dtype=np.int64)
     tie = np.zeros(B, dtype=bool)
     c_first = np.zeros(B)
-
-    def flush(which, steps: int) -> None:
-        """Copy the records of live rows ``which`` out, after ``steps`` steps."""
-        batch_rows = rows[which]
-        for final, kept in zip(out, rec):
-            if kept is not final:
-                final[batch_rows] = kept[which]
-        n_coef = min(steps, m)
-        coefficients[batch_rows[:, None, None], np.arange(n_coef)[:, None],
-                     order[which, None, :n_coef]] = coef_entry[which, :n_coef, :n_coef]
 
     def failure(cls, message: str, bad: NDArray[np.bool_], values: Vector):
         i = int(bad.argmax())
@@ -378,13 +326,11 @@ def lar_batch(
         stop = C <= (zero_tol if k == 0 else zero_tol * c_first)
         if stop.any():
             terminated_at[rows[stop]] = k
-            flush(stop, k)
             keep = ~stop
-            rec = [kept[keep] for kept in rec]
-            (rows, c, C, basis, t_inv, coef_entry, direction, inv_a2, active,
-             order, entrant, tie, c_first) = (
-                a[keep] for a in (rows, c, C, basis, t_inv, coef_entry, direction,
-                                  inv_a2, active, order, entrant, tie, c_first)
+            (rows, c, C, t_inv, z, direction, coef, inv_a2, active, order, entrant,
+             tie, c_first) = (
+                a[keep] for a in (rows, c, C, t_inv, z, direction, coef, inv_a2,
+                                  active, order, entrant, tie, c_first)
             )
             live = np.arange(rows.size)
             if rows.size == 0:
@@ -396,23 +342,29 @@ def lar_batch(
             c_first = C
         j = entrant
         s = np.where(c[live, j] >= 0.0, 1.0, -1.0)
-        xj = R_cols[j]
-        head, e, norm = orthogonal_component(basis[:, :, :k], xj)
-        bad = rank_failures(norm, R_norms[j])
+        # new column of T: head = T^-T G[order, j] above norm on the diagonal
+        head = (G[order[:, :k], j[:, None]][:, None, :] @ t_inv[:, :k, :k])[:, 0]
+        norm2 = G_diag[j] - (head * head).sum(axis=1)
+        bad = norm2 <= RANK_TOL**2 * np.maximum(1.0, G_diag[j])
         if bad.any():
             raise failure(RankDeficient, "innovation norm {:.3e} below rank tolerance",
-                          bad, norm)
-        basis[:, :, k] = e / norm[:, None]
-        u, direction, inv_a2 = _direction_step(direction, inv_a2, xj, e, s)
-        if (u <= 0.0).any():
+                          bad, np.sqrt(np.maximum(norm2, 0.0)))
+        norm = np.sqrt(norm2)
+        z_k = (s - (head * z[:, :k]).sum(axis=1)) / norm
+        z[:, k] = z_k
+        if (s * z_k <= 0.0).any():
+            u = s * z_k / norm
             raise failure(NonPositiveScale, "recursion scale u = {:.3e} is not positive",
                           u <= 0.0, u)
-        A = 1.0 / np.sqrt(inv_a2)
-        a = direction * A[:, None]
-        active[live, j] = True
+        t_inv[:, :k, k] = -(t_inv[:, :k, :k] @ head[:, :, None])[:, :, 0] / norm[:, None]
+        t_inv[:, k, k] = 1.0 / norm
         order[:, k] = j
+        direction[live[:, None], order[:, : k + 1]] += z_k[:, None] * t_inv[:, : k + 1, k]
+        inv_a2 = inv_a2 + z_k * z_k
+        A = 1.0 / np.sqrt(inv_a2)
+        active[live, j] = True
 
-        w = a @ R
+        w = A[:, None] * (direction @ G)
         if k + 1 == p:
             gamma = C / A
             entrant_next = entrant
@@ -429,21 +381,12 @@ def lar_batch(
             tie_next = near.sum(axis=1) > 1
 
         if k < m:
-            # coefficient update on the active set via the inverse factor
-            t_inv[:, :k, k] = -(t_inv[:, :k, :k] @ head[:, :, None])[:, :, 0] / norm[:, None]
-            t_inv[:, k, k] = 1.0 / norm
-            head_a = (np.swapaxes(basis[:, :, : k + 1], 1, 2) @ a[:, :, None])[:, :, 0]
-            delta = (t_inv[:, : k + 1, : k + 1] @ head_a[:, :, None])[:, :, 0]
-            coef_entry[:, k, : k + 1] = gamma[:, None] * delta
-            if k:
-                coef_entry[:, k, : k + 1] += coef_entry[:, k - 1, : k + 1]
-
-        for kept, value in zip(rec, (j, s, C, A, gamma, inv_a2, tie, c, w)):
-            kept[:, k] = value
+            coef = coef + (gamma * A)[:, None] * direction
+            coefficients[rows, k] = coef
+        for record, value in zip(out, (j, s, C, A, gamma, inv_a2, tie, c, w)):
+            record[rows, k] = value
         c = c - gamma[:, None] * w
         entrant, tie = entrant_next, tie_next
-    else:
-        flush(live, p)
 
     entrants, signs, correlations, angles, weights, inv_angle_sq, ties = out[:7]
     c_trace, w_trace = out[7:] if traces else (None, None)
@@ -477,7 +420,7 @@ def lar_path(
     resp = np.asarray(response, dtype=np.float64)
     if resp.shape != (n,):
         raise DimensionMismatch(f"response shape {resp.shape} != ({n},)")
-    batch = lar_batch((X.T @ resp)[None], data.gram_factor, zero_tol, traces=True)
+    batch = lar_batch((X.T @ resp)[None], data.gram, zero_tol, traces=True)
     return batch.path(0, kind)
 
 

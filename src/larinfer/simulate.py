@@ -46,6 +46,11 @@ class ScenarioSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("delta0", "rho", "beta_range", "alpha"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        BootstrapConfig(draws=self.boot_draws, alpha=self.alpha)
         if not (1 <= self.m <= self.p < self.n):
             raise ValueError(f"need m <= p < n, got m={self.m}, p={self.p}, n={self.n}")
         if self.delta0 <= 0.0:
@@ -178,7 +183,7 @@ def _replications(
     intervals are None where m_bar is 0.
 
     The replications run in blocks of ``chunk_rows(8 (n + 4 p^2))`` rows,
-    counting a response row and the batch's two traces, basis and
+    counting a response row and the batch's two traces, inverse factor and
     coefficients: the responses of a block, each drawn from its replication's
     own noise stream, are one stack and run as one path batch, and the
     bootstrap replicas of the block come from one ``interval_sets`` stream,
@@ -197,7 +202,7 @@ def _replications(
         Y += data.y * data.response_scale
         Y -= Y.mean(axis=1, keepdims=True)
         Y /= data.response_scale
-        paths = lar_batch(Y @ data.X, data.gram_factor, traces=True,
+        paths = lar_batch(Y @ data.X, data.gram, traces=True,
                           row_name=lambda r: f"replication {reps[r]}")
         sigma = sigma_hat(data, Y * data.response_scale)
         _, S = tail_sums(paths, sigma[:, None], n)
@@ -247,6 +252,6 @@ def tie_demo(n: int, reps: int, rng: np.random.Generator) -> TieDemoResult:
     pop = lar_path(data, mu, zero_tol=1e-10, kind="population")
     # one (reps, n) block holds the same numbers as reps draws of n in turn
     Y = mu + rng.standard_normal((reps, n)) / math.sqrt(n)
-    paths = lar_batch(Y @ X, data.gram_factor, coef_steps=0,
+    paths = lar_batch(Y @ X, data.gram, coef_steps=0,
                       row_name=lambda r: f"draw {r}")
     return TieDemoResult(paths.correlations, paths.entrants[:, 1], pop, data, mu)

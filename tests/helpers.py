@@ -16,6 +16,7 @@ from larinfer.bootstrap import (
 from larinfer.exceptions import NoPositiveCandidate
 from larinfer.identities import (
     ProjectionBasis,
+    StepState,
     _advance_direction,
     append_innovation,
     full_column_basis,
@@ -28,7 +29,6 @@ from larinfer.path import (
     LarPath,
     LarStep,
     StandardizedData,
-    StepState,
     lar_path,
     standardize,
 )

@@ -29,6 +29,7 @@ from larinfer.identities import (
     ols_on_active,
     population_correlation_closed_form,
     replay_states,
+    step_state,
 )
 from larinfer.inference import (
     build_inference_report,
@@ -138,7 +139,7 @@ def test_04_path_identity_suite():
             assert np.linalg.norm(lhs - running) <= 1e-8
             # step-length duality (only meaningful while candidates remain)
             if k < p:
-                st = path.step_state(k)
+                st = step_state(path, k)
                 gamma, _, _ = gamma_crossings(st)
                 assert gamma_min_plus(st) == gamma
             # closed-form step correlation from the previous direction

@@ -62,7 +62,7 @@ def _batch_design(seed: int):
 def test_rows_match_single_paths(seed):
     data, Y = _batch_design(seed)
     zero_tol = 1e-10
-    batch = lar_batch(Y @ data.X, data.gram_factor, zero_tol, traces=True)
+    batch = lar_batch(Y @ data.X, data.gram, zero_tol, traces=True)
     stops = set()
     for r, y in enumerate(Y):
         ref = lar_path(data, y, zero_tol=zero_tol)
@@ -88,7 +88,7 @@ def test_ties_are_flagged_and_lowest_index_wins():
     # a tie at step 1, no tie, and a tie between columns 1 and 2 at step 2
     Y = np.array([data.X @ [0.0, 1.0, 0.0, 1.0], data.X @ [2.0, 0.0, 1.0, 0.0],
                   data.X @ [2.0, 1.0, 1.0, 0.0]])
-    batch = lar_batch(Y @ data.X, data.gram_factor, 1e-10)
+    batch = lar_batch(Y @ data.X, data.gram, 1e-10)
     assert batch.entrants[0, :2].tolist() == [1, 3]
     assert batch.entrants[2, :3].tolist() == [0, 1, 2]
     assert batch.ties[:, :2].tolist() == [[True, False], [False, False], [False, True]]
@@ -98,8 +98,8 @@ def test_coefficient_rows_can_be_cut_short():
     rng = np.random.default_rng(32)
     data = standardize(rng.standard_normal((80, 6)), rng.standard_normal(80))
     Y = rng.standard_normal((3, 80))
-    full = lar_batch(Y @ data.X, data.gram_factor)
-    short = lar_batch(Y @ data.X, data.gram_factor, coef_steps=2)
+    full = lar_batch(Y @ data.X, data.gram)
+    short = lar_batch(Y @ data.X, data.gram, coef_steps=2)
     assert short.coefficients.shape == (3, 2, 6)
     assert np.array_equal(short.coefficients, full.coefficients[:, :2])
     assert np.array_equal(short.correlations, full.correlations)
@@ -111,8 +111,8 @@ def test_failing_row_is_named():
     R = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-12]])
     start = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.5]])
     with pytest.raises(RankDeficient, match=r"\(replica 7\)"):
-        lar_batch(start, R, 1e-10, row_name=lambda i: f"replica {i + 6}")
-    batch = lar_batch(start[:1], R, 1e-10)
+        lar_batch(start, R.T @ R, 1e-10, row_name=lambda i: f"replica {i + 6}")
+    batch = lar_batch(start[:1], R.T @ R, 1e-10)
     assert batch.terminated_at.tolist() == [1]
 
 

@@ -372,6 +372,8 @@ def _scenario_file(tmp_path, text):
 
 
 _SCENARIO = dict(n=120, p=5, m=2, delta0=0.05, reps=2, boot_draws=50, seed=4)
+# no replication of this scenario reaches the bootstrap
+_NO_BOOTSTRAP = dict(n=60, p=4, m=1, delta0=1e-3, beta_range=1.0, reps=3, boot_draws=40, seed=8)
 INPUT_ERRORS = {
     "draws below 2/alpha": lambda tmp: ["infer", DIABETES, "--response", "progression",
                                         "--draws", "5"],
@@ -391,6 +393,16 @@ INPUT_ERRORS = {
                          "boot_draws": 50})), "--out", str(tmp / "x.csv")],
     "CSV cell over the csv field limit": lambda tmp: ["fit", _csv_file(
         tmp, "a,b\n" + "1" * 200_000 + ",2\n"), "--response", "b"],
+    "string scenario rho": lambda tmp: ["simulate", _scenario_file(
+        tmp, json.dumps({**_SCENARIO, "rho": "0.5"})), "--out", str(tmp / "x.csv")],
+    "string scenario alpha": lambda tmp: ["simulate", _scenario_file(
+        tmp, json.dumps({**_SCENARIO, "alpha": "0.05"})), "--out", str(tmp / "x.csv")],
+    "string scenario beta_range": lambda tmp: ["simulate", _scenario_file(
+        tmp, json.dumps({**_SCENARIO, "beta_range": "2"})), "--out", str(tmp / "x.csv")],
+    "scenario alpha out of range": lambda tmp: ["simulate", _scenario_file(
+        tmp, json.dumps({**_NO_BOOTSTRAP, "alpha": 2})), "--out", str(tmp / "x.csv")],
+    "scenario boot_draws below 2/alpha": lambda tmp: ["simulate", _scenario_file(
+        tmp, json.dumps({**_NO_BOOTSTRAP, "boot_draws": 5})), "--out", str(tmp / "x.csv")],
 }
 
 

@@ -14,6 +14,7 @@ from larinfer.exceptions import (
 )
 from larinfer.identities import (
     ProjectionBasis,
+    StepState,
     append_innovation,
     entrance_criteria,
     equiangular,
@@ -23,10 +24,10 @@ from larinfer.identities import (
     population_correlation_closed_form,
     project,
     replay_states,
+    step_state,
 )
 from larinfer.path import (
     StandardizedData,
-    StepState,
     lar_path,
     margins,
     standardize,
@@ -230,7 +231,7 @@ class TestGamma:
             data = random_instance(rng)
             path = lar_path(data, data.y)
             for k in range(1, len(path.steps)):
-                state = path.step_state(k)
+                state = step_state(path, k)
                 g1, _, _ = gamma_crossings(state)
                 g2 = gamma_min_plus(state)
                 assert g1 == g2  # identical floats, same branch arithmetic
@@ -244,7 +245,7 @@ class TestGamma:
             data = random_instance(rng)
             path = lar_path(data, data.y)
             for k in range(1, len(path.steps)):
-                state = path.step_state(k)
+                state = step_state(path, k)
                 gamma, _, _ = gamma_crossings(state)
                 oracle = _first_crossing(state)
                 assert gamma == pytest.approx(oracle, abs=1e-8)
