@@ -57,7 +57,6 @@ from .linalg import solve_spd
 from .path import (
     LarBatch,
     LarPath,
-    LarStep,
     MarginReport,
     StandardizedData,
     lar_batch,

@@ -240,7 +240,7 @@ class BootstrapEngine:
         self.b_center, self.start = fit.b_center, fit.start
         self.centers = np.zeros(data.p)
         if naive:
-            self.centers[: len(path.steps)] = path.correlations
+            self.centers[: path.terminated_at] = path.correlations
         else:
             self.centers[:m_bar] = path.correlations[:m_bar]
         # sample-side coefficient rows with the terminal step re-fit
@@ -272,7 +272,7 @@ class BootstrapEngine:
     ) -> IntervalSet:
         """Interval set from this engine's replica statistics (see ``collect``)."""
         path, n = self.path, self.data.n
-        t_lo, t_hi = _quantile_rows(t_star[:, : len(path.steps)], cfg.alpha)
+        t_lo, t_hi = _quantile_rows(t_star[:, : path.terminated_at], cfg.alpha)
         # inverts the pivot: the replica statistic carries the square-root
         # increment in its numerator, so the interval scale divides by it
         q_hat = (

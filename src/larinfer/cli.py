@@ -47,7 +47,7 @@ def _load_standardized(args):
 
 def cmd_fit(args) -> int:
     names, data = _load_standardized(args)
-    path = lar_path(data, data.y, zero_tol=args.zero_tol, kind="sample")
+    path = lar_path(data, data.y, zero_tol=args.zero_tol)
     doc = reports.path_report_dict(path, data, names, args.response)
     with _out_stream(args.out) as out:
         if args.format == "json":
@@ -59,7 +59,7 @@ def cmd_fit(args) -> int:
 
 def cmd_infer(args) -> int:
     names, data = _load_standardized(args)
-    path = lar_path(data, data.y, zero_tol=args.zero_tol, kind="sample")
+    path = lar_path(data, data.y, zero_tol=args.zero_tol)
     inference = build_inference_report(data, path)
     cfg = BootstrapConfig(draws=args.draws, alpha=args.alpha, seed=args.seed)
     intervals = bootstrap_intervals(data, path, inference.m_bar, cfg)

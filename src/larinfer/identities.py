@@ -110,10 +110,12 @@ class StepState:
 
 def step_state(path: LarPath, k: int) -> StepState:
     """The StepState of step k (1-based) of a recorded path."""
-    s = path.steps[k - 1]
     mask = np.zeros(path.coefficients.shape[1], dtype=bool)
     mask[path.entrants[:k]] = True
-    return StepState(s.correlations_all, s.correlation, s.angle, s.equiangular_dots, mask)
+    return StepState(
+        path.correlations_all[k - 1], float(path.correlations[k - 1]),
+        float(path.angles[k - 1]), path.equiangular_dots[k - 1], mask,
+    )
 
 
 def gamma_crossings(state: StepState) -> tuple[float, Vector, Vector]:
@@ -233,8 +235,7 @@ def replay_states(data: StandardizedData, path: LarPath):
     direction = np.zeros(data.n)
     inv_a2 = 0.0
     active_mask = np.zeros(data.p, dtype=bool)
-    for k, step in enumerate(path.steps, start=1):
-        j, s = step.entrant, step.sign
+    for k, (j, s) in enumerate(zip(path.entrants, path.signs.tolist()), start=1):
         xj = X[:, j]
         basis_prev, direction_prev, inv_a2_prev = basis, direction, inv_a2
         mask_prev = active_mask.copy()
@@ -329,7 +330,7 @@ def bootstrap_path_draw(
     """One replica path and its residual-scale estimate."""
     engine = BootstrapEngine(data, path, m_bar)
     eps = engine.pool[rng.integers(0, data.n, data.n)]
-    path_star = lar_path(data, data.X @ engine.b_center + eps, zero_tol=0.0, kind="sample")
+    path_star = lar_path(data, data.X @ engine.b_center + eps, zero_tol=0.0)
     sigma_star = _residual_scale(data, (data.X.T @ eps)[None], np.array([eps @ eps]))
     return path_star, float(sigma_star[0])
 

@@ -155,7 +155,7 @@ def studentized_T(
 ) -> Vector:
     """Studentized step-correlation statistics relative to given centers."""
     centers = np.asarray(centers, dtype=np.float64)
-    k = len(path.steps)
+    k = path.terminated_at
     if centers.shape[0] != k:
         raise ValueError(f"need {k} centers, got {centers.shape[0]}")
     scale = np.sqrt(path.inv_angle_sq_increments)
@@ -172,23 +172,16 @@ class InferenceReport:
     T_hat: Vector
 
 
-def build_inference_report(
-    data: StandardizedData,
-    path: LarPath,
-    centers: Vector | None = None,
-) -> InferenceReport:
+def build_inference_report(data: StandardizedData, path: LarPath) -> InferenceReport:
     """Full inference summary for a sample path.
 
-    When ``centers`` is omitted the studentized statistics are centered at
-    the thresholded correlations (observed values up to the estimated
-    termination step, zero beyond).
+    The studentized statistics are centered at the thresholded correlations
+    (observed values up to the estimated termination step, zero beyond).
     """
     sigma = sigma_hat(data, data.y * data.response_scale)
     W, S = tail_sums(path, sigma, data.n)
     thresholds = chi2_thresholds(data.p, data.n)
     m_bar = estimate_m(S, thresholds)
-    if centers is None:
-        centers = np.where(np.arange(1, len(path.steps) + 1) <= m_bar,
-                           path.correlations, 0.0)
+    centers = np.where(np.arange(1, path.terminated_at + 1) <= m_bar, path.correlations, 0.0)
     T_hat = studentized_T(path, centers, sigma, data.n)
     return InferenceReport(sigma, W, S, thresholds, m_bar, T_hat)

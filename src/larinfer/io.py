@@ -143,20 +143,20 @@ def path_report_dict(
     path: LarPath, data: StandardizedData, names: list[str], response: str
 ) -> dict:
     """Fit report: step table plus correlation and coefficient traces."""
+    columns = zip(path.entrants, path.signs.tolist(), path.correlations.tolist(),
+                  path.angles.tolist(), path.weights.tolist())
     steps = [
         {
             "step": k,
-            "variable": names[s.entrant],
-            "index": s.entrant,
-            "sign": float(s.sign),
-            "correlation": float(s.correlation),
-            "angle": float(s.angle),
-            "weight": float(s.weight),
+            "variable": names[j],
+            "index": j,
+            "sign": sign,
+            "correlation": corr,
+            "angle": angle,
+            "weight": weight,
         }
-        for k, s in enumerate(path.steps, start=1)
+        for k, (j, sign, corr, angle, weight) in enumerate(columns, start=1)
     ]
-    abs_corr = [np.abs(s.correlations_all).tolist() for s in path.steps]
-    coefs = path.coefficients.tolist()
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "fit",
@@ -167,8 +167,8 @@ def path_report_dict(
         "variables": names,
         "terminated_at": path.terminated_at,
         "steps": steps,
-        "correlation_traces": abs_corr,
-        "coefficient_traces": coefs,
+        "correlation_traces": np.abs(path.correlations_all).tolist(),
+        "coefficient_traces": path.coefficients.tolist(),
     }
 
 
@@ -190,14 +190,14 @@ class InferredPathReport:
         step_rows = [
             {
                 "step": k,
-                "variable": names[path.steps[k - 1].entrant],
+                "variable": names[path.entrants[k - 1]],
                 "tail_sum": float(inf.S[k - 1]),
                 "threshold": float(inf.thresholds[k - 1]),
                 "correlation": float(path.correlations[k - 1]),
                 "interval_lo": float(iv.correlation_intervals[k - 1, 0]),
                 "interval_hi": float(iv.correlation_intervals[k - 1, 1]),
             }
-            for k in range(1, len(path.steps) + 1)
+            for k in range(1, path.terminated_at + 1)
         ]
         m_bar = inf.m_bar
         terminal_rows = [
@@ -239,9 +239,7 @@ class InferredPathReport:
             "terminal_coefficients": terminal_rows,
             "coefficient_intervals": coef_rows,
             "membership_freq": iv.membership_freq.tolist(),
-            "correlation_traces": [
-                np.abs(s.correlations_all).tolist() for s in path.steps
-            ],
+            "correlation_traces": np.abs(path.correlations_all).tolist(),
             "coefficient_traces": path.coefficients.tolist(),
         }
 

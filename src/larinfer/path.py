@@ -135,57 +135,54 @@ class LarStep:
     correlation: float
     angle: float
     weight: float
-    correlations_all: Vector
-    equiangular_dots: Vector
+    correlations_all: Vector | None
+    equiangular_dots: Vector | None
     inv_angle_sq: float
     tie: bool
 
 
 @dataclass(frozen=True)
 class LarPath:
-    steps: tuple[LarStep, ...]
-    coefficients: Matrix  # one row per step, p entries each
-    kind: str  # "sample" | "population"
+    """One path as per-step arrays, cut at its last step m = ``terminated_at``.
+
+    ``weights`` are the step lengths.  ``correlations_all`` and
+    ``equiangular_dots`` hold c_k and w_k (m x p) when the engine kept its
+    traces, else None.  ``coefficients`` has a row of p entries per kept step.
+    """
+
+    entrants: list[int]
+    signs: Vector
+    correlations: Vector
+    angles: Vector
+    weights: Vector
+    inv_angle_sq: Vector
+    ties: NDArray[np.bool_]
+    start_correlations: Vector  # X'response, the correlations before the first step
+    correlations_all: Matrix | None
+    equiangular_dots: Matrix | None
+    coefficients: Matrix
     terminated_at: int
-
-    @property
-    def entrants(self) -> list[int]:
-        return [s.entrant for s in self.steps]
-
-    @property
-    def start_correlations(self) -> Vector:
-        """X'response, the correlations before the first step."""
-        return self.steps[0].correlations_all
-
-    @property
-    def signs(self) -> Vector:
-        return np.array([s.sign for s in self.steps])
-
-    @property
-    def correlations(self) -> Vector:
-        return np.array([s.correlation for s in self.steps])
-
-    @property
-    def angles(self) -> Vector:
-        return np.array([s.angle for s in self.steps])
-
-    @property
-    def weights(self) -> Vector:
-        return np.array([s.weight for s in self.steps])
-
-    @property
-    def inv_angle_sq(self) -> Vector:
-        return np.array([s.inv_angle_sq for s in self.steps])
 
     @property
     def inv_angle_sq_increments(self) -> Vector:
         """1/A_k^2 - 1/A_{k-1}^2 with the 1/A_0 = 0 convention."""
-        inv = self.inv_angle_sq
-        return np.diff(inv, prepend=0.0)
+        return np.diff(self.inv_angle_sq, prepend=0.0)
 
     @property
     def tie_steps(self) -> list[int]:
-        return [k + 1 for k, s in enumerate(self.steps) if s.tie]
+        return (np.flatnonzero(self.ties) + 1).tolist()
+
+    @property
+    def steps(self) -> tuple[LarStep, ...]:
+        """One LarStep record per step, built on each call."""
+        none = [None] * self.terminated_at
+        c_all = none if self.correlations_all is None else self.correlations_all
+        w_all = none if self.equiangular_dots is None else self.equiangular_dots
+        return tuple(map(
+            LarStep, self.entrants, self.signs.tolist(), self.correlations.tolist(),
+            self.angles.tolist(), self.weights.tolist(), c_all, w_all,
+            self.inv_angle_sq.tolist(), self.ties.tolist(),
+        ))
 
 
 def _crossings(
@@ -210,13 +207,15 @@ def _crossings(
 class LarBatch:
     """Paths of a batch of responses on one design, one row per response.
 
-    Step arrays are B x p; entries past a row's ``terminated_at`` are 0, and
-    -1 in ``entrants``.  ``coefficients`` holds the first ``coef_steps``
-    coefficient rows of each path (B x coef_steps x p).  ``correlations_all``
-    and ``equiangular_dots`` hold c_k and w_k (B x p x p) when traces were
-    asked for, else None.
+    ``start`` is the engine's input (not a copy), the starting correlations
+    (B x p).  Step arrays are B x p; entries past a row's ``terminated_at``
+    are 0, and -1 in ``entrants``.  ``coefficients`` holds the first
+    ``coef_steps`` coefficient rows of each path (B x coef_steps x p).
+    ``correlations_all`` and ``equiangular_dots`` hold c_k and w_k
+    (B x p x p) when traces were asked for, else None.
     """
 
+    start: Matrix
     entrants: NDArray[np.int64]
     signs: Matrix
     correlations: Matrix
@@ -235,19 +234,17 @@ class LarBatch:
         done = np.arange(self.signs.shape[1]) < self.terminated_at[:, None]
         return np.where(done, np.diff(self.inv_angle_sq, axis=1, prepend=0.0), 0.0)
 
-    def path(self, row: int, kind: str = "sample") -> LarPath:
-        """Batch row ``row`` as a LarPath; the batch must hold the traces."""
+    def path(self, row: int) -> LarPath:
+        """Batch row ``row`` as a LarPath: its arrays cut at its last step."""
         m = int(self.terminated_at[row])
-        fields = (self.entrants, self.signs, self.correlations, self.angles,
-                  self.weights, self.inv_angle_sq, self.ties)
-        entrant, sign, corr, angle, weight, inv_a2, tie = (a[row, :m].tolist() for a in fields)
-        steps = tuple(
-            LarStep(entrant[k], sign[k], corr[k], angle[k], weight[k],
-                    self.correlations_all[row, k], self.equiangular_dots[row, k],
-                    inv_a2[k], tie[k])
-            for k in range(m)
+        c_all, w_all = self.correlations_all, self.equiangular_dots
+        if c_all is not None:
+            c_all, w_all = c_all[row, :m], w_all[row, :m]
+        return LarPath(
+            self.entrants[row, :m].tolist(), self.signs[row, :m], self.correlations[row, :m],
+            self.angles[row, :m], self.weights[row, :m], self.inv_angle_sq[row, :m],
+            self.ties[row, :m], self.start[row], c_all, w_all, self.coefficients[row, :m], m,
         )
-        return LarPath(steps, self.coefficients[row, :m], kind, m)
 
 
 def lar_batch(
@@ -280,9 +277,9 @@ def lar_batch(
     NoPositiveCandidate; ``row_name`` maps its batch row to the phrase the
     message names it by (none by default).
     """
-    if zero_tol < 0.0:
-        raise ValueError("zero_tol must be nonnegative")
-    c = np.array(start, dtype=np.float64, ndmin=2)
+    if not zero_tol >= 0.0:
+        raise ValueError(f"zero_tol must be a nonnegative number, got {zero_tol}")
+    c = start = np.atleast_2d(np.asarray(start, dtype=np.float64))
     B, p = c.shape
     if G.shape != (p, p):
         raise DimensionMismatch(f"Gram matrix shape {G.shape} != ({p}, {p})")
@@ -391,7 +388,7 @@ def lar_batch(
     entrants, signs, correlations, angles, weights, inv_angle_sq, ties = out[:7]
     c_trace, w_trace = out[7:] if traces else (None, None)
     return LarBatch(
-        entrants, signs, correlations, angles, weights, inv_angle_sq, ties,
+        start, entrants, signs, correlations, angles, weights, inv_angle_sq, ties,
         terminated_at, coefficients, c_trace, w_trace,
     )
 
@@ -400,14 +397,13 @@ def lar_path(
     data: StandardizedData,
     response: Vector,
     zero_tol: float = 0.0,
-    kind: str = "sample",
 ) -> LarPath:
     """Run the path algorithm on the given response.
 
     ``zero_tol`` is relative to the first step correlation: the path stops
     when C_k <= zero_tol * C_1 (and at C_1 <= zero_tol for the first step).
     Sample responses should use 0, population responses about 1e-10.  Ties
-    among entrant candidates are recorded on the step and broken by lowest
+    among entrant candidates are recorded in ``ties`` and broken by lowest
     column index.
 
     Only the starting correlations X'response are computed in n-space; the
@@ -421,7 +417,7 @@ def lar_path(
     if resp.shape != (n,):
         raise DimensionMismatch(f"response shape {resp.shape} != ({n},)")
     batch = lar_batch((X.T @ resp)[None], data.gram, zero_tol, traces=True)
-    return batch.path(0, kind)
+    return batch.path(0)
 
 
 @dataclass(frozen=True)
@@ -444,11 +440,9 @@ def margins(population_path: LarPath) -> MarginReport:
         raise NotPrototypical(
             f"path has ties at steps {population_path.tie_steps}"
         )
-    steps = population_path.steps
     m, p = population_path.coefficients.shape
     C, A = population_path.correlations, population_path.angles
-    c = np.reshape([s.correlations_all for s in steps], (m, p))
-    w = np.reshape([s.equiangular_dots for s in steps], (m, p))
+    c, w = population_path.correlations_all, population_path.equiangular_dots
     # entry[j] is the 0-based step at which column j enters (m if never), so
     # row k-1 of ``active`` is the active set after step k
     entry = np.full(p, m)

@@ -50,11 +50,19 @@ class ScenarioSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"{name} must be finite, got {value!r}")
         BootstrapConfig(draws=self.boot_draws, alpha=self.alpha)
         if not (1 <= self.m <= self.p < self.n):
             raise ValueError(f"need m <= p < n, got m={self.m}, p={self.p}, n={self.n}")
+        if self.reps < 1:
+            raise ValueError(f"reps must be at least 1, got {self.reps}")
         if self.delta0 <= 0.0:
             raise ValueError(f"delta0 must be positive, got {self.delta0}")
+        if self.beta_range <= 0.0:
+            raise ValueError(f"beta_range must be positive, got {self.beta_range}")
+        if not abs(self.rho) < 1.0:
+            raise ValueError(f"rho must lie in (-1, 1), got {self.rho}")
 
 
 def ar1_covariance(p: int, rho: float) -> Matrix:
@@ -85,7 +93,7 @@ def generate_scenario(spec: ScenarioSpec, rng: np.random.Generator) -> ScenarioD
         except DegenerateResponse:
             continue
         mu = data.y
-        pop_path = lar_path(data, mu, zero_tol=1e-10, kind="population")
+        pop_path = lar_path(data, mu, zero_tol=1e-10)
         if pop_path.tie_steps or pop_path.terminated_at != spec.m:
             continue
         try:
@@ -182,13 +190,14 @@ def _replications(
     """(m_bar, bootstrap intervals) of each replication in order; the
     intervals are None where m_bar is 0.
 
-    The replications run in blocks of ``chunk_rows(8 (n + 4 p^2))`` rows,
-    counting a response row and the batch's two traces, inverse factor and
-    coefficients: the responses of a block, each drawn from its replication's
-    own noise stream, are one stack and run as one path batch, and the
-    bootstrap replicas of the block come from one ``interval_sets`` stream,
-    which runs a few replications per engine call.  A block's stack is freed
-    before its replicas run, and its engines before the next block starts.
+    The replications run in blocks of ``chunk_rows(8 (n + 4 p^2))`` rows, a
+    budget of a response row and four p x p arrays per replication, of which
+    its path uses two: the responses of a block, each drawn from its
+    replication's own noise stream, are one stack and run as one path batch
+    (with no traces), and the bootstrap replicas of the block come from one
+    ``interval_sets`` stream, which runs a few replications per engine call.
+    A block's stack is freed before its replicas run, and its engines before
+    the next block starts.
     """
     n, p = data.n, data.p
     block = chunk_rows(8 * (n + 4 * p * p))
@@ -202,7 +211,7 @@ def _replications(
         Y += data.y * data.response_scale
         Y -= Y.mean(axis=1, keepdims=True)
         Y /= data.response_scale
-        paths = lar_batch(Y @ data.X, data.gram, traces=True,
+        paths = lar_batch(Y @ data.X, data.gram,
                           row_name=lambda r: f"replication {reps[r]}")
         sigma = sigma_hat(data, Y * data.response_scale)
         _, S = tail_sums(paths, sigma[:, None], n)
@@ -249,7 +258,7 @@ def tie_demo(n: int, reps: int, rng: np.random.Generator) -> TieDemoResult:
     # equiangular vector of the first three columns, from their Gram block
     u = solve_spd(data.gram[:3, :3], np.ones(3))
     mu = X[:, 0] + (X[:, :3] @ u) / math.sqrt(float(np.sum(u)))
-    pop = lar_path(data, mu, zero_tol=1e-10, kind="population")
+    pop = lar_path(data, mu, zero_tol=1e-10)
     # one (reps, n) block holds the same numbers as reps draws of n in turn
     Y = mu + rng.standard_normal((reps, n)) / math.sqrt(n)
     paths = lar_batch(Y @ X, data.gram, coef_steps=0,

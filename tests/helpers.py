@@ -27,7 +27,6 @@ from larinfer.inference import chi2_thresholds, estimate_m, sigma_hat, tail_sums
 from larinfer.path import (
     TIE_TOL,
     LarPath,
-    LarStep,
     StandardizedData,
     lar_path,
     standardize,
@@ -76,7 +75,6 @@ def reference_lar_path_nspace(
     data: StandardizedData,
     response: np.ndarray,
     zero_tol: float = 0.0,
-    kind: str = "sample",
 ) -> LarPath:
     """Test-only reference: the path engine as it ran in n-space.
 
@@ -95,7 +93,7 @@ def reference_lar_path_nspace(
     active_mask = np.zeros(p, dtype=bool)
     order: list[int] = []
     b = np.zeros(p)
-    steps: list[LarStep] = []
+    steps: list[tuple] = []  # (j, s, C, A, gamma, inv_a2, tie, c, w) per step
     coef_rows: list[np.ndarray] = []
     entrant: int | None = None
     tie = False
@@ -151,12 +149,18 @@ def reference_lar_path_nspace(
         b[order] += gamma * delta
         fit = fit + gamma * a
 
-        steps.append(LarStep(j, s, C, A, gamma, c, w, inv_a2, tie))
+        steps.append((j, s, C, A, gamma, inv_a2, tie, c, w))
         coef_rows.append(b)
         tie = tie_next
 
-    coefficients = np.array(coef_rows) if coef_rows else np.zeros((0, p))
-    return LarPath(tuple(steps), coefficients, kind, len(steps))
+    m = len(steps)
+    entrants, *scalars, ties, c_all, w_all = zip(*steps) if steps else [()] * 9
+    signs, corr, angles, weights, inv_a2s = (np.array(v, dtype=float) for v in scalars)
+    return LarPath(
+        list(entrants), signs, corr, angles, weights, inv_a2s, np.array(ties, dtype=bool),
+        X.T @ resp, np.reshape(c_all, (m, p)), np.reshape(w_all, (m, p)),
+        np.reshape(coef_rows, (m, p)), m,
+    )
 
 
 def reference_collect(
@@ -181,7 +185,7 @@ def reference_collect(
     for index in range(cfg.draws):
         rng = replica_rng(cfg.seed, index)
         eps = engine.pool[rng.integers(0, n, n)]
-        path_star = lar_path(data, mu_center + eps, zero_tol=0.0, kind="sample")
+        path_star = lar_path(data, mu_center + eps, zero_tol=0.0)
         resid = eps - project(basis, eps)
         sigma_star = math.sqrt(n * float(resid @ resid) / (n - p))
 
@@ -249,7 +253,7 @@ def reference_run_coverage(spec: ScenarioSpec, naive: bool = False) -> CoverageR
         noise_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1, i]))
         eps = noise_rng.standard_normal(n)
         d = data.with_response(data.y * data.response_scale + eps)
-        path = lar_path(d, d.y, zero_tol=0.0, kind="sample")
+        path = lar_path(d, d.y, zero_tol=0.0)
         sigma = sigma_hat(d, d.y * d.response_scale)
         _, S = tail_sums(path, sigma, n)
         m_bar = estimate_m(S, thresholds)

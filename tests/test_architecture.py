@@ -28,3 +28,25 @@ def test_only_the_package_root_imports_identities():
         and "larinfer.identities" in _imported_modules(ast.parse(path.read_text()))
     ]
     assert offenders == []
+
+
+def test_only_the_path_module_names_step_records():
+    """Production code reads a path's arrays: no module but ``path.py`` names
+    ``LarStep`` or reads a ``.steps`` attribute."""
+
+    def offends(node: ast.AST) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id == "LarStep"
+        if isinstance(node, ast.alias):
+            return node.name == "LarStep"
+        if isinstance(node, ast.Attribute):
+            return node.attr in ("LarStep", "steps")
+        return False
+
+    offenders = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "path.py"
+        and any(offends(node) for node in ast.walk(ast.parse(path.read_text())))
+    ]
+    assert offenders == []

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -374,6 +375,14 @@ def _scenario_file(tmp_path, text):
 _SCENARIO = dict(n=120, p=5, m=2, delta0=0.05, reps=2, boot_draws=50, seed=4)
 # no replication of this scenario reaches the bootstrap
 _NO_BOOTSTRAP = dict(n=60, p=4, m=1, delta0=1e-3, beta_range=1.0, reps=3, boot_draws=40, seed=8)
+
+
+def _bad_scenario(tmp, **fields):
+    """Command line of a simulate run on ``_SCENARIO`` with ``fields`` replaced."""
+    return ["simulate", _scenario_file(tmp, json.dumps({**_SCENARIO, **fields})),
+            "--out", str(tmp / "x.csv")]
+
+
 INPUT_ERRORS = {
     "draws below 2/alpha": lambda tmp: ["infer", DIABETES, "--response", "progression",
                                         "--draws", "5"],
@@ -403,6 +412,20 @@ INPUT_ERRORS = {
         tmp, json.dumps({**_NO_BOOTSTRAP, "alpha": 2})), "--out", str(tmp / "x.csv")],
     "scenario boot_draws below 2/alpha": lambda tmp: ["simulate", _scenario_file(
         tmp, json.dumps({**_NO_BOOTSTRAP, "boot_draws": 5})), "--out", str(tmp / "x.csv")],
+    "NaN zero-tol": lambda tmp: ["fit", DIABETES, "--response", "progression",
+                                 "--zero-tol", "nan"],
+    "scenario delta0 NaN": lambda tmp: _bad_scenario(tmp, delta0=math.nan),
+    "scenario delta0 Infinity": lambda tmp: _bad_scenario(tmp, delta0=math.inf),
+    "scenario rho NaN": lambda tmp: _bad_scenario(tmp, rho=math.nan),
+    "scenario beta_range NaN": lambda tmp: _bad_scenario(tmp, beta_range=math.nan),
+    "scenario beta_range Infinity": lambda tmp: _bad_scenario(tmp, beta_range=math.inf),
+    "scenario alpha NaN": lambda tmp: _bad_scenario(tmp, alpha=math.nan),
+    "scenario beta_range 0": lambda tmp: _bad_scenario(tmp, beta_range=0),
+    "scenario beta_range negative": lambda tmp: _bad_scenario(tmp, beta_range=-1.0),
+    "scenario rho 1": lambda tmp: _bad_scenario(tmp, rho=1.0),
+    "scenario rho -1.5": lambda tmp: _bad_scenario(tmp, rho=-1.5),
+    "scenario reps 0": lambda tmp: _bad_scenario(tmp, reps=0),
+    "scenario reps -1": lambda tmp: _bad_scenario(tmp, reps=-1),
 }
 
 

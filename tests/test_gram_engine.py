@@ -50,8 +50,8 @@ def _max_rel_diff(new, ref) -> float:
 @pytest.mark.parametrize("seed", range(60))
 def test_matches_nspace_reference(seed):
     data, zero_tol, kind = _design(seed)
-    new = lar_path(data, data.y, zero_tol=zero_tol, kind=kind)
-    ref = reference_lar_path_nspace(data, data.y, zero_tol=zero_tol, kind=kind)
+    new = lar_path(data, data.y, zero_tol=zero_tol)
+    ref = reference_lar_path_nspace(data, data.y, zero_tol=zero_tol)
     assert new.entrants == ref.entrants
     assert new.tie_steps == ref.tie_steps
     assert new.terminated_at == ref.terminated_at

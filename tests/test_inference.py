@@ -177,7 +177,7 @@ class TestStudentizedT:
             mu_n = X @ beta
             data = standardize(X, mu_n + eps_n, center=False)
             mu = mu_n / data.response_scale
-            pop = lar_path(data, mu, zero_tol=1e-10, kind="population")
+            pop = lar_path(data, mu, zero_tol=1e-10)
             path = lar_path(data, data.y)
             m = pop.terminated_at
             if path.entrants[:m] != pop.entrants:

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from helpers import orthonormal_design, population_instance, random_instance
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from larinfer.exceptions import (
     DegenerateResponse,
@@ -26,8 +29,11 @@ from larinfer.identities import (
     replay_states,
     step_state,
 )
+from larinfer.inference import build_inference_report
 from larinfer.path import (
+    LarPath,
     StandardizedData,
+    lar_batch,
     lar_path,
     margins,
     standardize,
@@ -138,9 +144,8 @@ class TestLarPath:
     def test_population_path_terminates(self):
         rng = np.random.default_rng(6)
         data, mu = population_instance(rng, n=50, p=6, m=3)
-        path = lar_path(data, mu, zero_tol=1e-10, kind="population")
+        path = lar_path(data, mu, zero_tol=1e-10)
         assert path.terminated_at <= 6
-        assert path.kind == "population"
         # the fit at termination reproduces the mean
         fitted = data.X @ path.coefficients[-1]
         assert np.linalg.norm(fitted - mu) <= 1e-8
@@ -345,7 +350,7 @@ class TestEntranceCriteria:
         Q = orthonormal_design(rng, 25, 4)
         data = standardize(Q, rng.standard_normal(25), center=False)
         mu = data.X @ np.array([2.0, -1.0, 0.5, 0.0])
-        path = lar_path(data, mu, zero_tol=1e-10, kind="population")
+        path = lar_path(data, mu, zero_tol=1e-10)
         state = next(replay_states(data, path))
         crit = entrance_criteria(data, mu, state)
         assert np.allclose(crit.values, np.abs(data.X.T @ mu), atol=1e-12)
@@ -355,7 +360,7 @@ class TestEntranceCriteria:
         rng = np.random.default_rng(400 + seed)
         if seed % 2:
             data, response = population_instance(rng)
-            path = lar_path(data, response, zero_tol=1e-10, kind="population")
+            path = lar_path(data, response, zero_tol=1e-10)
         else:
             data = random_instance(rng)
             response = data.y
@@ -381,7 +386,7 @@ class TestPopulationClosedForm:
     def test_matches_path_correlations(self, seed):
         rng = np.random.default_rng(500 + seed)
         data, mu = population_instance(rng)
-        path = lar_path(data, mu, zero_tol=1e-10, kind="population")
+        path = lar_path(data, mu, zero_tol=1e-10)
         for state in replay_states(data, path):
             closed = population_correlation_closed_form(data, mu, state)
             assert closed == pytest.approx(
@@ -391,7 +396,7 @@ class TestPopulationClosedForm:
     def test_projection_increment_identity(self):
         rng = np.random.default_rng(17)
         data, mu = population_instance(rng)
-        path = lar_path(data, mu, zero_tol=1e-10, kind="population")
+        path = lar_path(data, mu, zero_tol=1e-10)
         for state in replay_states(data, path):
             C_k = path.steps[state.k - 1].correlation
             lhs = C_k * (state.direction - state.direction_prev)
@@ -402,7 +407,7 @@ class TestPopulationClosedForm:
     def test_projection_decomposition(self):
         rng = np.random.default_rng(18)
         data, mu = population_instance(rng, n=80, p=7, m=4)
-        path = lar_path(data, mu, zero_tol=1e-10, kind="population")
+        path = lar_path(data, mu, zero_tol=1e-10)
         states = list(replay_states(data, path))
         m = len(states)
         innovations = [s.innovation for s in states]
@@ -423,7 +428,7 @@ class TestMargins:
         rng = np.random.default_rng(19)
         data = standardize(rng.standard_normal((10, 1)), rng.standard_normal(10),
                            center=False)
-        path = lar_path(data, data.y, zero_tol=1e-10, kind="population")
+        path = lar_path(data, data.y, zero_tol=1e-10)
         report = margins(path)
         assert report.vacuous
         assert math.isinf(report.delta)
@@ -433,7 +438,7 @@ class TestMargins:
         Q = orthonormal_design(rng, 40, 4)
         data = standardize(Q, rng.standard_normal(40), center=False)
         mu = data.X @ np.array([3.0, 2.0, 1.0, 0.0])
-        path = lar_path(data, mu, zero_tol=1e-10, kind="population")
+        path = lar_path(data, mu, zero_tol=1e-10)
         report = margins(path)
         magnitudes = np.abs(data.X.T @ mu)
         nonzero = np.sort(magnitudes[magnitudes > 1e-12])
@@ -445,7 +450,100 @@ class TestMargins:
         Q = orthonormal_design(rng, 30, 3)
         data = standardize(Q, np.ones(30), center=False)
         mu = data.X[:, 0] + data.X[:, 1]
-        path = lar_path(data, mu, zero_tol=1e-10, kind="population")
+        path = lar_path(data, mu, zero_tol=1e-10)
         assert path.tie_steps
         with pytest.raises(NotPrototypical):
             margins(path)
+
+
+def _separated_design(seed: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Small raw design (n = 8p rows) and response with a clear signal."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((8 * p, p))
+    return X, X @ rng.uniform(-2.0, 2.0, p) + rng.standard_normal(8 * p)
+
+
+def _untied_path(data: StandardizedData, response: np.ndarray, zero_tol: float = 0.0):
+    """``lar_path`` of the response; draws within TIE_TOL of a tie are skipped."""
+    path = lar_path(data, response, zero_tol=zero_tol)
+    assume(not path.tie_steps)
+    return path
+
+seeds = st.integers(0, 2**32 - 1)
+sizes = st.integers(2, 6)
+
+
+class TestInvarianceProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, p=sizes, center=st.booleans(), data=st.data())
+    def test_permuting_columns_permutes_entrants(self, seed, p, center, data):
+        X, y = _separated_design(seed, p)
+        perm = np.array(data.draw(st.permutations(range(p))))
+        base = standardize(X, y, center)
+        path = _untied_path(base, base.y)
+        C_1 = path.correlations[0]
+        permuted = standardize(X[:, perm], y, center)
+        new = lar_path(permuted, permuted.y)
+        position = np.argsort(perm)  # new index of each original column
+        assert new.entrants == position[path.entrants].tolist()
+        assert np.allclose(new.correlations, path.correlations, rtol=0.0, atol=1e-12 * C_1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, p=sizes, center=st.booleans(), c=st.floats(1e-2, 1e2))
+    def test_scaling_the_response_scales_step_correlations(self, seed, p, center, c):
+        X, y = _separated_design(seed, p)
+        data, scaled = standardize(X, y, center), standardize(X, c * y, center)
+        path = _untied_path(data, data.y)
+        C_1 = path.correlations[0]
+        new = lar_path(scaled, scaled.y)
+        assert new.entrants == path.entrants
+        assert np.allclose(new.correlations, c * path.correlations, rtol=0.0, atol=1e-12 * c * C_1)
+        m_bar = build_inference_report(data, path).m_bar
+        assert build_inference_report(scaled, new).m_bar == m_bar
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, p=sizes, shift=st.floats(-1e2, 1e2))
+    def test_shifting_a_centered_response_changes_nothing(self, seed, p, shift):
+        X, y = _separated_design(seed, p)
+        data, shifted = standardize(X, y), standardize(X, y + shift)
+        path = _untied_path(data, data.y)
+        C_1 = path.correlations[0]
+        new = lar_path(shifted, shifted.y)
+        assert new.entrants == path.entrants
+        assert np.array_equal(new.signs, path.signs)
+        assert np.allclose(new.correlations, path.correlations, rtol=0.0, atol=1e-12 * C_1)
+        m_bar = build_inference_report(data, path).m_bar
+        assert build_inference_report(shifted, new).m_bar == m_bar
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, p=sizes, center=st.booleans(), data=st.data())
+    def test_flipping_a_column_flips_its_step_sign(self, seed, p, center, data):
+        X, y = _separated_design(seed, p)
+        j = data.draw(st.integers(0, p - 1))
+        base = standardize(X, y, center)
+        path = _untied_path(base, base.y)
+        X[:, j] = -X[:, j]
+        flipped = standardize(X, y, center)
+        new = lar_path(flipped, flipped.y)
+        assert new.entrants == path.entrants
+        expected = np.where(np.array(path.entrants) == j, -path.signs, path.signs)
+        assert np.array_equal(new.signs, expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=seeds, p=sizes, rows=st.integers(1, 5))
+    def test_batch_rows_equal_single_paths(self, seed, p, rows):
+        rng = np.random.default_rng(seed)
+        data, mu = population_instance(rng, n=8 * p, p=p, m=max(1, p // 2))
+        # noisy responses run all p steps; the mean stops at its support size
+        Y = np.vstack([mu, mu + rng.standard_normal((rows, data.n)) / math.sqrt(data.n)])
+        batch = lar_batch(Y @ data.X, data.gram, zero_tol=1e-10, traces=True)
+        for i, response in enumerate(Y):
+            single = _untied_path(data, response, zero_tol=1e-10)
+            row = batch.path(i)
+            for field in dataclasses.fields(LarPath):
+                got, want = getattr(row, field.name), getattr(single, field.name)
+                if isinstance(want, np.ndarray) and want.dtype == np.float64:
+                    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+                    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale, field.name
+                else:  # entrants, tie flags and the step count agree exactly
+                    assert np.array_equal(got, want), field.name

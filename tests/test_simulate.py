@@ -54,7 +54,7 @@ class TestGenerateScenario:
         assert draw.delta >= spec.delta0
         assert np.count_nonzero(draw.beta) == spec.m
         # recompute the margin from scratch on the returned design
-        fresh = lar_path(draw.data, draw.mu, zero_tol=1e-10, kind="population")
+        fresh = lar_path(draw.data, draw.mu, zero_tol=1e-10)
         assert fresh.entrants == draw.pop_path.entrants
         report = margins(fresh)
         assert report.delta == pytest.approx(draw.delta, rel=1e-12)
@@ -212,7 +212,7 @@ class TestAsymptoticCoefCov:
         mu_n = Q @ beta
         data = standardize(Q, mu_n, center=False)
         mu = data.y
-        pop = lar_path(data, mu, zero_tol=1e-10, kind="population")
+        pop = lar_path(data, mu, zero_tol=1e-10)
         assert pop.entrants == [0, 1]
         target = asymptotic_coef_cov(
             np.eye(p), list(pop.entrants), np.asarray(pop.signs, dtype=float), 1.0
