@@ -41,8 +41,8 @@ def _out_stream(path: str | None):
 def _load_standardized(args):
     names, table = reports.read_csv(args.csv)
     feature_names, X, y = reports.split_response(names, table, args.response)
-    data = standardize(X, y, center=not args.no_center)
-    return feature_names, data
+    del table  # X and y are copies: free the table before standardize copies X
+    return feature_names, standardize(X, y, center=not args.no_center)
 
 
 def cmd_fit(args) -> int:
@@ -57,9 +57,20 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+
+
 def cmd_infer(args) -> int:
+    if args.zero_tol != 0.0:
+        raise ValueError(
+            f"--zero-tol must be 0 for infer, got {args.zero_tol}: the stopping "
+            "rule needs the tail sums of all p steps"
+        )
+    _check_seed(args.seed)
     names, data = _load_standardized(args)
-    path = lar_path(data, data.y, zero_tol=args.zero_tol)
+    path = lar_path(data, data.y)
     inference = build_inference_report(data, path)
     cfg = BootstrapConfig(draws=args.draws, alpha=args.alpha, seed=args.seed)
     intervals = bootstrap_intervals(data, path, inference.m_bar, cfg)
@@ -110,6 +121,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tie_demo(args) -> int:
+    _check_seed(args.seed)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
     result = tie_demo(args.n, args.reps, rng)
     with _out_stream(args.out) as out:
@@ -144,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-center", action="store_true",
                        help="skip centering of columns and response")
         p.add_argument("--zero-tol", type=float, default=0.0,
-                       help="relative zero threshold for stopping (default 0)")
+                       help="relative zero threshold for stopping (default 0; "
+                       "infer accepts only 0)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 

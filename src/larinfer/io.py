@@ -114,7 +114,10 @@ def _parse_cells(reader, width: int) -> Matrix:
 def split_response(
     names: list[str], table: Matrix, response: str
 ) -> tuple[list[str], Matrix, Vector]:
-    """Split a parsed CSV into features and the named response column."""
+    """Split a parsed CSV into features and the named response column.
+
+    Both are copies, so the table can be freed once they exist.
+    """
     if response in names:
         idx = names.index(response)
     else:
@@ -126,7 +129,7 @@ def split_response(
             raise CsvParseError(f"response index {idx} out of range", 1, idx + 1)
     feature_names = [n for i, n in enumerate(names) if i != idx]
     keep = [i for i in range(len(names)) if i != idx]
-    return feature_names, table[:, keep], table[:, idx]
+    return feature_names, table[:, keep], table[:, idx].copy()
 
 
 def diabetes_fixture_path() -> Path:
@@ -245,8 +248,48 @@ class InferredPathReport:
 
 
 def write_json(doc: dict, out) -> None:
-    json.dump(doc, out, indent=2)
+    """Write ``doc`` exactly as ``json.dump(doc, out, indent=2)`` and a newline.
+
+    A flat list of finite floats (a trace row) is formatted with one join of
+    ``float.__repr__``, which is what ``json`` itself calls on each float.
+    Dicts with string keys and non-empty lists are laid out here, one item at
+    a time, so the report text is never held whole; every other value goes
+    to ``json``.
+    """
+    _write_value(doc, out, "\n")
     out.write("\n")
+
+
+def _write_value(value, out, newline: str) -> None:
+    """Write one value whose line breaks are followed by ``newline``'s indent."""
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)) and value:
+        try:
+            text = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:  # an item that is not a float
+            text = "n"
+        # a finite float's repr holds no 'n'; json writes nan and inf as NaN
+        # and Infinity, so those lists go item by item like mixed ones
+        if "n" not in text:
+            out.write("[" + inner + text + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.write(sep)
+            _write_value(item, out, inner)
+            sep = "," + inner
+        out.write(newline + "]")
+    elif isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        sep = "{" + inner
+        for key, item in value.items():
+            out.write(sep + json.dumps(key) + ": ")
+            _write_value(item, out, inner)
+            sep = "," + inner
+        out.write(newline + "}")
+    else:
+        # json escapes every newline inside strings, so each "\n" here is
+        # the start of an indented line
+        out.write(json.dumps(value, indent=2).replace("\n", newline))
 
 
 def write_fit_csv(doc: dict, out) -> None:

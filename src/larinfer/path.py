@@ -125,7 +125,8 @@ def standardize(X_raw: Matrix, y_raw: Vector, center: bool = True) -> Standardiz
     if np.any(norms <= 1e-12):
         bad = int(np.argmin(norms))
         raise ZeroColumn(f"column {bad} has near-zero norm after centering")
-    return StandardizedData(X / norms, y / math.sqrt(n), norms, math.sqrt(n), center)
+    X /= norms  # X is this call's own copy, so scale it in place
+    return StandardizedData(X, y / math.sqrt(n), norms, math.sqrt(n), center)
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,14 @@ class ScenarioSpec:
             raise ValueError(f"delta0 must be positive, got {self.delta0}")
         if self.beta_range <= 0.0:
             raise ValueError(f"beta_range must be positive, got {self.beta_range}")
+        if not math.isfinite(2.0 * self.beta_range):  # the width of rng.uniform's range
+            raise ValueError(
+                f"beta_range must be below half the largest float, got {self.beta_range}"
+            )
+        if self.rejection_cap < 1:
+            raise ValueError(f"rejection_cap must be at least 1, got {self.rejection_cap}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if not abs(self.rho) < 1.0:
             raise ValueError(f"rho must lie in (-1, 1), got {self.rho}")
 

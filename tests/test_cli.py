@@ -426,6 +426,27 @@ INPUT_ERRORS = {
     "scenario rho -1.5": lambda tmp: _bad_scenario(tmp, rho=-1.5),
     "scenario reps 0": lambda tmp: _bad_scenario(tmp, reps=0),
     "scenario reps -1": lambda tmp: _bad_scenario(tmp, reps=-1),
+    "infer positive zero-tol": lambda tmp: ["infer", DIABETES, "--response", "progression",
+                                            "--zero-tol", "0.006"],
+    "scenario beta_range 1e308": lambda tmp: _bad_scenario(tmp, beta_range=1e308),
+    "scenario rejection_cap -5": lambda tmp: _bad_scenario(tmp, rejection_cap=-5),
+    "scenario rejection_cap 0": lambda tmp: _bad_scenario(tmp, rejection_cap=0),
+    "infer negative seed": lambda tmp: ["infer", DIABETES, "--response", "progression",
+                                        "--seed", "-1"],
+    "tie-demo negative seed": lambda tmp: ["tie-demo", "--reps", "2", "--seed", "-1",
+                                           "--out", str(tmp / "x.csv")],
+    "scenario seed -4": lambda tmp: _bad_scenario(tmp, seed=-4),
+}
+
+# what the error line of a case must say: the option or scenario key, and why
+ERROR_NAMES = {
+    "infer positive zero-tol": ("--zero-tol", "tail sums of all p steps"),
+    "scenario beta_range 1e308": ("beta_range",),
+    "scenario rejection_cap -5": ("rejection_cap",),
+    "scenario rejection_cap 0": ("rejection_cap",),
+    "infer negative seed": ("--seed",),
+    "tie-demo negative seed": ("--seed",),
+    "scenario seed -4": ("seed",),
 }
 
 
@@ -436,6 +457,15 @@ def test_invalid_input_exits_2_without_traceback(case, tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", list(ERROR_NAMES))
+def test_error_line_names_the_option(case, tmp_path, capsys):
+    assert main(INPUT_ERRORS[case](tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    for words in ERROR_NAMES[case]:
+        assert words in err
 
 
 class TestTieDemo:

@@ -1,0 +1,103 @@
+"""The JSON report writer and the memory of the CLI ingest."""
+
+import argparse
+import io
+import json
+import math
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import larinfer.io as io_module
+from larinfer import cli
+from larinfer.cli import main
+from larinfer.io import diabetes_fixture_path, write_json
+
+DIABETES = str(diabetes_fixture_path())
+
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308])
+_LEAVES = (
+    _FLOATS | st.integers() | st.booleans() | st.none() | _FLOATS.map(np.float64)
+    | st.text()
+)
+_DOCS = st.recursive(
+    _LEAVES | st.lists(_FLOATS) | st.lists(_FLOATS | st.integers()),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCS)
+def test_write_json_matches_json_dump(doc):
+    out = io.StringIO()
+    write_json(doc, out)
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_write_json_edge_documents():
+    docs = [
+        {}, [], [[]], {"a": {}}, [1.0, 2], [math.nan, 1.0], [np.float64(0.1), 0.2],
+        {"é": ["ü\n", -0.0, 5e-324, 1e308, -math.inf]}, {1: [1.0], "x": None},
+        (1.0, 2.0), [[0.5, 1.5], [True, None]],
+    ]
+    for doc in docs:
+        out = io.StringIO()
+        write_json(doc, out)
+        assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+def _report_json(monkeypatch, tmp_path, argv):
+    """The bytes the CLI writes, and json.dump's text for the same report dict."""
+    docs = []
+    write = io_module.write_json
+
+    def spy(doc, out):
+        docs.append(doc)
+        write(doc, out)
+
+    monkeypatch.setattr(io_module, "write_json", spy)
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    (doc,) = docs
+    return out.read_text(encoding="utf-8"), json.dumps(doc, indent=2) + "\n"
+
+
+def test_fit_report_equals_json_dump(monkeypatch, tmp_path):
+    written, expected = _report_json(
+        monkeypatch, tmp_path, ["fit", DIABETES, "--response", "progression"])
+    assert written == expected
+
+
+def test_infer_report_equals_json_dump(monkeypatch, tmp_path):
+    written, expected = _report_json(
+        monkeypatch, tmp_path,
+        ["infer", DIABETES, "--response", "progression", "--draws", "200", "--seed", "3"])
+    assert written == expected
+
+
+def test_ingest_frees_the_table_before_standardize(tmp_path):
+    """Reading, splitting and standardizing a 2000 x 50 CSV peaks below 3.25 D.
+
+    D = 8 n p bytes is one copy of the n x p design.  The peak is the feature
+    copy, the centered copy and the column-norm temporary; the parsed table
+    kept alive beside them (by a response view, say) exceeds the bound.
+    """
+    n, width = 2000, 50
+    table = np.random.default_rng(5).standard_normal((n, width))
+    path = tmp_path / "design.csv"
+    header = ",".join(f"x{j}" for j in range(width - 1)) + ",y"
+    np.savetxt(path, table, delimiter=",", header=header, comments="")
+    args = argparse.Namespace(csv=str(path), response="y", no_center=False)
+    cli._load_standardized(args)  # warm-up: first-call allocations are not the ingest's
+    tracemalloc.start()
+    try:
+        _, data = cli._load_standardized(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    D = 8 * n * data.p
+    assert data.p == width - 1
+    assert peak <= 3.25 * D
