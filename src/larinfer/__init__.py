@@ -7,7 +7,6 @@ from .bootstrap import (
     TerminalCoefficients,
     bootstrap_intervals,
     membership_curves,
-    terminal_coefficients,
 )
 from .exceptions import (
     CsvParseError,
@@ -52,6 +51,8 @@ from .identities import (
     population_correlation_closed_form,
     project,
     replay_states,
+    residual_pool,
+    terminal_coefficients,
 )
 from .linalg import solve_spd
 from .path import (

@@ -12,9 +12,10 @@ keeps X'e* and |e*|^2 and no n-length vector: its residual scale follows
 from the triangular factor R of X'X, and the replicas run in lockstep through
 one call of the batch path engine ``lar_batch`` per chunk, with one batched
 least-squares refit.  Each replica draws from its own substream, so the
-draws do not depend on the chunking.  The engines of several responses on
-one design (the replications of a coverage study) are set up together, and
-their replicas share chunks.
+draws do not depend on the chunking.  The responses on one design (the
+replications of a coverage study, or the one response of ``infer``) are set
+up together as one ``BootstrapSetup``, a record of arrays with a row per
+response, and their replicas share chunks.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ Matrix = NDArray[np.float64]
 # An engine call holds at most CHUNK_BYTES of per-row work arrays, which
 # bounds the memory of wide designs; a replica row counts its p x p inverse
 # factor (8 p^2 bytes), whose B x p companions add a few times as much
-# again.  Calls that run the responses or replicas of several engines hold
+# again.  Calls that run the responses or replicas of several bootstraps hold
 # at most CHUNK_ROWS rows, or the draws of one bootstrap if that is more:
 # about a hundred rows amortize an engine call's per-step overhead, and
 # larger calls raise peak memory without saving time.
@@ -99,12 +100,6 @@ def _residual_pools(data: StandardizedData, Y: Matrix, fits: Matrix) -> Matrix:
     return resid
 
 
-def residual_pool(data: StandardizedData) -> Vector:
-    """Centered, scaled full-fit residuals to resample from."""
-    Y = data.y[None]
-    return _residual_pools(data, Y, full_fit(data, Y))[0]
-
-
 def _residual_scale(data: StandardizedData, xte: Matrix, ee: Vector) -> Vector:
     """sqrt(n |e - Pe|^2 / (n - p)) per row, from X'e (B x p) and |e|^2.
 
@@ -143,32 +138,10 @@ def _refits(data: StandardizedData, entrants, corr: Matrix, m_bars) -> Matrix:
     return b
 
 
-def _terminal_b_bars(data: StandardizedData, paths: list[LarPath], m_bars) -> Matrix:
-    """Terminal refit b_bar of each path (rows), on its first m_bar entrants."""
-    entrants = np.zeros((len(paths), data.p), dtype=np.int64)
-    corr = np.zeros((len(paths), data.p))
-    for i, (path, m_bar) in enumerate(zip(paths, m_bars)):
-        if m_bar:
-            entrants[i, :m_bar] = path.entrants[:m_bar]
-            corr[i] = path.start_correlations
-    return _refits(data, entrants, corr, m_bars)
-
-
 @dataclass(frozen=True)
 class TerminalCoefficients:
     b_bar: Vector  # p-vector supported on the estimated active set
     raw_scale: Vector  # back-mapped coefficients in original units
-
-
-def _terminal(data: StandardizedData, b_bar: Vector) -> TerminalCoefficients:
-    return TerminalCoefficients(b_bar, b_bar * data.response_scale / data.column_scales)
-
-
-def terminal_coefficients(
-    data: StandardizedData, path: LarPath, m_bar: int
-) -> TerminalCoefficients:
-    """Least-squares refit of the path's response on its first m_bar entrants."""
-    return _terminal(data, _terminal_b_bars(data, [path], [m_bar])[0])
 
 
 @dataclass(frozen=True)
@@ -183,176 +156,155 @@ class IntervalSet:
 
 
 @dataclass(frozen=True)
-class EngineFit:
-    """The set-up of one engine that depends on its response; ``_engine_fits``
-    computes it for several responses at once."""
+class BootstrapSetup:
+    """What the replicas of R responses on one design resample from: each
+    array has one row per response, in the order of ``paths``."""
 
-    pool: Vector  # centered, scaled full-fit residuals to resample from
-    sigma: float
-    b_bar: Vector  # terminal refit on the first m_bar entrants
-    b_center: Vector  # coefficients of the resampling center mu = X b_center
-    start: Vector  # X'mu
+    data: StandardizedData
+    paths: list[LarPath]  # the sample path of each response
+    pools: Matrix  # R x n centered, scaled full-fit residuals to resample from
+    sigmas: Vector  # R residual-scale estimates sigma-hat of the full fits
+    b_bars: Matrix  # R x p terminal refits on the first m_bar entrants
+    b_centers: Matrix  # R x p coefficients of the resampling center mu = X b_center
+    starts: Matrix  # R x p X'mu
+    centers: Matrix  # R x p correlations the replica statistics are centered at
+    m_bars: NDArray[np.int64]
 
 
-def _engine_fits(
-    data: StandardizedData, Y: Matrix, paths: list[LarPath], m_bars, naive: bool
-) -> list[EngineFit]:
-    """``EngineFit`` of each response row of Y (on the scale of ``data.y``),
-    with its sample path and m_bar; each quantity is computed for all rows at
-    once."""
-    sigmas = sigma_hat(data, Y * data.response_scale)
+def bootstrap_setup(
+    data: StandardizedData, Y: Matrix, paths: list[LarPath], m_bars, naive: bool = False
+) -> BootstrapSetup:
+    """Set-up of each response row of Y (on the scale of ``data.y``) with its
+    sample path and m_bar; each quantity is computed for all rows at once."""
+    m_bars = np.asarray(m_bars, dtype=np.int64)
+    entrants = np.zeros((len(paths), data.p), dtype=np.int64)
+    xty = np.zeros((len(paths), data.p))
+    centers = np.zeros((len(paths), data.p))
+    for r, (path, m_bar) in enumerate(zip(paths, m_bars.tolist())):
+        entrants[r, :m_bar] = path.entrants[:m_bar]
+        xty[r] = path.start_correlations
+        steps = path.terminated_at if naive else m_bar
+        centers[r, :steps] = path.correlations[:steps]
+    b_bars = _refits(data, entrants, xty, m_bars)
     fits = full_fit(data, Y)
-    pools = _residual_pools(data, Y, fits)
-    b_bars = _terminal_b_bars(data, paths, m_bars)
     # full least-squares resampling center when naive: its path
     # correlations equal the sample ones at every step, so the replica
     # statistics are centered at the full correlation sequence.
     # Demonstrates the failure mode for steps beyond the true
     # termination point.
     b_centers = fits if naive else b_bars
-    starts = (data.gram @ b_centers.T).T
-    return [
-        EngineFit(*row) for row in zip(pools, sigmas.tolist(), b_bars, b_centers, starts)
-    ]
+    return BootstrapSetup(
+        data, paths, _residual_pools(data, Y, fits), sigma_hat(data, Y * data.response_scale),
+        b_bars, b_centers, (data.gram @ b_centers.T).T, centers, m_bars,
+    )
 
 
-class BootstrapEngine:
-    """Precomputed state for drawing replicas of one fitted sample path.
+def _cells(
+    setup: BootstrapSetup, r: int
+) -> tuple[list[tuple[int, int]], NDArray[np.int64], NDArray[np.int64], Vector]:
+    """Coefficient cells (k, j) of response r, j active at step k <= m_bar,
+    with their step rows k - 1, their variables j and their sample
+    coefficients (the terminal step re-fit)."""
+    path, m_bar = setup.paths[r], int(setup.m_bars[r])
+    cells = [(k, j) for k in range(1, m_bar + 1) for j in path.entrants[:k]]
+    ks = np.array([k - 1 for k, _ in cells], dtype=np.int64)
+    js = np.array([j for _, j in cells], dtype=np.int64)
+    coefs = np.where(ks == m_bar - 1, setup.b_bars[r, js], path.coefficients[ks, js])
+    return cells, ks, js, coefs
 
-    ``fit`` is the engine's set-up from ``_engine_fits`` (with the same
-    ``naive``), which ``interval_sets`` computes for several responses at
-    once; by default the engine computes the set-up of ``data.y``.
-    """
 
-    def __init__(
-        self,
-        data: StandardizedData,
-        path: LarPath,
-        m_bar: int,
-        naive: bool = False,
-        fit: EngineFit | None = None,
-    ):
-        if fit is None:
-            (fit,) = _engine_fits(data, data.y[None], [path], [m_bar], naive)
-        self.data, self.path, self.m_bar = data, path, m_bar
-        self.pool, self.sigma = fit.pool, fit.sigma
-        self.terminal = _terminal(data, fit.b_bar)
-        self.b_center, self.start = fit.b_center, fit.start
-        self.centers = np.zeros(data.p)
-        if naive:
-            self.centers[: path.terminated_at] = path.correlations
-        else:
-            self.centers[:m_bar] = path.correlations[:m_bar]
-        # sample-side coefficient rows with the terminal step re-fit
-        self.sample_coefs = path.coefficients[:m_bar].copy()
-        if m_bar:
-            self.sample_coefs[m_bar - 1] = fit.b_bar
-        self.cells = [(k, j) for k in range(1, m_bar + 1) for j in path.entrants[:k]]
-        self._ks = np.array([k - 1 for k, _ in self.cells], dtype=np.int64)
-        self._js = np.array([j for _, j in self.cells], dtype=np.int64)
+def _b_star(setup: BootstrapSetup, r: int, coef_rows: NDArray[np.float64],
+            sigma_star: Vector) -> Matrix:
+    """Studentized B* per cell of response r from its replicas' coefficient
+    rows (B x steps x p)."""
+    _, ks, js, coefs = _cells(setup, r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b_star = math.sqrt(setup.data.n) * (coef_rows[:, ks, js] - coefs) / sigma_star[:, None]
+    b_star[~(sigma_star > 0.0)] = 0.0
+    return b_star
 
-    def collect(self, cfg: BootstrapConfig) -> tuple[Matrix, Matrix, Matrix]:
-        """(studentized T*, studentized B* per cell, entry step per variable),
-        one row per replica."""
-        return next(_collect([self], [cfg]))
 
-    def _b_star(self, coef_rows: NDArray[np.float64], sigma_star: Vector) -> Matrix:
-        """Studentized B* per cell from replica coefficient rows (B x steps x p)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            b_star = (
-                math.sqrt(self.data.n)
-                * (coef_rows[:, self._ks, self._js] - self.sample_coefs[self._ks, self._js])
-                / sigma_star[:, None]
-            )
-        b_star[~(sigma_star > 0.0)] = 0.0
-        return b_star
+def _intervals(setup: BootstrapSetup, r: int, cfg: BootstrapConfig, t_star: Matrix,
+               b_star: Matrix, entries: Matrix) -> IntervalSet:
+    """Interval set of response r from its replica statistics (see ``_collect``)."""
+    data, path, sigma = setup.data, setup.paths[r], float(setup.sigmas[r])
+    t_lo, t_hi = _quantile_rows(t_star[:, : path.terminated_at], cfg.alpha)
+    # inverts the pivot: the replica statistic carries the square-root
+    # increment in its numerator, so the interval scale divides by it
+    q_hat = path.signs * sigma / (np.sqrt(path.inv_angle_sq_increments) * math.sqrt(data.n))
+    c_hat = path.correlations
+    ends = (c_hat - t_hi * q_hat, c_hat - t_lo * q_hat)
+    corr = np.column_stack([np.maximum(0.0, np.minimum(*ends)), np.maximum(*ends)])
 
-    def intervals(
-        self, cfg: BootstrapConfig, t_star: Matrix, b_star: Matrix, entries: Matrix
-    ) -> IntervalSet:
-        """Interval set from this engine's replica statistics (see ``collect``)."""
-        path, n = self.path, self.data.n
-        t_lo, t_hi = _quantile_rows(t_star[:, : path.terminated_at], cfg.alpha)
-        # inverts the pivot: the replica statistic carries the square-root
-        # increment in its numerator, so the interval scale divides by it
-        q_hat = (
-            path.signs * self.sigma
-            / (np.sqrt(path.inv_angle_sq_increments) * math.sqrt(n))
-        )
-        c_hat = path.correlations
-        ends = (c_hat - t_hi * q_hat, c_hat - t_lo * q_hat)
-        corr = np.column_stack(
-            [np.maximum(0.0, np.minimum(*ends)), np.maximum(*ends)]
-        )
-
-        b_lo, b_hi = _quantile_rows(b_star, cfg.alpha)
-        scale = self.sigma / math.sqrt(n)
-        center = self.sample_coefs[self._ks, self._js]
-        coef = dict(zip(self.cells, zip(
-            (center - b_hi * scale).tolist(), (center - b_lo * scale).tolist()
-        )))
-        membership = membership_curves(entries, self.data.p)
-        return IntervalSet(
-            corr, coef, membership, self.m_bar, cfg.alpha, cfg.draws, self.terminal
-        )
+    cells, _, _, center = _cells(setup, r)
+    b_lo, b_hi = _quantile_rows(b_star, cfg.alpha)
+    scale = sigma / math.sqrt(data.n)
+    coef = dict(zip(cells, zip(
+        (center - b_hi * scale).tolist(), (center - b_lo * scale).tolist()
+    )))
+    b_bar = setup.b_bars[r]
+    terminal = TerminalCoefficients(b_bar, b_bar * data.response_scale / data.column_scales)
+    return IntervalSet(corr, coef, membership_curves(entries, data.p),
+                       int(setup.m_bars[r]), cfg.alpha, cfg.draws, terminal)
 
 
 def _collect(
-    engines: list[BootstrapEngine], cfgs: list[BootstrapConfig]
+    setup: BootstrapSetup, cfgs: list[BootstrapConfig]
 ) -> Iterator[tuple[Matrix, Matrix, Matrix]]:
-    """``collect`` of each engine in turn, with the draws of its config.
+    """(studentized T*, studentized B* per cell, entry step per variable) of
+    each response in turn, one row per replica, with the draws of its config.
 
-    The replicas of all engines, in engine order, run in chunks of
+    The replicas of all responses, in order, run in chunks of
     ``chunk_rows(8 p^2, draws)`` rows (draws of the largest config), one
     ``lar_batch`` call per chunk, so a chunk may hold the replicas of several
-    engines and an engine's replicas may span chunks.  An engine's statistics
-    are yielded when its last chunk is done; a chunk's work arrays are freed
-    before the next chunk starts.
+    responses and a response's replicas may span chunks.  A response's
+    statistics are yielded when its last chunk is done; a chunk's work arrays
+    are freed before the next chunk starts.
     """
     draws = [cfg.draws for cfg in cfgs]
-    chunk = chunk_rows(8 * engines[0].data.p ** 2, max(draws))
+    chunk = chunk_rows(8 * setup.data.p ** 2, max(draws))
     ends = np.cumsum(draws)
-    owner = np.repeat(np.arange(len(engines)), draws)
+    owner = np.repeat(np.arange(len(cfgs)), draws)
     index = np.concatenate([np.arange(d) for d in draws])
     seeds = [cfg.seed for cfg in cfgs]
     parts: list[tuple[Matrix, Matrix, Matrix]] = []
     for start in range(0, owner.size, chunk):
         stop = min(start + chunk, owner.size)
         t_star, coef_rows, sigma_star, entries = _replicas(
-            engines, seeds, owner[start:stop], index[start:stop]
+            setup, seeds, owner[start:stop], index[start:stop]
         )
-        for e in range(owner[start], owner[stop - 1] + 1):
-            rows = slice(max(start, ends[e] - draws[e]) - start, min(stop, ends[e]) - start)
+        for r in range(owner[start], owner[stop - 1] + 1):
+            rows = slice(max(start, ends[r] - draws[r]) - start, min(stop, ends[r]) - start)
             parts.append((
                 t_star[rows].copy(),
-                engines[e]._b_star(coef_rows[rows], sigma_star[rows]),
+                _b_star(setup, r, coef_rows[rows], sigma_star[rows]),
                 entries[rows].copy(),
             ))
-            if ends[e] <= stop:
+            if ends[r] <= stop:
                 yield tuple(np.concatenate(arrays) for arrays in zip(*parts))
                 parts = []
         del t_star, coef_rows, sigma_star, entries
 
 
 def _replicas(
-    engines: list[BootstrapEngine], seeds: list[int], owner: NDArray[np.int64],
+    setup: BootstrapSetup, seeds: list[int], owner: NDArray[np.int64],
     index: NDArray[np.int64],
 ) -> tuple[Matrix, NDArray[np.float64], Vector, Matrix]:
-    """Replica ``index[i]`` of engine ``owner[i]``, one row each: (studentized
+    """Replica ``index[i]`` of response ``owner[i]``, one row each: (studentized
     T*, coefficient rows with the terminal step re-fit, residual scale sigma*,
     entry step per variable)."""
-    data = engines[0].data
+    data = setup.data
     n, p = data.n, data.p
     rows = owner.size
     xte = np.empty((rows, p))
     ee = np.empty(rows)
-    for i, (e, b) in enumerate(zip(owner.tolist(), index.tolist())):
-        eps = engines[e].pool[replica_rng(seeds[e], b).integers(0, n, n)]
+    for i, (r, b) in enumerate(zip(owner.tolist(), index.tolist())):
+        eps = setup.pools[r][replica_rng(seeds[r], b).integers(0, n, n)]
         xte[i] = data.X.T @ eps
         ee[i] = eps @ eps
     sigma_star = _residual_scale(data, xte, ee)
-    start_corr = np.array([engine.start for engine in engines])[owner] + xte
-    m_bars = np.array([engine.m_bar for engine in engines])[owner]
+    start_corr = setup.starts[owner] + xte
+    m_bars = setup.m_bars[owner]
     batch = lar_batch(
         start_corr, data.gram, zero_tol=0.0, coef_steps=int(m_bars.max()),
         row_name=lambda i: f"bootstrap replica {index[i]}",
@@ -360,11 +312,10 @@ def _replicas(
     done = np.arange(p) < batch.terminated_at[:, None]
     ok = sigma_star > 0.0
     signs = np.where(done, batch.signs, 1.0)
-    centers = np.array([engine.centers for engine in engines])[owner]
     with np.errstate(divide="ignore", invalid="ignore"):
         t_star = (
             signs * np.sqrt(batch.inv_angle_sq_increments) * math.sqrt(n)
-            * (batch.correlations - centers) / sigma_star[:, None]
+            * (batch.correlations - setup.centers[owner]) / sigma_star[:, None]
         )
     t_star[~ok] = 0.0
 
@@ -396,8 +347,7 @@ def bootstrap_intervals(
     re-fit by least squares.  Negative lower endpoints of correlation
     intervals are clamped to zero.
     """
-    engine = BootstrapEngine(data, path, m_bar, naive=naive)
-    return engine.intervals(cfg, *engine.collect(cfg))
+    return next(interval_sets(data, data.y[None], [path], [m_bar], [cfg], naive))
 
 
 def interval_sets(
@@ -411,19 +361,15 @@ def interval_sets(
     """``bootstrap_intervals`` of each response row of Y (on the scale of
     ``data.y``) with its sample path, m_bar and config, yielded in order.
 
-    The engines are set up together on the call, and their replicas run in
+    The responses are set up together on the call, and their replicas run in
     shared chunks as the sets are drawn, so a study of many responses makes a
     few engine calls instead of one per response; each replica still draws
     from ``replica_rng(cfg.seed, b)``.
     """
-    fits = _engine_fits(data, Y, paths, m_bars, naive)
-    engines = [
-        BootstrapEngine(data, path, int(m_bar), naive, fit)
-        for path, m_bar, fit in zip(paths, m_bars, fits)
-    ]
+    setup = bootstrap_setup(data, Y, paths, m_bars, naive)
     return (
-        engine.intervals(cfg, *stats)
-        for engine, cfg, stats in zip(engines, cfgs, _collect(engines, cfgs))
+        _intervals(setup, r, cfg, *stats)
+        for r, (cfg, stats) in enumerate(zip(cfgs, _collect(setup, cfgs)))
     )
 
 

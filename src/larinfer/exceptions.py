@@ -32,7 +32,8 @@ class NonFiniteValue(LarInferError):
 
 
 class DegenerateResponse(LarInferError):
-    """The response is constant after centering."""
+    """The response is constant after centering, or a scenario replication's
+    noise is lost to rounding."""
 
 
 class NoPositiveCandidate(LarInferError):

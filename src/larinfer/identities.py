@@ -3,11 +3,11 @@
 Every routine here restates a quantity that the production code computes
 another way: alternative step-length and equiangular formulas, an n-space
 Gram-Schmidt basis and a replay of a recorded path through it, the entrance
-criteria, a closed form of the step correlation, the one-column quantile
-and single-draw forms of the bootstrap, and the asymptotic covariance of the
-step-coefficient errors.  The tests check the engine against them.  No
-engine module imports this one; the package root re-exports its names for
-callers.
+criteria, a closed form of the step correlation, the one-column quantile,
+the single-response residual pool and terminal refit and single-draw forms
+of the bootstrap, and the asymptotic covariance of the step-coefficient
+errors.  The tests check the engine against them.  No engine module
+imports this one; the package root re-exports its names for callers.
 """
 
 from __future__ import annotations
@@ -18,8 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .bootstrap import BootstrapEngine, _ols_from_correlations, _residual_scale, residual_pool
+from .bootstrap import (
+    TerminalCoefficients,
+    _ols_from_correlations,
+    _residual_pools,
+    _residual_scale,
+    bootstrap_setup,
+)
 from .exceptions import DimensionMismatch, NoPositiveCandidate, NonPositiveScale, RankDeficient
+from .inference import full_fit
 from .linalg import RANK_TOL, solve_spd
 from .path import ZERO_SIGN_TOL, LarPath, StandardizedData, _crossings, lar_path
 
@@ -306,6 +313,12 @@ def nearest_rank_quantile(values: Vector, level: float) -> float:
     return float(ordered[rank - 1])
 
 
+def residual_pool(data: StandardizedData) -> Vector:
+    """Centered, scaled full-fit residuals of ``data.y`` to resample from."""
+    Y = data.y[None]
+    return _residual_pools(data, Y, full_fit(data, Y))[0]
+
+
 def bootstrap_errors(data: StandardizedData, y: Vector, rng: np.random.Generator) -> Vector:
     """Draw n errors i.i.d. from the centered/scaled residual multiset of y."""
     y_raw = np.asarray(y, dtype=np.float64) * data.response_scale
@@ -321,6 +334,15 @@ def ols_on_active(data: StandardizedData, order: list[int], y: Vector) -> Vector
     return _ols_from_correlations(data, order, data.X.T @ np.asarray(y, dtype=np.float64))
 
 
+def terminal_coefficients(
+    data: StandardizedData, path: LarPath, m_bar: int
+) -> TerminalCoefficients:
+    """Least-squares refit of the path's response on its first m_bar
+    entrants, from X'y of ``data.y`` instead of the path's start correlations."""
+    b_bar = ols_on_active(data, path.entrants[:m_bar], data.y)
+    return TerminalCoefficients(b_bar, b_bar * data.response_scale / data.column_scales)
+
+
 def bootstrap_path_draw(
     data: StandardizedData,
     path: LarPath,
@@ -328,9 +350,9 @@ def bootstrap_path_draw(
     rng: np.random.Generator,
 ) -> tuple[LarPath, float]:
     """One replica path and its residual-scale estimate."""
-    engine = BootstrapEngine(data, path, m_bar)
-    eps = engine.pool[rng.integers(0, data.n, data.n)]
-    path_star = lar_path(data, data.X @ engine.b_center + eps, zero_tol=0.0)
+    setup = bootstrap_setup(data, data.y[None], [path], [m_bar])
+    eps = setup.pools[0][rng.integers(0, data.n, data.n)]
+    path_star = lar_path(data, data.X @ setup.b_centers[0] + eps, zero_tol=0.0)
     sigma_star = _residual_scale(data, (data.X.T @ eps)[None], np.array([eps @ eps]))
     return path_star, float(sigma_star[0])
 

@@ -61,10 +61,11 @@ class ScenarioSpec:
             raise ValueError(f"delta0 must be positive, got {self.delta0}")
         if self.beta_range <= 0.0:
             raise ValueError(f"beta_range must be positive, got {self.beta_range}")
-        if not math.isfinite(2.0 * self.beta_range):  # the width of rng.uniform's range
-            raise ValueError(
-                f"beta_range must be below half the largest float, got {self.beta_range}"
-            )
+        # the norm of the mean sums n squares of entries up to
+        # p |x|max beta_range, so n (p |x|max beta_range)^2 must stay finite
+        # for any design that fits in memory
+        if self.beta_range > 1e100:
+            raise ValueError(f"beta_range must be at most 1e100, got {self.beta_range}")
         if self.rejection_cap < 1:
             raise ValueError(f"rejection_cap must be at least 1, got {self.rejection_cap}")
         if self.seed < 0:
@@ -204,8 +205,8 @@ def _replications(
     replication's own noise stream, are one stack and run as one path batch
     (with no traces), and the bootstrap replicas of the block come from one
     ``interval_sets`` stream, which runs a few replications per engine call.
-    A block's stack is freed before its replicas run, and its engines before
-    the next block starts.
+    A block's stack is freed before its replicas run, and its bootstrap
+    set-up before the next block starts.
     """
     n, p = data.n, data.p
     block = chunk_rows(8 * (n + 4 * p * p))
@@ -221,6 +222,15 @@ def _replications(
         Y /= data.response_scale
         paths = lar_batch(Y @ data.X, data.gram,
                           row_name=lambda r: f"replication {reps[r]}")
+        # the correlations left after a step vanish exactly only when the
+        # noise is lost to the rounding of the mean
+        short = np.flatnonzero(paths.terminated_at < p)
+        if short.size:
+            raise DegenerateResponse(
+                f"replication {reps[short[0]]}: the sample path stops at step "
+                f"{paths.terminated_at[short[0]]} of {p}; the noise is below the "
+                "rounding of the mean"
+            )
         sigma = sigma_hat(data, Y * data.response_scale)
         _, S = tail_sums(paths, sigma[:, None], n)
         m_bars = estimate_m(S, thresholds)
@@ -236,7 +246,7 @@ def _replications(
         del Y, paths
         for m_bar in m_bars.tolist():
             yield m_bar, (next(sets) if m_bar > 0 else None)
-        # the drained stream still holds the block's engines
+        # the drained stream still holds the block's bootstrap set-up
         del sets
 
 

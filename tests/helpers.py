@@ -8,7 +8,7 @@ import numpy as np
 
 from larinfer.bootstrap import (
     BootstrapConfig,
-    BootstrapEngine,
+    BootstrapSetup,
     _ols_from_correlations,
     bootstrap_intervals,
     replica_rng,
@@ -164,27 +164,29 @@ def reference_lar_path_nspace(
 
 
 def reference_collect(
-    engine: BootstrapEngine, cfg: BootstrapConfig
+    setup: BootstrapSetup, cfg: BootstrapConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Test-only reference: ``BootstrapEngine.collect`` one replica at a time.
+    """Test-only reference: the replica statistics of the set-up's first
+    response, one replica at a time.
 
     A copy of the per-replica loop the library ran before the replicas moved
     to the batch engine.  Each replica draws its n errors e*, builds the
     n-length response y* = mu + e*, runs ``lar_path`` on it, takes its
     residual scale from the n-space basis of the full column space, and
     refits its terminal step with its own solve.  The resampling state (pool,
-    center, centers, sample coefficients, cells) is read from ``engine``; the
-    center mu = X b_center equals the projection the loop used to build, up
-    to rounding.
+    center, centers, terminal refit) is read from ``setup``, and the cells
+    and sample coefficients from the sample path; the center mu = X b_center
+    equals the projection the loop used to build, up to rounding.
     """
-    data = engine.data
+    data, path, m_bar = setup.data, setup.paths[0], int(setup.m_bars[0])
     n, p = data.n, data.p
     basis = full_column_basis(data)
-    mu_center = data.X @ engine.b_center
+    mu_center = data.X @ setup.b_centers[0]
+    cells = [(k, j) for k in range(1, m_bar + 1) for j in path.entrants[:k]]
     t_rows, b_rows, entry_rows = [], [], []
     for index in range(cfg.draws):
         rng = replica_rng(cfg.seed, index)
-        eps = engine.pool[rng.integers(0, n, n)]
+        eps = setup.pools[0][rng.integers(0, n, n)]
         path_star = lar_path(data, mu_center + eps, zero_tol=0.0)
         resid = eps - project(basis, eps)
         sigma_star = math.sqrt(n * float(resid @ resid) / (n - p))
@@ -199,26 +201,23 @@ def reference_collect(
         if sigma_star > 0.0:
             t_star = (
                 signs * np.sqrt(increments) * math.sqrt(n)
-                * (corr - engine.centers) / sigma_star
+                * (corr - setup.centers[0]) / sigma_star
             )
         else:
             t_star = np.zeros(p)
-        b_star = np.zeros(len(engine.cells))
-        if engine.m_bar and sigma_star > 0.0:
-            coef_rows = np.zeros((engine.m_bar, p))
-            avail = min(engine.m_bar, steps)
+        b_star = np.zeros(len(cells))
+        if m_bar and sigma_star > 0.0:
+            coef_rows = np.zeros((m_bar, p))
+            avail = min(m_bar, steps)
             coef_rows[:avail] = path_star.coefficients[:avail]
-            if steps >= engine.m_bar:
-                coef_rows[engine.m_bar - 1] = _ols_from_correlations(
-                    data, path_star.entrants[: engine.m_bar],
+            if steps >= m_bar:
+                coef_rows[m_bar - 1] = _ols_from_correlations(
+                    data, path_star.entrants[:m_bar],
                     path_star.start_correlations,
                 )
-            for i, (k, j) in enumerate(engine.cells):
-                b_star[i] = (
-                    math.sqrt(n)
-                    * (coef_rows[k - 1, j] - engine.sample_coefs[k - 1, j])
-                    / sigma_star
-                )
+            for i, (k, j) in enumerate(cells):
+                sample = setup.b_bars[0, j] if k == m_bar else path.coefficients[k - 1, j]
+                b_star[i] = math.sqrt(n) * (coef_rows[k - 1, j] - sample) / sigma_star
         entry = np.full(p, p, dtype=np.float64)
         for pos, j in enumerate(path_star.entrants, start=1):
             entry[j] = pos

@@ -16,11 +16,7 @@ from helpers import orthonormal_design, random_instance
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
-from larinfer.bootstrap import (
-    BootstrapConfig,
-    bootstrap_intervals,
-    terminal_coefficients,
-)
+from larinfer.bootstrap import BootstrapConfig, bootstrap_intervals
 from larinfer.identities import (
     asymptotic_coef_cov,
     equiangular,
@@ -30,6 +26,7 @@ from larinfer.identities import (
     population_correlation_closed_form,
     replay_states,
     step_state,
+    terminal_coefficients,
 )
 from larinfer.inference import (
     build_inference_report,

@@ -7,8 +7,8 @@ from helpers import orthonormal_design, reference_collect
 import larinfer.bootstrap as bootstrap
 from larinfer.bootstrap import (
     BootstrapConfig,
-    BootstrapEngine,
     bootstrap_intervals,
+    bootstrap_setup,
     chunk_rows,
     interval_sets,
 )
@@ -22,6 +22,12 @@ def _max_rel_diff(new, ref) -> float:
     if ref.size == 0:
         return 0.0
     return float(np.max(np.abs(new - ref)) / max(1.0, float(np.max(np.abs(ref)))))
+
+
+def _collect(data, path, m_bar, cfg):
+    """Replica statistics of the sample response alone: (T*, B*, entry steps)."""
+    setup = bootstrap_setup(data, data.y[None], [path], [m_bar])
+    return next(bootstrap._collect(setup, [cfg]))
 
 
 def _batch_design(seed: int):
@@ -145,10 +151,10 @@ def _case(name, diabetes):
 def test_collect_matches_per_replica_reference(name, diabetes, monkeypatch):
     data, m_bar, naive, draws, seed = _case(name, diabetes)
     path = lar_path(data, data.y)
-    engine = BootstrapEngine(data, path, m_bar, naive=naive)
+    setup = bootstrap_setup(data, data.y[None], [path], [m_bar], naive=naive)
     cfg = BootstrapConfig(draws=draws, seed=seed)
-    t_new, b_new, e_new = engine.collect(cfg)
-    t_ref, b_ref, e_ref = reference_collect(engine, cfg)
+    t_new, b_new, e_new = next(bootstrap._collect(setup, [cfg]))
+    t_ref, b_ref, e_ref = reference_collect(setup, cfg)
     assert np.array_equal(e_new, e_ref)
     if name != "noiseless":
         # on the zero-spread design every replica's errors are rounding
@@ -159,7 +165,7 @@ def test_collect_matches_per_replica_reference(name, diabetes, monkeypatch):
 
     iv = bootstrap_intervals(data, path, m_bar, cfg, naive=naive)
     # the reference statistics through the same interval assembly
-    monkeypatch.setattr(BootstrapEngine, "collect", lambda self, cfg: (t_ref, b_ref, e_ref))
+    monkeypatch.setattr(bootstrap, "_collect", lambda setup, cfgs: iter([(t_ref, b_ref, e_ref)]))
     iv_ref = bootstrap_intervals(data, path, m_bar, cfg, naive=naive)
     assert _max_rel_diff(iv.correlation_intervals, iv_ref.correlation_intervals) <= 1e-10
     assert iv.coefficient_intervals.keys() == iv_ref.coefficient_intervals.keys()
@@ -172,8 +178,8 @@ def test_collect_is_bit_reproducible(diabetes):
     _, data = diabetes
     path = lar_path(data, data.y)
     cfg = BootstrapConfig(draws=120, seed=44)
-    first = BootstrapEngine(data, path, 5).collect(cfg)
-    second = BootstrapEngine(data, path, 5).collect(cfg)
+    first = _collect(data, path, 5, cfg)
+    second = _collect(data, path, 5, cfg)
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
 
@@ -182,10 +188,10 @@ def test_chunking_does_not_change_results(diabetes, monkeypatch):
     _, data = diabetes
     path = lar_path(data, data.y)
     cfg = BootstrapConfig(draws=90, seed=45)
-    whole = BootstrapEngine(data, path, 5).collect(cfg)
+    whole = _collect(data, path, 5, cfg)
     # 8 * p^2 = 800 bytes per replica, so 8000 bytes gives chunks of 10
     monkeypatch.setattr(bootstrap, "CHUNK_BYTES", 8000)
-    chunked = BootstrapEngine(data, path, 5).collect(cfg)
+    chunked = _collect(data, path, 5, cfg)
     for a, b in zip(whole, chunked):
         assert _max_rel_diff(a, b) <= 1e-12
     assert np.array_equal(whole[2], chunked[2])

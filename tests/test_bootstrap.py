@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 from helpers import random_instance
 
+import larinfer.bootstrap as bootstrap
 from larinfer.bootstrap import (
     BootstrapConfig,
-    BootstrapEngine,
     bootstrap_intervals,
+    bootstrap_setup,
     membership_curves,
-    residual_pool,
-    terminal_coefficients,
 )
 from larinfer.identities import (
     bootstrap_errors,
     bootstrap_path_draw,
     full_column_basis,
     nearest_rank_quantile,
+    residual_pool,
+    terminal_coefficients,
 )
 from larinfer.inference import build_inference_report
 from larinfer.path import lar_path, standardize
@@ -79,12 +80,12 @@ def test_resampling_center(diabetes, naive):
     first m_bar entrants, the naive one around the full least-squares fit."""
     _, data = diabetes
     path = lar_path(data, data.y)
-    engine = BootstrapEngine(data, path, 4, naive=naive)
+    setup = bootstrap_setup(data, data.y[None], [path], [4], naive=naive)
     cols = list(range(data.p)) if naive else path.entrants[:4]
     expected = np.zeros(data.p)
     expected[cols] = np.linalg.lstsq(data.X[:, cols], data.y, rcond=None)[0]
-    assert np.allclose(engine.b_center, expected, rtol=1e-10, atol=1e-12)
-    assert np.allclose(engine.start, data.X.T @ (data.X @ expected), rtol=1e-10, atol=1e-12)
+    assert np.allclose(setup.b_centers[0], expected, rtol=1e-10, atol=1e-12)
+    assert np.allclose(setup.starts[0], data.X.T @ (data.X @ expected), rtol=1e-10, atol=1e-12)
 
 
 class TestPathDraw:
@@ -182,6 +183,8 @@ class TestIntervals:
         assert hi == pytest.approx(29.997, rel=0.20)
         hdl = names.index("hdl")
         term = terminal_coefficients(data, path, 5)
+        assert np.allclose(iv.terminal.b_bar, term.b_bar, rtol=1e-12, atol=1e-12)
+        assert np.allclose(iv.terminal.raw_scale, term.raw_scale, rtol=1e-12, atol=1e-12)
         assert term.b_bar[bmi] == pytest.approx(24.903, abs=1e-3)
         assert term.b_bar[hdl] == pytest.approx(-13.752, abs=1e-3)
         lo_h, hi_h = iv.coefficient_intervals[(5, hdl)]
@@ -224,21 +227,24 @@ class TestIntervals:
         _, data = diabetes
         path = lar_path(data, data.y)
         cfg = BootstrapConfig(draws=199, alpha=0.1, seed=12)
-        engine = BootstrapEngine(data, path, 5, naive=naive)
-        t_star, b_star, entries = engine.collect(cfg)
-        iv = engine.intervals(cfg, t_star, b_star, entries)
+        setup = bootstrap_setup(data, data.y[None], [path], [5], naive=naive)
+        t_star, b_star, entries = next(bootstrap._collect(setup, [cfg]))
+        iv = bootstrap._intervals(setup, 0, cfg, t_star, b_star, entries)
+        sigma = float(setup.sigmas[0])
         lo_level, hi_level = cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0
         root_n = math.sqrt(data.n)
         for k in range(1, len(path.steps) + 1):
-            q_hat = (path.steps[k - 1].sign * engine.sigma
+            q_hat = (path.steps[k - 1].sign * sigma
                      / (math.sqrt(path.inv_angle_sq_increments[k - 1]) * root_n))
             c_hat = path.correlations[k - 1]
             ends = (c_hat - nearest_rank_quantile(t_star[:, k - 1], hi_level) * q_hat,
                     c_hat - nearest_rank_quantile(t_star[:, k - 1], lo_level) * q_hat)
             assert tuple(iv.correlation_intervals[k - 1]) == (max(0.0, min(ends)), max(ends))
-        scale = engine.sigma / root_n
-        for i, (k, j) in enumerate(engine.cells):
-            center = engine.sample_coefs[k - 1, j]
+        scale = sigma / root_n
+        cells = [(k, j) for k in range(1, 6) for j in path.entrants[:k]]
+        assert list(iv.coefficient_intervals) == cells
+        for i, (k, j) in enumerate(cells):
+            center = setup.b_bars[0, j] if k == 5 else path.coefficients[k - 1, j]
             assert iv.coefficient_intervals[(k, j)] == (
                 center - nearest_rank_quantile(b_star[:, i], hi_level) * scale,
                 center - nearest_rank_quantile(b_star[:, i], lo_level) * scale,

@@ -1,13 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import larinfer.io as io_module
 from larinfer.cli import main
@@ -353,6 +359,17 @@ class TestSimulate:
         assert main(["simulate", scen, "--out", str(threaded), "--threads", "2"]) == 0
         assert plain.read_bytes() == threaded.read_bytes()
 
+    def test_noise_lost_to_rounding_exits_3(self, tmp_path, capsys):
+        # the mean is so large that the sample response equals it to the
+        # last bit, and the sample path stops after step 1 of 3
+        scen = self._scenario(tmp_path, n=18, p=3, m=1, delta0=0.0625, rho=1.192092896e-07,
+                              beta_range=7.123852882610993e17, reps=1, boot_draws=4,
+                              seed=18, alpha=0.5, rejection_cap=1)
+        assert main(["simulate", scen, "--out", str(tmp_path / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: replication 0: the sample path stops at step 1 of 3")
+        assert err.count("\n") == 1
+
     def test_budget_exit_code(self, tmp_path, capsys):
         scen = self._scenario(tmp_path, delta0=1e6, rejection_cap=20)
         code = main(["simulate", scen, "--out", str(tmp_path / "x.csv")])
@@ -429,6 +446,8 @@ INPUT_ERRORS = {
     "infer positive zero-tol": lambda tmp: ["infer", DIABETES, "--response", "progression",
                                             "--zero-tol", "0.006"],
     "scenario beta_range 1e308": lambda tmp: _bad_scenario(tmp, beta_range=1e308),
+    "scenario beta_range 1e200": lambda tmp: _bad_scenario(tmp, beta_range=1e200),
+    "scenario beta_range 8.9e307": lambda tmp: _bad_scenario(tmp, beta_range=8.9e307),
     "scenario rejection_cap -5": lambda tmp: _bad_scenario(tmp, rejection_cap=-5),
     "scenario rejection_cap 0": lambda tmp: _bad_scenario(tmp, rejection_cap=0),
     "infer negative seed": lambda tmp: ["infer", DIABETES, "--response", "progression",
@@ -442,6 +461,8 @@ INPUT_ERRORS = {
 ERROR_NAMES = {
     "infer positive zero-tol": ("--zero-tol", "tail sums of all p steps"),
     "scenario beta_range 1e308": ("beta_range",),
+    "scenario beta_range 1e200": ("beta_range",),
+    "scenario beta_range 8.9e307": ("beta_range",),
     "scenario rejection_cap -5": ("rejection_cap",),
     "scenario rejection_cap 0": ("rejection_cap",),
     "infer negative seed": ("--seed",),
@@ -466,6 +487,61 @@ def test_error_line_names_the_option(case, tmp_path, capsys):
     assert err.count("\n") == 1
     for words in ERROR_NAMES[case]:
         assert words in err
+
+
+# values most scenario keys reject: wrong types, non-finite and huge floats,
+# zero and negative numbers
+_BAD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 9), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, -1, -2.5, 1e101, 1e200,
+                     8.9e307, 1.7976931348623157e308]),
+)
+# values a key may accept, within the sizes that keep a run to milliseconds
+_KEY_VALUES = {
+    "n": st.integers(1, 60),
+    "p": st.integers(1, 8),
+    "m": st.integers(1, 4),
+    "delta0": st.one_of(st.floats(1e-3, 0.1), st.floats(5e-324, 1e308)),
+    "rho": st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    "beta_range": st.floats(5e-324, 1e100),
+    "reps": st.integers(1, 2),
+    "boot_draws": st.integers(1, 50),
+    "seed": st.integers(0, 2**128),
+    "alpha": st.one_of(st.floats(0.04, 0.5), st.floats(0.0, 1.0, exclude_min=True,
+                                                        exclude_max=True)),
+    "rejection_cap": st.integers(1, 20),
+}
+# a scenario of drawn values with a few keys spoiled, dropped or added, or
+# no scenario object at all
+_SCENARIOS = st.one_of(
+    st.builds(
+        lambda drawn, spoiled, dropped, unknown: {
+            key: value for key, value in {**drawn, **spoiled}.items() if key not in dropped
+        } | unknown,
+        st.fixed_dictionaries(_KEY_VALUES),
+        st.dictionaries(st.sampled_from(list(_KEY_VALUES)), _BAD_VALUES, max_size=2),
+        st.sets(st.sampled_from(list(_KEY_VALUES)), max_size=1),
+        st.dictionaries(st.sampled_from(["bogus", "N", "draws"]), _BAD_VALUES, max_size=1),
+    ),
+    _BAD_VALUES,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCENARIOS)
+def test_simulate_fuzzed_scenarios_exit_cleanly(scenario):
+    """Any scenario file ends in a documented exit code, with no traceback
+    and no numpy RuntimeWarning."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always", RuntimeWarning)
+            code = main(["simulate", str(path), "--out", str(Path(tmp) / "x.csv")])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestTieDemo:
