@@ -33,27 +33,6 @@ from .inference import (
     studentized_T,
     tail_sums,
 )
-from .identities import (
-    AsymptoticCoefCov,
-    ProjectionBasis,
-    StepState,
-    append_innovation,
-    asymptotic_coef_cov,
-    bootstrap_errors,
-    bootstrap_path_draw,
-    entrance_criteria,
-    equiangular,
-    equiangular_recursive,
-    full_column_basis,
-    gamma_crossings,
-    gamma_min_plus,
-    nearest_rank_quantile,
-    population_correlation_closed_form,
-    project,
-    replay_states,
-    residual_pool,
-    terminal_coefficients,
-)
 from .linalg import solve_spd
 from .path import (
     LarBatch,

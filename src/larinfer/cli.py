@@ -122,6 +122,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_tie_demo(args) -> int:
     _check_seed(args.seed)
+    if args.n < 5:
+        raise ValueError(f"--n must be at least 5 (the design has 4 columns), got {args.n}")
+    if args.reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
     result = tie_demo(args.n, args.reps, rng)
     with _out_stream(args.out) as out:

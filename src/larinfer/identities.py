@@ -6,8 +6,9 @@ Gram-Schmidt basis and a replay of a recorded path through it, the entrance
 criteria, a closed form of the step correlation, the one-column quantile,
 the single-response residual pool and terminal refit and single-draw forms
 of the bootstrap, and the asymptotic covariance of the step-coefficient
-errors.  The tests check the engine against them.  No engine module
-imports this one; the package root re-exports its names for callers.
+errors.  The tests check the engine against them.  No module of the
+package imports this one, the package root included; import it as
+``larinfer.identities``.
 """
 
 from __future__ import annotations

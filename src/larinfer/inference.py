@@ -28,7 +28,7 @@ _TINY = 1e-300  # floor that keeps the Lentz recurrence off zero
 def full_fit(data: StandardizedData, y: Vector) -> Vector:
     """Least-squares coefficients of y on every column of the design.
 
-    Solved from X'y with the cached triangular factor R of X'X, so the only
+    Solved from X'y with the design's triangular factor R of X'X, so the only
     n-space work is the product X'y.  A stack of responses (R x n) gives one
     row of coefficients per response.
     """

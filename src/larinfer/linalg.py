@@ -18,11 +18,11 @@ Matrix = NDArray[np.float64]
 
 # Relative rank tolerance for pivots and innovation norms.
 RANK_TOL = 1e-10
-# Smallest accepted pivot |R_jj| of the factor of X'X, relative to the largest
-# column norm.  Forming X'X resolves R_jj only to about sqrt(eps) ~ 1.5e-8, so
-# an exactly collinear column can leave a pivot of that size; the tolerance
-# sits well above it.
-GRAM_RANK_TOL = 1e-6
+# Smallest accepted distance of a design column from the span of the others,
+# relative to the largest column norm.  It bounds every pivot of every
+# principal block of X'X from below, in any entry order, so no active block of
+# an accepted design trips RANK_TOL.  X'X resolves it only to about 1.5e-8.
+GRAM_RANK_TOL = RANK_TOL**0.5
 
 
 def cholesky_spd(gram: Matrix) -> Matrix:
@@ -32,7 +32,8 @@ def cholesky_spd(gram: Matrix) -> Matrix:
     NotPositiveDefinite when LAPACK finds a matrix not positive definite, or
     when a squared pivot L_ii^2 falls at or below RANK_TOL times the largest
     diagonal entry of its matrix, which signals collinear active columns;
-    LAPACK accepts such pivots.  The message names the system of a stack.
+    LAPACK accepts such pivots.  No block of a Gram matrix that
+    ``gram_factor`` accepts has one.  The message names the system of a stack.
     """
     G = np.asarray(gram, dtype=np.float64)
     if G.ndim < 2 or G.shape[-1] != G.shape[-2]:
@@ -83,8 +84,11 @@ def solve_spd(gram: Matrix, rhs: Vector) -> Vector:
 def gram_factor(X: Matrix) -> tuple[Matrix, Matrix]:
     """Gram matrix G = X'X and its upper-triangular factor R with R'R = G.
 
-    Raises RankDeficient when the Cholesky factorization fails or a pivot
-    |R_jj| falls at or below GRAM_RANK_TOL times the largest column norm.
+    Raises RankDeficient when the Cholesky factorization fails, or when some
+    column j lies within GRAM_RANK_TOL times the largest column norm of the
+    span of the other columns; the message names the last such column.  That
+    distance is 1/|row j of R^-1|; where it cannot be computed finitely it
+    counts as zero.
     """
     X = np.asarray(X, dtype=np.float64)
     G = X.T @ X
@@ -92,12 +96,15 @@ def gram_factor(X: Matrix) -> tuple[Matrix, Matrix]:
         R = np.ascontiguousarray(np.linalg.cholesky(G).T)
     except np.linalg.LinAlgError:
         raise RankDeficient("design is rank deficient: X'X is not positive definite") from None
-    pivots = np.abs(np.diag(R))
     limit = GRAM_RANK_TOL * np.sqrt(np.max(np.diag(G)))
-    if np.any(pivots <= limit):
-        j = int(np.argmin(pivots))
+    with np.errstate(all="ignore"):  # a tiny pivot can overflow R^-1
+        distances = 1.0 / np.linalg.norm(np.linalg.inv(R), axis=1)
+    distances[np.isnan(distances)] = 0.0
+    bad = np.flatnonzero(distances <= limit)
+    if bad.size:
+        j = int(bad[-1])
         raise RankDeficient(
-            f"design is rank deficient: column {j} has pivot {pivots[j]:.3e} "
-            f"<= {limit:.1e} in the factor of X'X"
+            f"design is rank deficient: column {j} lies within {distances[j]:.3e} "
+            f"<= {limit:.1e} of the span of the other columns"
         )
     return G, R

@@ -17,7 +17,7 @@ The alternative formulas that the tests check the engine against live in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -51,8 +51,9 @@ class StandardizedData:
     ``X`` has unit-norm columns, ``y`` is the (optionally centered) raw
     response divided by sqrt(n).  ``column_scales`` holds the original column
     norms and ``response_scale`` equals sqrt(n), so raw-unit coefficients are
-    ``b * response_scale / column_scales``.  The Gram matrix X'X and its
-    triangular factor are built on first use and shared by every
+    ``b * response_scale / column_scales``.  ``gram`` is X'X and
+    ``gram_factor`` its upper-triangular factor R with R'R = X'X, built and
+    rank-checked once by ``standardize`` and shared by every
     ``with_response`` copy.
     """
 
@@ -61,7 +62,8 @@ class StandardizedData:
     column_scales: Vector
     response_scale: float
     centered: bool
-    _design_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    gram: Matrix
+    gram_factor: Matrix
 
     @property
     def n(self) -> int:
@@ -71,22 +73,6 @@ class StandardizedData:
     def p(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def gram(self) -> Matrix:
-        """X'X; raises RankDeficient for a rank-deficient design."""
-        return self._gram_and_factor()[0]
-
-    @property
-    def gram_factor(self) -> Matrix:
-        """Upper-triangular R with R'R = X'X; raises RankDeficient likewise."""
-        return self._gram_and_factor()[1]
-
-    def _gram_and_factor(self) -> tuple[Matrix, Matrix]:
-        cached = self._design_cache.get("gram")
-        if cached is None:
-            cached = self._design_cache["gram"] = gram_factor(self.X)
-        return cached
-
     def with_response(self, y_raw: Vector) -> "StandardizedData":
         """Same design, new raw-scale response (centered if the data was)."""
         y = np.asarray(y_raw, dtype=np.float64)
@@ -94,14 +80,15 @@ class StandardizedData:
             raise DimensionMismatch(f"response length {y.shape[0]} != n = {self.n}")
         if self.centered:
             y = y - y.mean()
-        return StandardizedData(
-            self.X, y / self.response_scale, self.column_scales,
-            self.response_scale, self.centered, self._design_cache,
-        )
+        return replace(self, y=y / self.response_scale)
 
 
 def standardize(X_raw: Matrix, y_raw: Vector, center: bool = True) -> StandardizedData:
-    """Center (optionally), normalize columns to unit norm, scale y by n^-1/2."""
+    """Center (optionally), normalize columns to unit norm, scale y by n^-1/2.
+
+    Also forms X'X and its factor, and raises RankDeficient for a design
+    that ``gram_factor`` rejects.
+    """
     X = np.asarray(X_raw, dtype=np.float64)
     y = np.asarray(y_raw, dtype=np.float64)
     if X.ndim != 2:
@@ -126,7 +113,7 @@ def standardize(X_raw: Matrix, y_raw: Vector, center: bool = True) -> Standardiz
         bad = int(np.argmin(norms))
         raise ZeroColumn(f"column {bad} has near-zero norm after centering")
     X /= norms  # X is this call's own copy, so scale it in place
-    return StandardizedData(X, y / math.sqrt(n), norms, math.sqrt(n), center)
+    return StandardizedData(X, y / math.sqrt(n), norms, math.sqrt(n), center, *gram_factor(X))
 
 
 @dataclass(frozen=True)
@@ -274,9 +261,9 @@ def lar_batch(
     ``coef_steps`` coefficient rows are kept (default p).  ``traces`` keeps c_k
     and w_k, which take B * p * p floats each.  A failing row raises
     RankDeficient (the new column's norm orthogonal to the active columns is
-    at or below RANK_TOL * max(1, |x_j|)), NonPositiveScale or
-    NoPositiveCandidate; ``row_name`` maps its batch row to the phrase the
-    message names it by (none by default).
+    at or below RANK_TOL * max(1, |x_j|), which a design that ``standardize``
+    accepted never gives), NonPositiveScale or NoPositiveCandidate;
+    ``row_name`` maps its batch row to the phrase the message names it by.
     """
     if not zero_tol >= 0.0:
         raise ValueError(f"zero_tol must be a nonnegative number, got {zero_tol}")
@@ -409,8 +396,7 @@ def lar_path(
 
     Only the starting correlations X'response are computed in n-space; the
     path itself is ``lar_batch`` on one row, with the per-step c_k and w_k
-    kept.  A rank-deficient design raises RankDeficient when the factor of
-    X'X is built.
+    kept.  ``standardize`` has already rejected a rank-deficient design.
     """
     X = data.X
     n = X.shape[0]

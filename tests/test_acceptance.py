@@ -1,6 +1,7 @@
 """End-to-end acceptance checks: benchmark reproduction, property-based path
 identities, null calibration, termination consistency, coverage studies, the
-tie demonstration, and the asymptotic covariance oracle.
+tie demonstration, the asymptotic covariance oracle, and the laws of the step
+statistics and of the tail sum past the true termination step.
 
 Each test prints a PASS line with its headline numbers.  The two coverage
 studies run at the paper's scale (n = 1000, p = 20, 200 replications of 200
@@ -22,7 +23,6 @@ from larinfer.identities import (
     equiangular,
     gamma_crossings,
     gamma_min_plus,
-    ols_on_active,
     population_correlation_closed_form,
     replay_states,
     step_state,
@@ -37,7 +37,8 @@ from larinfer.inference import (
     studentized_T,
     tail_sums,
 )
-from larinfer.path import lar_path
+from larinfer.linalg import solve_spd
+from larinfer.path import lar_batch, lar_path
 from larinfer.simulate import (
     ScenarioSpec,
     generate_scenario,
@@ -276,22 +277,27 @@ def test_10_asymptotic_covariance_oracle():
     )
     assert np.linalg.eigvalsh(target.matrix).min() >= -1e-8
     mu_n = data.y * data.response_scale
-    samples = []
+    # the replications run as path batches of up to 1000 rows; a block of
+    # rows from the noise generator holds the draws of that many
+    # replications in turn, so the draws equal one replication at a time
     noise = np.random.default_rng(np.random.SeedSequence([spec.seed, 1]))
-    for _ in range(reps):
-        d = data.with_response(mu_n + noise.standard_normal(n))
-        path = lar_path(d, d.y)
-        if path.entrants[:m] != pop.entrants:
-            continue
-        b_hat = path.coefficients.copy()
-        b_hat[m - 1] = ols_on_active(d, list(path.entrants[:m]), d.y)
-        z = []
-        for k in range(1, m + 1):
-            active = list(pop.entrants[:k])
-            z.extend(math.sqrt(n)
-                     * (b_hat[k - 1, active] - pop.coefficients[k - 1, active]))
-        samples.append(z)
-    Z = np.asarray(samples)
+    active = np.array(pop.entrants)
+    ks, js = zip(*[(k, j) for k in range(m) for j in pop.entrants[: k + 1]])
+    blocks = []
+    for first in range(0, reps, 1000):
+        Y = mu_n + noise.standard_normal((min(1000, reps - first), n))
+        Y -= Y.mean(axis=1, keepdims=True)
+        Y /= data.response_scale
+        xty = Y @ data.X
+        paths = lar_batch(xty, data.gram, coef_steps=m)
+        keep = (paths.entrants[:, :m] == active).all(axis=1)
+        b_hat = paths.coefficients[keep]
+        # the terminal step re-fit by least squares on the m entrants
+        gram_aa = np.broadcast_to(data.gram[np.ix_(active, active)], (keep.sum(), m, m))
+        b_hat[:, m - 1] = 0.0
+        b_hat[:, m - 1, active] = solve_spd(gram_aa, xty[keep][:, active])
+        blocks.append(math.sqrt(n) * (b_hat[:, ks, js] - pop.coefficients[ks, js]))
+    Z = np.concatenate(blocks)
     assert len(Z) >= 0.95 * reps
     emp = np.cov(Z, rowvar=False)
     err = np.abs(emp - target.matrix)
@@ -302,3 +308,64 @@ def test_10_asymptotic_covariance_oracle():
     assert elapsed < 300.0
     print(f"PASS covariance oracle: {len(Z)} draws, "
           f"max entry error {err.max():.4f} in {elapsed:.1f}s")
+
+
+@pytest.fixture(scope="module")
+def scenario_batch():
+    """The test_06 scenario (AR(1) design, n = 1000, p = 20, m = 3) with 4000
+    fresh-noise replications, run as one path batch: the population path, the
+    batch, sigma-hat and the tail sums S, kept for the replications whose
+    first m entrants are the population's."""
+    start = time.perf_counter()
+    spec = ScenarioSpec(n=1000, p=20, m=3, delta0=0.2, seed=6)
+    draw = generate_scenario(spec, np.random.default_rng(np.random.SeedSequence([spec.seed, 0])))
+    data, pop, n = draw.data, draw.pop_path, spec.n
+    noise = np.random.default_rng(np.random.SeedSequence([spec.seed, 3]))
+    Y = data.y * data.response_scale + noise.standard_normal((4000, n))
+    Y -= Y.mean(axis=1, keepdims=True)
+    batch = lar_batch((Y / data.response_scale) @ data.X, data.gram, coef_steps=0)
+    sigma = sigma_hat(data, Y)
+    _, S = tail_sums(batch, sigma[:, None], n)
+    keep = (batch.entrants[:, : spec.m] == pop.entrants).all(axis=1)
+    assert keep.mean() >= 0.99
+    return spec, pop, batch, sigma, S, keep, time.perf_counter() - start
+
+
+def test_11_step_statistics_independent_standard_normal(scenario_batch):
+    """T_1..T_m at the population correlations are independent N(0, 1)."""
+    spec, pop, batch, sigma, _, keep, setup = scenario_batch
+    start = time.perf_counter()
+    m, n = spec.m, spec.n
+    T = (batch.signs[:, :m] * np.sqrt(batch.inv_angle_sq_increments[:, :m]) * math.sqrt(n)
+         * (batch.correlations[:, :m] - pop.correlations) / sigma[:, None])[keep]
+    # 4000 draws: the standard error of a mean or a correlation is 0.016 and
+    # of a variance 0.022, so each bound is above four standard errors
+    assert np.all(np.abs(T.mean(axis=0)) <= 0.07)
+    assert np.all(np.abs(T.var(axis=0, ddof=1) - 1.0) <= 0.1)
+    corr = np.corrcoef(T, rowvar=False)
+    assert np.all(np.abs(corr[np.triu_indices(m, 1)]) <= 0.07)
+    pvalues = [kstest(T[:, k], "norm").pvalue for k in range(m)]
+    assert min(pvalues) >= 1e-3
+    elapsed = setup + time.perf_counter() - start
+    assert elapsed < 60.0
+    print(f"PASS step statistics: means {np.round(T.mean(axis=0), 3)}, variances "
+          f"{np.round(T.var(axis=0, ddof=1), 3)}, KS p {np.round(pvalues, 3)} "
+          f"on {len(T)} draws in {elapsed:.1f}s")
+
+
+def test_12_tail_sum_past_termination_chi2(scenario_batch):
+    """S_{m+1}, the tail sum past the true termination step, is chi^2_{p-m}."""
+    spec, _, _, _, S, keep, setup = scenario_batch
+    start = time.perf_counter()
+    df = spec.p - spec.m
+    tail = S[keep, spec.m]
+    # chi^2_17 over 4000 draws: standard errors 0.092 of the mean and 0.88 of
+    # the variance (34), so each bound is above four standard errors
+    assert abs(tail.mean() - df) <= 0.4
+    assert abs(tail.var(ddof=1) - 2 * df) <= 4.0
+    ks = kstest(tail, chi2_dist(df).cdf)
+    assert ks.pvalue >= 1e-3
+    elapsed = setup + time.perf_counter() - start
+    assert elapsed < 60.0
+    print(f"PASS tail sum: mean={tail.mean():.2f} (target {df}), variance="
+          f"{tail.var(ddof=1):.1f} (target {2 * df}), KS p={ks.pvalue:.3f} in {elapsed:.1f}s")

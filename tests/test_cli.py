@@ -327,6 +327,46 @@ class TestInfer:
         assert len(rows) == blank + 2 + 5
 
 
+def _near_collinear_csv(tmp_path, offset):
+    """CSV with features a, b, c, d and response y (n = 200), where
+    b = a + offset |a_c| e for a unit vector e orthogonal to the centered a.
+    The response loads on e, so the path takes b in before a and then needs
+    the refit on an active block where b and a are nearly collinear."""
+    rng = np.random.default_rng(3)
+    a, c, d, e, noise = (rng.standard_normal(200) for _ in range(5))
+    a_c = a - a.mean()
+    e -= e.mean()
+    e -= (e @ a_c) / (a_c @ a_c) * a_c
+    e /= np.linalg.norm(e)
+    scale = np.linalg.norm(a_c)
+    b = a + offset * scale * e
+    y = a + 2.0 * scale * e + 2.0 * c + 0.05 * noise
+    rows = np.column_stack([a, b, c, d, y]).tolist()
+    return _write_csv(tmp_path / "near.csv", [["a", "b", "c", "d", "y"]] + rows)
+
+
+class TestNearCollinearDesign:
+    """One rank rule for the path and the refits: ``fit`` and ``infer``
+    agree on a design near the rank tolerance."""
+
+    @pytest.mark.parametrize("command", [["fit"], ["infer", "--draws", "100"]])
+    def test_within_tolerance_rejected_up_front(self, tmp_path, capsys, command):
+        code = main([command[0], _near_collinear_csv(tmp_path, 3e-6), "--response", "y",
+                     *command[1:], "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1
+        assert err.startswith("error: design is rank deficient: column 1 lies within")
+
+    @pytest.mark.parametrize("command", [["fit"], ["infer", "--draws", "100"]])
+    def test_beyond_tolerance_accepted(self, tmp_path, command):
+        out = tmp_path / "out.json"
+        code = main([command[0], _near_collinear_csv(tmp_path, 2e-5), "--response", "y",
+                     *command[1:], "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["steps"][1]["variable"] == "b"
+
+
 class TestSimulate:
     def _scenario(self, tmp_path, **overrides):
         raw = dict(n=120, p=5, m=2, delta0=0.05, reps=2, boot_draws=50, seed=4)
@@ -455,6 +495,16 @@ INPUT_ERRORS = {
     "tie-demo negative seed": lambda tmp: ["tie-demo", "--reps", "2", "--seed", "-1",
                                            "--out", str(tmp / "x.csv")],
     "scenario seed -4": lambda tmp: _bad_scenario(tmp, seed=-4),
+    "tie-demo n 0": lambda tmp: ["tie-demo", "--n", "0", "--reps", "2",
+                                 "--out", str(tmp / "x.csv")],
+    "tie-demo n 3": lambda tmp: ["tie-demo", "--n", "3", "--reps", "2",
+                                 "--out", str(tmp / "x.csv")],
+    "tie-demo n -5": lambda tmp: ["tie-demo", "--n", "-5", "--reps", "2",
+                                  "--out", str(tmp / "x.csv")],
+    "tie-demo reps 0": lambda tmp: ["tie-demo", "--n", "20", "--reps", "0",
+                                    "--out", str(tmp / "x.csv")],
+    "tie-demo reps -1": lambda tmp: ["tie-demo", "--n", "20", "--reps", "-1",
+                                     "--out", str(tmp / "x.csv")],
 }
 
 # what the error line of a case must say: the option or scenario key, and why
@@ -468,6 +518,11 @@ ERROR_NAMES = {
     "infer negative seed": ("--seed",),
     "tie-demo negative seed": ("--seed",),
     "scenario seed -4": ("seed",),
+    "tie-demo n 0": ("--n",),
+    "tie-demo n 3": ("--n",),
+    "tie-demo n -5": ("--n",),
+    "tie-demo reps 0": ("--reps",),
+    "tie-demo reps -1": ("--reps",),
 }
 
 
@@ -544,6 +599,58 @@ def test_simulate_fuzzed_scenarios_exit_cleanly(scenario):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+# option values that the parser or the option checks reject: not numbers
+# (or not integers), non-finite, zero and negative
+_BAD_OPTION = st.sampled_from(["", "x", "1.5", "1e3", "nan", "inf", "-inf", "0", "-1", "-2.5"])
+
+
+def _command(head, values):
+    """``head`` with its options drawn from ``values``, at most two of them
+    replaced by a value from ``_BAD_OPTION``."""
+    return st.builds(
+        lambda drawn, spoiled: head + [part for item in {**drawn, **spoiled}.items()
+                                       for part in item],
+        st.fixed_dictionaries(values),
+        st.dictionaries(st.sampled_from(list(values)), _BAD_OPTION, max_size=2),
+    )
+
+
+# option values the parser accepts, within the sizes that keep a run to
+# milliseconds; a run of ``fit`` or ``infer`` reads diabetes
+_COMMANDS = st.one_of(
+    _command(["fit", DIABETES, "--response", "progression"],
+             {"--zero-tol": st.one_of(st.just("0"), st.floats(0.0, 1.0).map(repr))}),
+    _command(["infer", DIABETES, "--response", "progression"],
+             {"--alpha": st.floats(0.04, 0.5).map(repr),
+              "--draws": st.integers(1, 50).map(str),
+              "--seed": st.integers(0, 2**64).map(str),
+              "--zero-tol": st.just("0")}),
+    _command(["tie-demo"],
+             {"--n": st.integers(5, 60).map(str),
+              "--reps": st.integers(1, 20).map(str),
+              "--seed": st.integers(0, 2**64).map(str)}),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_COMMANDS)
+def test_fuzzed_option_values_exit_cleanly(command):
+    """Any value of the ``fit``, ``infer`` and ``tie-demo`` options ends in a
+    documented exit code, with no traceback and no numpy RuntimeWarning."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = command + ["--out", str(Path(tmp) / "out")]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always", RuntimeWarning)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # the parser rejects a malformed value
+                code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
 class TestTieDemo:
     def test_single_draw(self, tmp_path, capsys):
         out = tmp_path / "tie.csv"
@@ -570,3 +677,15 @@ def test_import_does_not_load_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_does_not_load_identities():
+    """A fresh ``import larinfer.cli`` loads none of the reference formulas."""
+    import larinfer
+
+    src = str(Path(larinfer.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, larinfer.cli; print('larinfer.identities' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -6,7 +6,7 @@ from helpers import reference_lar_path_nspace
 
 from larinfer.exceptions import RankDeficient
 from larinfer.inference import build_inference_report
-from larinfer.linalg import GRAM_RANK_TOL, gram_factor
+from larinfer.linalg import GRAM_RANK_TOL, cholesky_spd, gram_factor
 from larinfer.path import lar_path, standardize
 
 EPS = np.finfo(np.float64).eps
@@ -101,8 +101,8 @@ class TestRankPolicy:
         rng = np.random.default_rng(23)
         X = rng.standard_normal((30, 3))
         X[:, 2] = -3.0 * X[:, 0]
-        data = standardize(X, rng.standard_normal(30))
         with pytest.raises(RankDeficient):
+            data = standardize(X, rng.standard_normal(30))
             lar_path(data, data.y, zero_tol=zero_tol)
 
     def test_exact_linear_combination_rejected(self):
@@ -117,10 +117,30 @@ class TestRankPolicy:
         rng = np.random.default_rng(25)
         X = rng.standard_normal((60, 3))
         X[:, 1] = X[:, 0] + noise * rng.standard_normal(60)
-        Xs = standardize(X, rng.standard_normal(60)).X
+        y = rng.standard_normal(60)
         if rejected:
             with pytest.raises(RankDeficient):
-                gram_factor(Xs)
+                gram_factor(standardize(X, y).X)
         else:
-            _, R = gram_factor(Xs)
+            _, R = gram_factor(standardize(X, y).X)
             assert np.min(np.abs(np.diag(R))) > GRAM_RANK_TOL
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_accepted_design_passes_every_active_block(self, seed):
+        """The design's distances bound every pivot of every active block, so
+        a design just beyond the tolerance never trips the pivot check of a
+        refit, in any entry order."""
+        rng = np.random.default_rng([26, seed])
+        n, p = 80, 6
+        X = rng.standard_normal((n, p))
+        e = rng.standard_normal(n)
+        e /= np.linalg.norm(e)
+        X[:, 1] = X[:, 0] - 0.5 * X[:, 2] + 2.0 * GRAM_RANK_TOL * np.linalg.norm(X[:, 0]) * e
+        data = standardize(X, rng.standard_normal(n))
+        G = data.gram
+        distances = 1.0 / np.sqrt(np.diag(np.linalg.inv(G)))
+        assert GRAM_RANK_TOL < distances.min() < 5.0 * GRAM_RANK_TOL
+        for _ in range(50):
+            order = rng.permutation(p)[: rng.integers(1, p + 1)]
+            L = cholesky_spd(G[np.ix_(order, order)])
+            assert np.diag(L).min() >= (1.0 - 1e-6) * distances[order].min()
