@@ -1,6 +1,22 @@
 """Least-angle regression paths, termination estimation, and bootstrap
 confidence intervals for step correlations and step coefficients."""
 
+import os
+import sys
+
+# One OpenBLAS thread unless the caller set a thread count: every BLAS call
+# here is a small product, where a second thread only spins.  OpenBLAS reads
+# the variable once, as numpy loads it, so it is set for that import alone.
+if "numpy" not in sys.modules and not any(
+    name in os.environ
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .bootstrap import (
     BootstrapConfig,
     IntervalSet,

@@ -3,8 +3,8 @@
 Subcommands: ``fit`` (path only), ``infer`` (full inference report),
 ``simulate`` (coverage study from a scenario file), and ``tie-demo``
 (the mid-path tie construction).  Exit codes: 0 ok, 2 parse error, invalid
-option value or unreadable input file, 3 numeric/shape error, 4 simulation
-budget exhausted.
+option value or unreadable input file, 3 numeric/shape error or out of
+memory, 4 simulation budget exhausted.
 """
 
 from __future__ import annotations
@@ -194,6 +194,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What to lower when a command runs out of memory; the bootstrap keeps every
+# replica's statistics, since exact quantiles need them all.
+_MEMORY_HINTS = {
+    "fit": "the input design is too large",
+    "infer": "lower --draws (the bootstrap keeps every replica's statistics)",
+    "simulate": "lower the scenario's reps * boot_draws (each bootstrap keeps "
+                "every replica's statistics)",
+    "tie-demo": "lower --reps",
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -207,6 +218,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except LarInferError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError:
+        print(f"error: out of memory; {_MEMORY_HINTS[args.command]}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -11,6 +11,8 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, takewhile
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +46,20 @@ def read_csv(path: str | Path) -> tuple[list[str], Matrix]:
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         names = _header(_rows(fh))
-        try:
-            table = np.loadtxt(_body_lines(fh), delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            table = None
+        first = next(fh, "")
+        # loadtxt skips blank lines, so it reads the body only up to the
+        # first blank or whitespace-only one; the "" after the last line
+        # tells a body that ends there from one that stops at a blank line
+        rest = chain(fh, ("",))
+        table = None
+        if first.strip():
+            try:
+                table = np.loadtxt(chain((first,), takewhile(str.strip, rest)),
+                                   delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
+            if next(rest, None) is not None:
+                table = None
     if table is not None and table.shape[1] == len(names) and np.isfinite(table).all():
         return names, table
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -76,18 +88,6 @@ def _header(reader) -> list[str]:
         col = next(i for i, name in enumerate(names) if not name) + 1
         raise CsvParseError("empty header field", 1, col)
     return names
-
-
-def _body_lines(fh):
-    """The remaining lines of ``fh``; ValueError on a blank line or none at all."""
-    empty = True
-    for line in fh:
-        if not line.strip():
-            raise ValueError("blank body line")
-        empty = False
-        yield line
-    if empty:
-        raise ValueError("no body lines")
 
 
 def _parse_cells(reader, width: int) -> Matrix:
@@ -253,8 +253,9 @@ def write_json(doc: dict, out) -> None:
     A flat list of finite floats (a trace row) is formatted with one join of
     ``float.__repr__``, which is what ``json`` itself calls on each float.
     Dicts with string keys and non-empty lists are laid out here, one item at
-    a time, so the report text is never held whole; every other value goes
-    to ``json``.
+    a time, so the report text is never held whole, and so are keys and
+    scalars (strings, bools, None, ints, finite floats); every other value,
+    NaN and infinities included, goes to ``json``.
     """
     _write_value(doc, out, "\n")
     out.write("\n")
@@ -282,14 +283,33 @@ def _write_value(value, out, newline: str) -> None:
     elif isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
         sep = "{" + inner
         for key, item in value.items():
-            out.write(sep + json.dumps(key) + ": ")
+            out.write(sep + encode_basestring_ascii(key) + ": ")
             _write_value(item, out, inner)
             sep = "," + inner
         out.write(newline + "}")
     else:
-        # json escapes every newline inside strings, so each "\n" here is
-        # the start of an indented line
-        out.write(json.dumps(value, indent=2).replace("\n", newline))
+        text = _scalar_text(value)
+        if text is None:
+            # json escapes every newline inside strings, so each "\n" here
+            # is the start of an indented line
+            text = json.dumps(value, indent=2).replace("\n", newline)
+        out.write(text)
+
+
+def _scalar_text(value) -> str | None:
+    """``json.dumps(value)`` for a string, bool, None, int or finite float,
+    by the calls ``json`` itself makes; None for any other value."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return None
 
 
 def write_fit_csv(doc: dict, out) -> None:

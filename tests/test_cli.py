@@ -689,3 +689,34 @@ def test_import_does_not_load_identities():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="sets RLIMIT_AS in the child")
+@pytest.mark.parametrize("command, names", [
+    (["infer", DIABETES, "--response", "progression", "--draws", str(10 ** 12)],
+     "--draws"),
+    (["simulate", "{scenario}", "--out", "{out}"], "reps * boot_draws"),
+], ids=["infer", "simulate"])
+def test_out_of_memory_exits_3_naming_the_size(command, names, tmp_path):
+    """A bootstrap too large for memory ends with exit 3 and one error line
+    that names the option to lower, not a traceback.  The child runs under a
+    2 GiB address-space limit, so it cannot take much of the machine's memory."""
+    import larinfer
+
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"n": 100, "p": 5, "m": 2, "delta0": 0.5, "reps": 2,
+                                    "boot_draws": 10 ** 12, "seed": 1}))
+    argv = [a.format(scenario=scenario, out=tmp_path / "out.csv") for a in command]
+    src = str(Path(larinfer.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-m", "larinfer.cli", *argv], capture_output=True,
+                         text=True, env=env, preexec_fn=_limit_address_space, timeout=300)
+    assert out.returncode == 3
+    (line,) = out.stderr.splitlines()
+    assert line.startswith("error: out of memory") and names in line

@@ -268,7 +268,8 @@ def _first_crossing(state: StepState) -> float:
 
     hi = C / A
     grid = np.linspace(0.0, hi, 20001)
-    values = np.array([excess(g) for g in grid])
+    # excess at every grid point at once, with the same float operations
+    values = np.max(np.abs(c - grid[:, None] * w), axis=1) - (C - grid * A)
     idx = int(np.argmax(values >= 0.0))
     if idx == 0:
         return 0.0
