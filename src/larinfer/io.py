@@ -14,14 +14,17 @@ from importlib import resources
 from itertools import chain, takewhile
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .bootstrap import BootstrapConfig, IntervalSet
 from .exceptions import CsvParseError
-from .inference import InferenceReport
-from .path import LarPath, StandardizedData
+
+if TYPE_CHECKING:
+    from .bootstrap import BootstrapConfig, IntervalSet
+    from .inference import InferenceReport
+    from .path import LarPath, StandardizedData
 
 SCHEMA_VERSION = 1
 

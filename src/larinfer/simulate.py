@@ -279,6 +279,8 @@ def tie_demo(n: int, reps: int, rng: np.random.Generator) -> TieDemoResult:
     pop = lar_path(data, mu, zero_tol=1e-10)
     # one (reps, n) block holds the same numbers as reps draws of n in turn
     Y = mu + rng.standard_normal((reps, n)) / math.sqrt(n)
-    paths = lar_batch(Y @ X, data.gram, coef_steps=0,
+    # numpy's own loops, not BLAS, whose bits depend on its thread count
+    start = np.einsum("rn,jn->rj", Y, np.ascontiguousarray(X.T))
+    paths = lar_batch(start, data.gram, coef_steps=0,
                       row_name=lambda r: f"draw {r}")
     return TieDemoResult(paths.correlations, paths.entrants[:, 1], pop, data, mu)

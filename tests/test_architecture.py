@@ -125,3 +125,123 @@ def test_infer_output_does_not_depend_on_blas_threads(tmp_path):
         )
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+@needs_threads
+def test_tie_demo_output_does_not_depend_on_blas_threads(tmp_path):
+    """``tie-demo`` writes the same bytes with two BLAS threads as with one."""
+    outputs = []
+    for variables in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+        out = tmp_path / f"ties{len(outputs)}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "larinfer.cli", "tie-demo", "--n", "500", "--reps", "2000",
+             "--seed", "1", "--out", str(out)],
+            check=True, capture_output=True, env=_child_env(**variables),
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+# The names the package root re-exports, by the module that defines them.
+ROOT_NAMES = {
+    "bootstrap": ["BootstrapConfig", "IntervalSet", "TerminalCoefficients",
+                  "bootstrap_intervals", "membership_curves"],
+    "exceptions": ["CsvParseError", "DegenerateResponse", "DimensionMismatch", "InvalidTail",
+                   "LarInferError", "NoPositiveCandidate", "NonFiniteValue",
+                   "NonPositiveScale", "NotPositiveDefinite", "NotPrototypical",
+                   "RankDeficient", "RejectionBudgetExceeded", "ZeroColumn"],
+    "inference": ["InferenceReport", "build_inference_report", "chi2_thresholds",
+                  "chi2_upper_quantile", "estimate_m", "sigma_hat", "studentized_T",
+                  "tail_sums"],
+    "linalg": ["solve_spd"],
+    "path": ["LarBatch", "LarPath", "MarginReport", "StandardizedData", "lar_batch",
+             "lar_path", "margins", "standardize"],
+    "simulate": ["CoverageResult", "ScenarioSpec", "generate_scenario", "run_coverage",
+                 "tie_demo"],
+}
+ALL_NAMES = sorted(name for names in ROOT_NAMES.values() for name in names)
+
+
+def _fresh(code: str):
+    """The JSON value that ``code`` prints in a fresh interpreter, with the
+    caller's BLAS settings."""
+    return _run_python(code, _child_env())
+
+
+def _loaded_after(statement: str) -> list[str]:
+    """The modules of the package that a fresh ``statement`` leaves loaded."""
+    return _fresh(f"import json, sys; {statement}; print(json.dumps(sorted("
+                  "m for m in sys.modules if m.split('.')[0] == 'larinfer')))")
+
+
+def test_import_loads_numpy_and_no_module_of_the_package():
+    code = ("import json, sys, larinfer; print(json.dumps(['numpy' in sys.modules, "
+            "sorted(m for m in sys.modules if m.startswith('larinfer.'))]))")
+    assert _fresh(code) == [True, []]
+
+
+def test_root_names_are_the_defining_modules_objects():
+    """Each name resolves to its module's object and is then kept in the
+    package namespace."""
+    code = (f"import importlib, json, larinfer; table = {ROOT_NAMES!r}; "
+            "print(json.dumps([name for module, names in table.items() for name in names "
+            "if getattr(larinfer, name) is not "
+            "getattr(importlib.import_module('larinfer.' + module), name) "
+            "or name not in vars(larinfer)]))")
+    assert _fresh(code) == []
+
+
+def test_all_lists_the_root_names():
+    assert sorted(larinfer.__all__) == ALL_NAMES
+
+
+def test_star_import_and_dir_cover_the_root_names():
+    code = ("import json, larinfer; listed = dir(larinfer); namespace = {}; "
+            "exec('from larinfer import *', namespace); "
+            "print(json.dumps([sorted(set(namespace) - {'__builtins__'}), listed]))")
+    bound, listed = _fresh(code)
+    assert bound == ALL_NAMES
+    assert set(ALL_NAMES) <= set(listed)
+
+
+def test_submodules_resolve_on_first_use():
+    code = (f"import json, larinfer; print(json.dumps("
+            f"[getattr(larinfer, m).__name__ for m in {sorted(ROOT_NAMES)!r}]))")
+    assert _fresh(code) == [f"larinfer.{m}" for m in sorted(ROOT_NAMES)]
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError) as err:
+        larinfer.nope  # noqa: B018
+    assert str(err.value) == "module 'larinfer' has no attribute 'nope'"
+
+
+def test_identities_stays_unbound_until_imported():
+    code = ("import json, sys, larinfer; from larinfer import *; "
+            "before = [hasattr(larinfer, 'identities'), 'larinfer.identities' in sys.modules]; "
+            "import larinfer.identities; "
+            "print(json.dumps(before + [larinfer.identities is sys.modules['larinfer.identities']]))")
+    assert _fresh(code) == [False, False, True]
+
+
+def test_first_name_leaves_the_environment_alone():
+    code = ("import json, os, larinfer; before = dict(os.environ); larinfer.lar_path; "
+            "print(json.dumps(dict(os.environ) == before))")
+    assert _fresh(code) is True
+
+
+def test_io_loads_no_inference_machinery():
+    """``read_csv`` and ``load_diabetes`` need neither the bootstrap nor the
+    path engine; ``io`` names their types for annotations only."""
+    loaded = set(_loaded_after("import larinfer.io"))
+    assert loaded.isdisjoint({"larinfer.bootstrap", "larinfer.inference", "larinfer.simulate"})
+
+
+def test_cli_loads_every_module():
+    """The benchmark's trace worker (``bench/trace_worker.py``) looks up each
+    trace target's module in ``sys.modules`` right after ``import
+    larinfer.cli``, so the command line must keep importing every module it
+    uses eagerly: a lazy import there breaks ``bench/run.py --trace 1``."""
+    loaded = set(_loaded_after("import larinfer.cli"))
+    assert {f"larinfer.{m}" for m in
+            ("io", "path", "linalg", "inference", "bootstrap", "simulate")} <= loaded
