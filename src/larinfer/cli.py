@@ -23,7 +23,7 @@ from .bootstrap import BootstrapConfig, bootstrap_intervals
 from .exceptions import CsvParseError, LarInferError, RejectionBudgetExceeded
 from .inference import build_inference_report
 from .io import InferredPathReport
-from .path import lar_path, standardize
+from .path import _standardize_owned, lar_path
 from .simulate import ScenarioSpec, run_coverage, tie_demo
 
 EXIT_OK = 0
@@ -41,8 +41,10 @@ def _out_stream(path: str | None):
 def _load_standardized(args):
     names, table = reports.read_csv(args.csv)
     feature_names, X, y = reports.split_response(names, table, args.response)
-    del table  # X and y are copies: free the table before standardize copies X
-    return feature_names, standardize(X, y, center=not args.no_center)
+    del table  # X and y are copies: free the table, then standardize X in place
+    if args.no_center:
+        X = np.ascontiguousarray(X)  # standardize's layout; frees the F-ordered split
+    return feature_names, _standardize_owned(X, y, center=not args.no_center)
 
 
 def cmd_fit(args) -> int:

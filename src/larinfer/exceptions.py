@@ -57,9 +57,13 @@ class InvalidTail(LarInferError):
 
 
 class CsvParseError(LarInferError):
-    """A CSV cell failed to parse; carries its 1-based location."""
+    """A CSV cell failed to parse; carries its 1-based location.
 
-    def __init__(self, message: str, row: int, col: int):
-        super().__init__(f"{message} (row {row}, column {col})")
+    ``col`` is None when the fault lies in no one column of the row.
+    """
+
+    def __init__(self, message: str, row: int, col: int | None):
+        where = f"row {row}" if col is None else f"row {row}, column {col}"
+        super().__init__(f"{message} ({where})")
         self.row = row
         self.col = col

@@ -119,17 +119,24 @@ def split_response(
 ) -> tuple[list[str], Matrix, Vector]:
     """Split a parsed CSV into features and the named response column.
 
-    Both are copies, so the table can be freed once they exist.
+    ``response`` is a header name that no other column has, or a 0-based
+    column index.  Both parts are copies, so the table can be freed once
+    they exist; the features come out Fortran-ordered.
     """
-    if response in names:
-        idx = names.index(response)
+    matches = [i for i, name in enumerate(names) if name == response]
+    if len(matches) > 1:
+        cols = " and ".join(str(i + 1) for i in matches)
+        raise CsvParseError(f"response name {response!r} matches columns {cols}", 1, None)
+    if matches:
+        idx = matches[0]
     else:
         try:
             idx = int(response)
         except ValueError:
-            raise CsvParseError(f"no column named {response!r}", 1, 1) from None
+            raise CsvParseError(f"no column named {response!r}", 1, None) from None
         if not 0 <= idx < len(names):
-            raise CsvParseError(f"response index {idx} out of range", 1, idx + 1)
+            raise CsvParseError(f"response index {idx} out of range 0 to {len(names) - 1}",
+                                1, None)
     feature_names = [n for i, n in enumerate(names) if i != idx]
     keep = [i for i in range(len(names)) if i != idx]
     return feature_names, table[:, keep], table[:, idx].copy()

@@ -87,9 +87,22 @@ def standardize(X_raw: Matrix, y_raw: Vector, center: bool = True) -> Standardiz
     """Center (optionally), normalize columns to unit norm, scale y by n^-1/2.
 
     Also forms X'X and its factor, and raises RankDeficient for a design
-    that ``gram_factor`` rejects.
+    that ``gram_factor`` rejects.  The caller's arrays are not changed.
     """
-    X = np.asarray(X_raw, dtype=np.float64)
+    # the copy keeps the input's layout when centering and is C-ordered when
+    # not, as the column sums of each route have always run on those layouts
+    X = np.array(X_raw, dtype=np.float64, order="K" if center else "C")
+    return _standardize_owned(X, y_raw, center)
+
+
+def _standardize_owned(X: Matrix, y_raw: Vector, center: bool) -> StandardizedData:
+    """``standardize`` on a float64 design that the caller gives up.
+
+    X is centered and scaled in place and becomes the result's design, so no
+    n x p temporary is made.  Its layout is kept, and the layout fixes the
+    bits of the column sums: to match ``standardize``, pass X in the layout
+    that ``standardize`` copies to.
+    """
     y = np.asarray(y_raw, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionMismatch(f"design must be 2-d, got ndim={X.ndim}")
@@ -101,19 +114,34 @@ def standardize(X_raw: Matrix, y_raw: Vector, center: bool = True) -> Standardiz
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise NonFiniteValue("design or response holds a NaN or infinite entry")
     if center:
-        X = X - X.mean(axis=0)
+        X -= X.mean(axis=0)
         y = y - y.mean()
         if np.linalg.norm(y) <= 1e-12:
             raise DegenerateResponse("response is constant after centering")
-    else:
-        X = X.copy()
-        y = y.copy()
-    norms = np.linalg.norm(X, axis=0)
+    norms = _column_norms(X)
     if np.any(norms <= 1e-12):
         bad = int(np.argmin(norms))
         raise ZeroColumn(f"column {bad} has near-zero norm after centering")
-    X /= norms  # X is this call's own copy, so scale it in place
+    X /= norms
     return StandardizedData(X, y / math.sqrt(n), norms, math.sqrt(n), center, *gram_factor(X))
+
+
+# Columns per block of ``_column_norms``; its only temporary is n x this.
+_NORM_BLOCK = 16
+
+
+def _column_norms(X: Matrix) -> Vector:
+    """``np.linalg.norm(X, axis=0)`` bit for bit, a block of columns at a time.
+
+    Each block keeps X's layout, so each column is summed in the same order:
+    pairwise down an F-ordered column, row by row across a C-ordered array.
+    Every block but a lone one has at least two columns, since numpy sums a
+    one-column slice of a C-ordered array pairwise.
+    """
+    p = X.shape[1]
+    count = max(1, p // _NORM_BLOCK)
+    bounds = [p * i // count for i in range(count + 1)]
+    return np.concatenate([np.linalg.norm(X[:, a:b], axis=0) for a, b in zip(bounds, bounds[1:])])
 
 
 @dataclass(frozen=True)

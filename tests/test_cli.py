@@ -505,6 +505,10 @@ INPUT_ERRORS = {
                                     "--out", str(tmp / "x.csv")],
     "tie-demo reps -1": lambda tmp: ["tie-demo", "--n", "20", "--reps", "-1",
                                      "--out", str(tmp / "x.csv")],
+    "response index -1": lambda tmp: ["fit", _csv_file(tmp, "a,b,y\n1,2,3\n4,5,7\n2,1,1\n"),
+                                      "--response", "-1"],
+    "response name on two columns": lambda tmp: ["fit", _csv_file(
+        tmp, "a,a,y\n1,2,3\n4,5,7\n2,1,1\n5,5,2\n"), "--response", "a"],
 }
 
 # what the error line of a case must say: the option or scenario key, and why
@@ -523,6 +527,9 @@ ERROR_NAMES = {
     "tie-demo n -5": ("--n",),
     "tie-demo reps 0": ("--reps",),
     "tie-demo reps -1": ("--reps",),
+    # no column of the file holds a missing response: the line names none
+    "response index -1": ("response index -1", "(row 1)"),
+    "response name on two columns": ("'a'", "columns 1 and 2"),
 }
 
 

@@ -1,12 +1,14 @@
 """The JSON report writer and the memory of the CLI ingest."""
 
 import argparse
+import dataclasses
 import io
 import json
 import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,7 @@ import larinfer.io as io_module
 from larinfer import cli
 from larinfer.cli import main
 from larinfer.io import diabetes_fixture_path, write_json
+from larinfer.path import StandardizedData, standardize
 
 DIABETES = str(diabetes_fixture_path())
 
@@ -78,26 +81,62 @@ def test_infer_report_equals_json_dump(monkeypatch, tmp_path):
     assert written == expected
 
 
-def test_ingest_frees_the_table_before_standardize(tmp_path):
-    """Reading, splitting and standardizing a 2000 x 50 CSV peaks below 3.25 D.
+def _design_csv(tmp_path, table, response):
+    """Write ``table`` as a CSV whose column ``response`` is named y."""
+    names = [f"x{j}" for j in range(table.shape[1])]
+    names[response] = "y"
+    path = tmp_path / f"design{response}.csv"
+    np.savetxt(path, table, delimiter=",", header=",".join(names), comments="")
+    return str(path)
 
-    D = 8 n p bytes is one copy of the n x p design.  The peak is the feature
-    copy, the centered copy and the column-norm temporary; the parsed table
-    kept alive beside them (by a response view, say) exceeds the bound.
+
+def test_ingest_frees_the_table_before_standardize(tmp_path):
+    """Reading, splitting and standardizing a 2000 x 50 CSV peaks below 2.25 D.
+
+    D = 8 n p bytes is one copy of the n x p design.  The peak is the parsed
+    table and the feature copy cut from it; the table is freed before the
+    copy is standardized in place, and without centering the copy is put in
+    C order only once the table is gone.  A second working copy, an n x p
+    temporary of the column norms, or the table kept alive beside the copy
+    (by a response view, say) exceeds the bound.
     """
     n, width = 2000, 50
     table = np.random.default_rng(5).standard_normal((n, width))
-    path = tmp_path / "design.csv"
-    header = ",".join(f"x{j}" for j in range(width - 1)) + ",y"
-    np.savetxt(path, table, delimiter=",", header=header, comments="")
-    args = argparse.Namespace(csv=str(path), response="y", no_center=False)
-    cli._load_standardized(args)  # warm-up: first-call allocations are not the ingest's
-    tracemalloc.start()
-    try:
-        _, data = cli._load_standardized(args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    D = 8 * n * data.p
-    assert data.p == width - 1
-    assert peak <= 3.25 * D
+    for response, no_center in [(width - 1, False), (width - 1, True), (width // 2, False)]:
+        args = argparse.Namespace(csv=_design_csv(tmp_path, table, response), response="y",
+                                  no_center=no_center)
+        cli._load_standardized(args)  # warm-up: first-call allocations are not the ingest's
+        tracemalloc.start()
+        try:
+            _, data = cli._load_standardized(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        D = 8 * n * data.p
+        assert data.p == width - 1
+        assert peak <= 2.25 * D, (response, no_center, peak / D)
+
+
+@pytest.mark.parametrize("no_center", [False, True])
+@pytest.mark.parametrize("response", [0, 4, 8])
+def test_ingest_standardizes_like_standardize(tmp_path, response, no_center):
+    """The CLI's in-place ingest gives what ``standardize`` gives on the same
+    split copy, bit for bit and in the same layout, and ``standardize``
+    leaves that copy as it was."""
+    rng = np.random.default_rng(response)
+    table = rng.standard_normal((300, 9)) * rng.uniform(0.1, 50.0, 9) + rng.uniform(-9, 9, 9)
+    path = _design_csv(tmp_path, table, response)
+    _, X, y = io_module.split_response(*io_module.read_csv(path), "y")
+    X_before, y_before = X.copy(order="K"), y.copy()
+    expected = standardize(X, y, center=not no_center)
+    assert X.tobytes() == X_before.tobytes() and np.isfortran(X) == np.isfortran(X_before)
+    assert y.tobytes() == y_before.tobytes()
+    _, data = cli._load_standardized(
+        argparse.Namespace(csv=path, response="y", no_center=no_center))
+    for field in dataclasses.fields(StandardizedData):
+        got, want = getattr(data, field.name), getattr(expected, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), field.name
+            assert np.isfortran(got) == np.isfortran(want), field.name
+        else:
+            assert got == want, field.name

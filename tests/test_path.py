@@ -33,6 +33,7 @@ from larinfer.inference import build_inference_report
 from larinfer.path import (
     LarPath,
     StandardizedData,
+    _column_norms,
     lar_batch,
     lar_path,
     margins,
@@ -95,6 +96,53 @@ class TestStandardize:
             y[7] = bad
         with pytest.raises(NonFiniteValue):
             standardize(X, y)
+
+
+def _layouts(rng, n, p):
+    """One n x p design in every layout the design takes: C, F, column and
+    row slices of each, and a reversed-column view."""
+    wide = rng.standard_normal((2 * n, p + 3)) * rng.uniform(0.01, 100.0, p + 3)
+    wide_f = np.asfortranarray(wide)
+    return {
+        "C": np.ascontiguousarray(wide[:n, :p]),
+        "F": np.asfortranarray(wide[:n, :p]),
+        "C columns": wide[:n, 1:p + 1],
+        "F columns": wide_f[:n, 2:p + 2],
+        "C rows": wide[::2, :p],
+        "F rows": wide_f[::2, :p],
+        "reversed": wide[:n, p - 1::-1],
+    }
+
+
+# (n, p): one and two columns, n below one block of columns, a remainder of
+# one column past whole blocks, and the bench designs
+NORM_SHAPES = [(7, 1), (7, 2), (9, 3), (5, 4), (40, 17), (60, 33), (442, 10), (1000, 20),
+               (4000, 40), (5000, 200)]
+
+
+@pytest.mark.parametrize("n, p", NORM_SHAPES)
+def test_column_norms_match_numpy_bit_for_bit(n, p):
+    rng = np.random.default_rng(n * 1000 + p)
+    for name, X in _layouts(rng, n, p).items():
+        assert _column_norms(X).tobytes() == np.linalg.norm(X, axis=0).tobytes(), name
+
+
+@pytest.mark.parametrize("center", [True, False])
+@pytest.mark.parametrize("n, p", [(7, 1), (9, 3), (60, 33), (300, 40)])
+def test_standardize_keeps_the_plain_formula_and_layout(n, p, center):
+    """The centered design keeps the input's layout, the uncentered one is
+    C-ordered, and both equal the out-of-place formula bit for bit."""
+    rng = np.random.default_rng(p)
+    for name, X in _layouts(rng, n, p).items():
+        X_before = X.copy()
+        y = rng.standard_normal(n)
+        Z = X - X.mean(axis=0) if center else X.copy()
+        norms = np.linalg.norm(Z, axis=0)
+        data = standardize(X, y, center)
+        assert data.X.tobytes() == (Z / norms).tobytes(), name
+        assert np.isfortran(data.X) == np.isfortran(Z / norms), name
+        assert data.column_scales.tobytes() == norms.tobytes(), name
+        assert X.tobytes() == X_before.tobytes(), name
 
 
 class TestLarPath:
