@@ -76,7 +76,8 @@ class BootstrapConfig:
 
 
 def replica_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based substream for one replica; independent of scheduling."""
+    """One replica's own PCG64 stream, seeded by ``SeedSequence([seed, index])``;
+    independent of scheduling."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
 
 

@@ -39,18 +39,19 @@ def _out_stream(path: str | None):
 
 
 def _load_standardized(args):
-    names, table = reports.read_csv(args.csv)
-    feature_names, X, y = reports.split_response(names, table, args.response)
-    del table  # X and y are copies: free the table, then standardize X in place
-    if args.no_center:
-        X = np.ascontiguousarray(X)  # standardize's layout; frees the F-ordered split
-    return feature_names, _standardize_owned(X, y, center=not args.no_center)
+    center = not args.no_center
+    # read in the layout that standardize copies to, which fixes the bits of
+    # the column sums, and standardize that one copy in place
+    names, X, y = reports.read_csv(args.csv, args.response, order="F" if center else "C")
+    return names, _standardize_owned(X, y, center)
 
 
 def cmd_fit(args) -> int:
     names, data = _load_standardized(args)
     path = lar_path(data, data.y, zero_tol=args.zero_tol)
-    doc = reports.path_report_dict(path, data, names, args.response)
+    n, p, centered = data.n, data.p, data.centered
+    del data  # the report reads only the path: free the design before building it
+    doc = reports.path_report_dict(path, n, p, centered, names, args.response)
     with _out_stream(args.out) as out:
         if args.format == "json":
             reports.write_json(doc, out)

@@ -11,7 +11,6 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, takewhile
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -32,43 +31,110 @@ Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
 
 
-def read_csv(path: str | Path) -> tuple[list[str], Matrix]:
+# Body text per ``np.loadtxt`` call as the body streams into its arrays.  A
+# block's text and table are alive beside the arrays, so they are kept small;
+# a fixed row count would let them grow with the row width.
+_BLOCK_CHARS = 1 << 17
+
+
+def read_csv(path: str | Path, response: str | None = None, order: str = "F"):
     """Read a numeric CSV with a required header row.
 
     Comma-separated, UTF-8 with an optional byte-order mark, '.' decimal.
     Raises CsvParseError with 1-based row/column coordinates on any
     malformed or non-finite cell or ragged row.
 
-    The body is parsed with ``np.loadtxt`` first.  That parser skips blank
-    lines and accepts ``nan``/``inf``, and rejects some cells that the
-    ``csv`` module and ``float`` accept (``1_0``, quoted numbers, non-ASCII
-    digits).  So on a loadtxt error, a blank or whitespace-only body line, a
-    non-finite value or a column count that differs from the header, the
-    body is parsed again cell by cell, which either returns the table or
-    raises the error with its coordinates.
+    Without ``response`` it returns the header names and the table, in C
+    order.  With one, it returns ``split_response``'s feature names,
+    features and response for that table, with the features in ``order``
+    ("F" or "C"); the body is parsed straight into them, so the table is
+    never held.
+
+    The body rows are counted in a binary pass, the output is allocated,
+    and the body is parsed with ``np.loadtxt`` in blocks of about 128 KiB.
+    That parser skips blank lines and accepts ``nan``/``inf``, and rejects
+    some cells that the ``csv`` module and ``float`` accept (``1_0``, quoted
+    numbers, non-ASCII digits).  So on a loadtxt error, a blank or
+    whitespace-only body line, a non-finite value, a column count that
+    differs from the header or a row count that differs from the binary
+    pass, the body is parsed again cell by cell into a table, which either
+    is returned (split, with ``response``) or raises the error with its
+    coordinates.
     """
+    rows = _count_lines(path) - 1
     with open(path, newline="", encoding="utf-8-sig") as fh:
         names = _header(_rows(fh))
-        first = next(fh, "")
-        # loadtxt skips blank lines, so it reads the body only up to the
-        # first blank or whitespace-only one; the "" after the last line
-        # tells a body that ends there from one that stops at a blank line
-        rest = chain(fh, ("",))
-        table = None
-        if first.strip():
-            try:
-                table = np.loadtxt(chain((first,), takewhile(str.strip, rest)),
-                                   delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                pass
-            if next(rest, None) is not None:
-                table = None
-    if table is not None and table.shape[1] == len(names) and np.isfinite(table).all():
-        return names, table
+        try:
+            idx = None if response is None else _response_index(names, response)
+        except CsvParseError:
+            # the table route, which reports a fault in the body before this one
+            return split_response(*read_csv(path), response)
+        parsed = _stream_body(fh, rows, len(names), idx, order)
+    if parsed is not None:
+        X, y = parsed
+        if response is None:
+            return names, X
+        return [n for i, n in enumerate(names) if i != idx], X, y
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _rows(fh)
         next(reader)
-        return names, _parse_cells(reader, len(names))
+        table = _parse_cells(reader, len(names))
+    if response is None:
+        return names, table
+    feature_names, X, y = split_response(names, table, response)
+    del table  # X is a copy: free the table before any reordering copy of X
+    return feature_names, np.asarray(X, order=order), y
+
+
+def _count_lines(path: str | Path) -> int:
+    """The number of lines in a file, split as text mode with ``newline=""``
+    splits them: at each LF, CRLF or lone CR, plus an unterminated last line."""
+    lines, last = 0, b""
+    with open(path, "rb") as fb:
+        while chunk := fb.read(1 << 16):
+            lines += chunk.count(b"\n")
+            if b"\r" in chunk:
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+            if last == b"\r" and chunk[:1] == b"\n":
+                lines -= 1  # a CRLF split across two chunks
+            last = chunk[-1:]
+    return lines + (last not in (b"", b"\n", b"\r"))
+
+
+def _stream_body(fh, rows: int, width: int, idx: int | None, order: str):
+    """Parse the rest of ``fh`` with ``np.loadtxt`` a block at a time into a
+    table (C order; ``idx`` None) or into features (``order``) and response
+    column ``idx``; None on any irregularity that the cell loop must judge."""
+    if rows < 1:
+        return None
+    try:
+        # the count may be inflated (by blank lines, say): then the cell loop decides
+        X = np.empty((rows, width if idx is None else width - 1),
+                     order="C" if idx is None else order)
+        y = None if idx is None else np.empty(rows)
+    except MemoryError:
+        return None
+    start = 0
+    try:
+        while lines := fh.readlines(_BLOCK_CHARS):
+            if not all(map(str.strip, lines)):
+                return None
+            block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            stop = start + len(lines)
+            if (block.shape != (len(lines), width) or stop > rows
+                    or not np.isfinite(block).all()):
+                return None
+            if y is None:
+                X[start:stop] = block
+            else:
+                X[start:stop, :idx] = block[:, :idx]
+                X[start:stop, idx:] = block[:, idx + 1:]
+                y[start:stop] = block[:, idx]
+            start = stop
+            del lines, block  # so the next block is read with none alive
+    except ValueError:
+        return None
+    return (X, y) if start == rows else None
 
 
 def _rows(fh):
@@ -123,23 +189,29 @@ def split_response(
     column index.  Both parts are copies, so the table can be freed once
     they exist; the features come out Fortran-ordered.
     """
+    idx = _response_index(names, response)
+    feature_names = [n for i, n in enumerate(names) if i != idx]
+    keep = [i for i in range(len(names)) if i != idx]
+    return feature_names, table[:, keep], table[:, idx].copy()
+
+
+def _response_index(names: list[str], response: str) -> int:
+    """The 0-based column of ``response``: a header name that no other column
+    has, or else a column index."""
     matches = [i for i, name in enumerate(names) if name == response]
     if len(matches) > 1:
         cols = " and ".join(str(i + 1) for i in matches)
         raise CsvParseError(f"response name {response!r} matches columns {cols}", 1, None)
     if matches:
-        idx = matches[0]
-    else:
-        try:
-            idx = int(response)
-        except ValueError:
-            raise CsvParseError(f"no column named {response!r}", 1, None) from None
-        if not 0 <= idx < len(names):
-            raise CsvParseError(f"response index {idx} out of range 0 to {len(names) - 1}",
-                                1, None)
-    feature_names = [n for i, n in enumerate(names) if i != idx]
-    keep = [i for i in range(len(names)) if i != idx]
-    return feature_names, table[:, keep], table[:, idx].copy()
+        return matches[0]
+    try:
+        idx = int(response)
+    except ValueError:
+        raise CsvParseError(f"no column named {response!r}", 1, None) from None
+    if not 0 <= idx < len(names):
+        raise CsvParseError(f"response index {idx} out of range 0 to {len(names) - 1}",
+                            1, None)
+    return idx
 
 
 def diabetes_fixture_path() -> Path:
@@ -148,12 +220,11 @@ def diabetes_fixture_path() -> Path:
 
 def load_diabetes() -> tuple[list[str], Matrix, Vector]:
     """Bundled diabetes benchmark: 442 rows, 10 precentered unit-norm columns."""
-    names, table = read_csv(diabetes_fixture_path())
-    return split_response(names, table, "progression")
+    return read_csv(diabetes_fixture_path(), "progression")
 
 
 def path_report_dict(
-    path: LarPath, data: StandardizedData, names: list[str], response: str
+    path: LarPath, n: int, p: int, centered: bool, names: list[str], response: str
 ) -> dict:
     """Fit report: step table plus correlation and coefficient traces."""
     columns = zip(path.entrants, path.signs.tolist(), path.correlations.tolist(),
@@ -173,10 +244,10 @@ def path_report_dict(
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "fit",
-        "n": data.n,
-        "p": data.p,
+        "n": n,
+        "p": p,
         "response": response,
-        "centered": data.centered,
+        "centered": centered,
         "variables": names,
         "terminated_at": path.terminated_at,
         "steps": steps,

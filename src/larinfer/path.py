@@ -111,7 +111,8 @@ def _standardize_owned(X: Matrix, y_raw: Vector, center: bool) -> StandardizedDa
         raise DimensionMismatch(f"need n > p >= 1, got n={n}, p={p}")
     if y.shape != (n,):
         raise DimensionMismatch(f"response shape {y.shape} != ({n},)")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+    finite = all(np.isfinite(X[:, a:b]).all() for a, b in _column_blocks(p))
+    if not (finite and np.isfinite(y).all()):
         raise NonFiniteValue("design or response holds a NaN or infinite entry")
     if center:
         X -= X.mean(axis=0)
@@ -126,8 +127,17 @@ def _standardize_owned(X: Matrix, y_raw: Vector, center: bool) -> StandardizedDa
     return StandardizedData(X, y / math.sqrt(n), norms, math.sqrt(n), center, *gram_factor(X))
 
 
-# Columns per block of ``_column_norms``; its only temporary is n x this.
-_NORM_BLOCK = 16
+# Columns per block of the design's column checks and norms; their only
+# temporaries are n x this.
+_NORM_BLOCK = 8
+
+
+def _column_blocks(p: int) -> list[tuple[int, int]]:
+    """Column ranges of about ``_NORM_BLOCK`` columns that cover range(p); all
+    have at least two columns unless there is only one."""
+    count = max(1, p // _NORM_BLOCK)
+    bounds = [p * i // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _column_norms(X: Matrix) -> Vector:
@@ -138,10 +148,8 @@ def _column_norms(X: Matrix) -> Vector:
     Every block but a lone one has at least two columns, since numpy sums a
     one-column slice of a C-ordered array pairwise.
     """
-    p = X.shape[1]
-    count = max(1, p // _NORM_BLOCK)
-    bounds = [p * i // count for i in range(count + 1)]
-    return np.concatenate([np.linalg.norm(X[:, a:b], axis=0) for a, b in zip(bounds, bounds[1:])])
+    return np.concatenate([np.linalg.norm(X[:, a:b], axis=0)
+                           for a, b in _column_blocks(X.shape[1])])
 
 
 @dataclass(frozen=True)

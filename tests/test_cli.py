@@ -148,6 +148,100 @@ def test_read_csv_fast_path_is_exact(tmp_path, cell_loop_calls):
     np.testing.assert_array_equal(_cell_loop(path)[1], values)
 
 
+# A body line of 12 characters; read_csv's blocks hold the lines up to the
+# first that takes them past _BLOCK_CHARS characters
+_BLOCK_ROW = "{}.5,-{}.25,{}"
+BLOCK_ROWS = io_module._BLOCK_CHARS // 12 + 1
+
+
+def _block_csv(rows, last=None):
+    """Columns a, b, c and ``rows`` body lines; ``last`` replaces the final one."""
+    lines = [_BLOCK_ROW.format(i % 10, i % 7, i % 3) for i in range(rows)]
+    if last is not None:
+        lines[-1] = last
+    return ("a,b,c\n" + "\n".join(lines) + "\n").encode()
+
+
+# (file bytes, whether np.loadtxt parses the body) for the split route, on
+# top of CSV_PARITY: block boundaries, faults in the last of three blocks,
+# and line-ending and encoding variants with three columns
+SPLIT_PARITY = {
+    "one row fewer than a block": (_block_csv(BLOCK_ROWS - 1), True),
+    "exactly one block": (_block_csv(BLOCK_ROWS), True),
+    "one row more than a block": (_block_csv(BLOCK_ROWS + 1), True),
+    "bad cell in the last block": (_block_csv(2 * BLOCK_ROWS + 5, "1,oops,3"), False),
+    "nan in the last block": (_block_csv(2 * BLOCK_ROWS + 5, "1,2,nan"), False),
+    "ragged row in the last block": (_block_csv(2 * BLOCK_ROWS + 5, "1,2,3,4"), False),
+    "blank line in the last block": (_block_csv(2 * BLOCK_ROWS + 5, "\n1,2,3"), False),
+    "CR line endings, 3 columns": (b"a,b,c\r1,2,3\r4,5,6\r7,8,9.5\r", True),
+    "CRLF line endings, 3 columns": (b"a,b,c\r\n1,2,3\r\n4,5,6\r\n7,8,9.5\r\n", True),
+    "byte-order mark, 3 columns": (b"\xef\xbb\xbfa,b,c\n1,2,3\n4,5,6\n7,8,9.5\n", True),
+    "no final newline, 3 columns": (b"a,b,c\n1,2,3\n4,5,6\n7,8,9.5", True),
+    "no final newline after CR": (b"a,b,c\r1,2,3\r4,5,6", True),
+    # the binary pass counts the header's two lines as two rows
+    "header cell across two lines": (b'a,"b\nc",d\n1,2,3\n4,5,6\n', False),
+}
+
+
+def _split_cases():
+    """Each file of both tables with the response first, in the middle and
+    last, by name, and one response that names no column."""
+    for case, (content, fast) in {**CSV_PARITY, **SPLIT_PARITY}.items():
+        names = content.decode("utf-8-sig").splitlines()[0].split(",")
+        for response in dict.fromkeys([names[0], names[len(names) // 2], names[-1], "zz"]):
+            yield pytest.param(content, fast, response,
+                               id=f"{case}-{response}")
+
+
+@pytest.mark.parametrize("content, fast, response", _split_cases())
+def test_read_csv_split_route_matches_table_route(content, fast, response, tmp_path,
+                                                  cell_loop_calls):
+    """``read_csv(path, response)`` gives ``split_response`` of the parsed
+    table, Fortran-ordered features included, or the same error, and parses
+    the body with np.loadtxt exactly when the table route does."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(content)
+    expected = _csv_outcome(lambda p: io_module.split_response(*_cell_loop(p), response), path)
+    cell_loop_calls.clear()
+    got = _csv_outcome(lambda p: read_csv(p, response), path)
+    assert bool(cell_loop_calls) != fast
+    if expected[0] == "error":
+        assert got == expected
+        return
+    assert got[0] == expected[0]
+    for got_part, want in zip(got[1:], expected[1:]):
+        assert got_part.dtype == np.float64 and got_part.shape == want.shape
+        assert got_part.tobytes() == want.tobytes()
+        assert np.isfortran(got_part) == np.isfortran(want)
+
+
+@pytest.mark.parametrize("response", ["a", "b", "c"])
+def test_read_csv_split_route_in_c_order(response, tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(_block_csv(BLOCK_ROWS + 1))
+    _, X_f, y_f = read_csv(path, response)
+    _, X_c, y_c = read_csv(path, response, order="C")
+    assert X_c.flags.c_contiguous and np.isfortran(X_f)
+    np.testing.assert_array_equal(X_c, X_f)
+    assert y_c.tobytes() == y_f.tobytes()
+
+
+def test_block_rows_is_one_block(tmp_path):
+    """The block-boundary cases above sit where the blocks really end."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(_block_csv(BLOCK_ROWS + 1))
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        fh.readline()
+        assert len(fh.readlines(io_module._BLOCK_CHARS)) == BLOCK_ROWS
+
+
+def test_response_as_the_only_column_exits_3(tmp_path, capsys):
+    path = tmp_path / "y.csv"
+    path.write_bytes(b"y\n1\n2\n3\n")
+    assert main(["fit", str(path), "--response", "y"]) == 3
+    assert "need n > p >= 1, got n=3, p=0" in capsys.readouterr().err
+
+
 class TestFit:
     def test_diabetes_json(self, tmp_path, capsys):
         out = tmp_path / "fit.json"
@@ -727,3 +821,22 @@ def test_out_of_memory_exits_3_naming_the_size(command, names, tmp_path):
     assert out.returncode == 3
     (line,) = out.stderr.splitlines()
     assert line.startswith("error: out of memory") and names in line
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="sets RLIMIT_AS in the child")
+def test_row_count_too_large_to_allocate_goes_to_the_cell_loop(tmp_path):
+    """A body of a million blank lines under a 400-column header counts as
+    10^6 rows, 3 GB of design.  Under a 2 GiB address-space limit that
+    allocation fails; the cell loop then reports the first blank line, as it
+    does without the limit, instead of running out of memory."""
+    import larinfer
+
+    path = tmp_path / "blank.csv"
+    path.write_text(",".join(f"x{j}" for j in range(400)) + "\n" + "\n" * 10 ** 6)
+    src = str(Path(larinfer.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-m", "larinfer.cli", "fit", str(path),
+                          "--response", "x0"], capture_output=True, text=True, env=env,
+                         preexec_fn=_limit_address_space, timeout=300)
+    assert out.returncode == 2
+    assert out.stderr == "error: expected 400 fields, found 0 (row 2, column 1)\n"

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -91,14 +92,15 @@ def _design_csv(tmp_path, table, response):
 
 
 def test_ingest_frees_the_table_before_standardize(tmp_path):
-    """Reading, splitting and standardizing a 2000 x 50 CSV peaks below 2.25 D.
+    """Reading, splitting and standardizing a 2000 x 50 CSV peaks below 1.5 D.
 
-    D = 8 n p bytes is one copy of the n x p design.  The peak is the parsed
-    table and the feature copy cut from it; the table is freed before the
-    copy is standardized in place, and without centering the copy is put in
-    C order only once the table is gone.  A second working copy, an n x p
-    temporary of the column norms, or the table kept alive beside the copy
-    (by a response view, say) exceeds the bound.
+    D = 8 n p bytes is one copy of the n x p design.  The body is parsed a
+    block at a time straight into the design and the response, in the
+    layout that standardize uses, and that one copy is standardized in
+    place, so the peak is the design and a block's text and table, or the
+    design and an 8-column block of the column norms.  A parsed table held
+    beside the design, a second working copy, or an n x p temporary of the
+    column norms or of the finiteness check exceeds the bound.
     """
     n, width = 2000, 50
     table = np.random.default_rng(5).standard_normal((n, width))
@@ -114,7 +116,29 @@ def test_ingest_frees_the_table_before_standardize(tmp_path):
             tracemalloc.stop()
         D = 8 * n * data.p
         assert data.p == width - 1
-        assert peak <= 2.25 * D, (response, no_center, peak / D)
+        assert peak <= 1.5 * D, (response, no_center, peak / D)
+
+
+def test_fit_frees_the_design_before_the_report(monkeypatch, tmp_path):
+    """No reference to the standardized design is alive while the fit report,
+    whose traces are Python floats, is built."""
+    refs, alive = [], []
+    load, report = cli._load_standardized, io_module.path_report_dict
+
+    def spy_load(args):
+        names, data = load(args)
+        refs.append(weakref.ref(data.X))
+        return names, data
+
+    def spy_report(*args):
+        alive.append(refs[0]() is not None)
+        return report(*args)
+
+    monkeypatch.setattr(cli, "_load_standardized", spy_load)
+    monkeypatch.setattr(io_module, "path_report_dict", spy_report)
+    assert main(["fit", DIABETES, "--response", "progression",
+                 "--out", str(tmp_path / "fit.json")]) == 0
+    assert alive == [False]
 
 
 @pytest.mark.parametrize("no_center", [False, True])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from larinfer.path import (
     LarPath,
     StandardizedData,
     _column_norms,
+    _standardize_owned,
     lar_batch,
     lar_path,
     margins,
@@ -125,6 +127,47 @@ def test_column_norms_match_numpy_bit_for_bit(n, p):
     rng = np.random.default_rng(n * 1000 + p)
     for name, X in _layouts(rng, n, p).items():
         assert _column_norms(X).tobytes() == np.linalg.norm(X, axis=0).tobytes(), name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_cell_found_in_every_column_block(bad):
+    """The column-block finiteness check finds a bad cell in any column, first
+    row or last, in either layout; the error is the whole-design check's."""
+    rng = np.random.default_rng(3)
+    n, p = 60, 40
+    for order in "CF":
+        for j in range(p):
+            for i in (0, n - 1):
+                X = np.array(rng.standard_normal((n, p)), order=order)
+                X[i, j] = bad
+                with pytest.raises(NonFiniteValue,
+                                   match="design or response holds a NaN or infinite entry"):
+                    _standardize_owned(X, rng.standard_normal(n), order == "F")
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_finiteness_check_makes_no_n_by_p_temporary(order):
+    """Checking a 4000 x 128 design whose last cell is NaN peaks below D/16.
+
+    D = 8 n p bytes is the design; ``np.isfinite(X)`` over the whole design
+    makes a D/8 bool temporary, a check 8 columns at a time one of D/128
+    (plus numpy's 64 KiB iteration buffer on a strided C-ordered block).
+    The NaN in the last cell makes every block be checked.
+    """
+    n, p = 4000, 128
+    X = np.array(np.random.default_rng(4).standard_normal((n, p)), order=order)
+    X[-1, -1] = np.nan
+    y = np.ones(n)
+    with pytest.raises(NonFiniteValue):
+        _standardize_owned(X, y, True)  # warm-up
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonFiniteValue):
+            _standardize_owned(X, y, order == "F")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= X.nbytes / 16, peak / X.nbytes
 
 
 @pytest.mark.parametrize("center", [True, False])
