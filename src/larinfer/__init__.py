@@ -56,7 +56,6 @@ _EXPORTS = {
         "chi2_upper_quantile",
         "estimate_m",
         "sigma_hat",
-        "studentized_T",
         "tail_sums",
     ),
     "linalg": ("solve_spd",),

@@ -3,18 +3,19 @@
 Every routine here restates a quantity that the production code computes
 another way: alternative step-length and equiangular formulas, an n-space
 Gram-Schmidt basis and a replay of a recorded path through it, the entrance
-criteria, a closed form of the step correlation, the one-column quantile,
-the single-response residual pool and terminal refit and single-draw forms
-of the bootstrap, and the asymptotic covariance of the step-coefficient
-errors.  The tests check the engine against them.  No module of the
-package imports this one, the package root included; import it as
-``larinfer.identities``.
+criteria, a closed form of the step correlation, the studentized step
+statistics of one path, the one-column quantile, a design with a new
+response, the single-response residual pool and terminal refit and
+single-draw forms of the bootstrap, and the asymptotic covariance of the
+step-coefficient errors.  The tests check the engine against them.  No
+module of the package imports this one, the package root included; import
+it as ``larinfer.identities``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -306,12 +307,33 @@ def population_correlation_closed_form(
     return num / denom
 
 
+def studentized_T(path: LarPath, centers: Vector, sigma: float, n: int) -> Vector:
+    """Studentized step-correlation statistics relative to given centers;
+    the bootstrap computes them for its replicas in ``_replicas``."""
+    centers = np.asarray(centers, dtype=np.float64)
+    k = path.terminated_at
+    if centers.shape[0] != k:
+        raise ValueError(f"need {k} centers, got {centers.shape[0]}")
+    scale = np.sqrt(path.inv_angle_sq_increments)
+    return path.signs * scale * math.sqrt(n) * (path.correlations - centers) / sigma
+
+
 def nearest_rank_quantile(values: Vector, level: float) -> float:
     """Nearest-rank (type-1) empirical quantile of a replica multiset."""
     ordered = np.sort(np.asarray(values, dtype=np.float64))
     draws = ordered.shape[0]
     rank = min(draws, max(1, math.ceil(draws * level)))
     return float(ordered[rank - 1])
+
+
+def with_response(data: StandardizedData, y_raw: Vector) -> StandardizedData:
+    """Same design, new raw-scale response (centered if the data was)."""
+    y = np.asarray(y_raw, dtype=np.float64)
+    if y.shape[0] != data.n:
+        raise DimensionMismatch(f"response length {y.shape[0]} != n = {data.n}")
+    if data.centered:
+        y = y - y.mean()
+    return replace(data, y=y / data.response_scale)
 
 
 def residual_pool(data: StandardizedData) -> Vector:
@@ -323,7 +345,7 @@ def residual_pool(data: StandardizedData) -> Vector:
 def bootstrap_errors(data: StandardizedData, y: Vector, rng: np.random.Generator) -> Vector:
     """Draw n errors i.i.d. from the centered/scaled residual multiset of y."""
     y_raw = np.asarray(y, dtype=np.float64) * data.response_scale
-    pool = residual_pool(data.with_response(y_raw))
+    pool = residual_pool(with_response(data, y_raw))
     return pool[rng.integers(0, data.n, data.n)]
 
 

@@ -16,7 +16,7 @@ from statistics import NormalDist
 import numpy as np
 from numpy.typing import NDArray
 
-from .exceptions import InvalidTail
+from .exceptions import DegenerateResponse, InvalidTail
 from .path import LarBatch, LarPath, StandardizedData
 
 Vector = NDArray[np.float64]
@@ -150,38 +150,26 @@ def estimate_m(S: Vector, thresholds: Vector) -> int | NDArray[np.int64]:
     return int(m) if m.ndim == 0 else m
 
 
-def studentized_T(
-    path: LarPath, centers: Vector, sigma: float, n: int
-) -> Vector:
-    """Studentized step-correlation statistics relative to given centers."""
-    centers = np.asarray(centers, dtype=np.float64)
-    k = path.terminated_at
-    if centers.shape[0] != k:
-        raise ValueError(f"need {k} centers, got {centers.shape[0]}")
-    scale = np.sqrt(path.inv_angle_sq_increments)
-    return path.signs * scale * math.sqrt(n) * (path.correlations - centers) / sigma
-
-
 @dataclass(frozen=True)
 class InferenceReport:
     sigma_hat: float
-    W: Vector
     S: Vector
     thresholds: Vector
     m_bar: int
-    T_hat: Vector
 
 
 def build_inference_report(data: StandardizedData, path: LarPath) -> InferenceReport:
-    """Full inference summary for a sample path.
+    """σ̂, the tail sums, their thresholds and m̄ for a sample path.
 
-    The studentized statistics are centered at the thresholded correlations
-    (observed values up to the estimated termination step, zero beyond).
+    The stopping rule needs the tail sums of all p steps, so a path that
+    stops before step p raises DegenerateResponse.
     """
+    if path.terminated_at < data.p:
+        raise DegenerateResponse(
+            f"the sample path stops at step {path.terminated_at} of {data.p}; "
+            "the stopping rule needs the tail sums of all p steps"
+        )
     sigma = sigma_hat(data, data.y * data.response_scale)
-    W, S = tail_sums(path, sigma, data.n)
+    _, S = tail_sums(path, sigma, data.n)
     thresholds = chi2_thresholds(data.p, data.n)
-    m_bar = estimate_m(S, thresholds)
-    centers = np.where(np.arange(1, path.terminated_at + 1) <= m_bar, path.correlations, 0.0)
-    T_hat = studentized_T(path, centers, sigma, data.n)
-    return InferenceReport(sigma, W, S, thresholds, m_bar, T_hat)
+    return InferenceReport(sigma, S, thresholds, estimate_m(S, thresholds))

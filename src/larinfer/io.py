@@ -10,7 +10,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -27,7 +26,6 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = 1
 
-Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
 
 
@@ -37,53 +35,48 @@ Matrix = NDArray[np.float64]
 _BLOCK_CHARS = 1 << 17
 
 
-def read_csv(path: str | Path, response: str | None = None, order: str = "F"):
-    """Read a numeric CSV with a required header row.
+def read_csv(path: str | Path, response: str, order: str = "F"):
+    """Read a numeric CSV with a required header row and split off its
+    response column.
 
     Comma-separated, UTF-8 with an optional byte-order mark, '.' decimal.
     Raises CsvParseError with 1-based row/column coordinates on any
-    malformed or non-finite cell or ragged row.
+    malformed or non-finite cell or ragged row, and after that on a
+    ``response`` that is neither a header name that no other column has nor
+    a 0-based column index.  Returns the other columns' names, their values
+    in ``order`` ("F" or "C") and the response column.
 
-    Without ``response`` it returns the header names and the table, in C
-    order.  With one, it returns ``split_response``'s feature names,
-    features and response for that table, with the features in ``order``
-    ("F" or "C"); the body is parsed straight into them, so the table is
-    never held.
-
-    The body rows are counted in a binary pass, the output is allocated,
-    and the body is parsed with ``np.loadtxt`` in blocks of about 128 KiB.
-    That parser skips blank lines and accepts ``nan``/``inf``, and rejects
-    some cells that the ``csv`` module and ``float`` accept (``1_0``, quoted
-    numbers, non-ASCII digits).  So on a loadtxt error, a blank or
-    whitespace-only body line, a non-finite value, a column count that
-    differs from the header or a row count that differs from the binary
-    pass, the body is parsed again cell by cell into a table, which either
-    is returned (split, with ``response``) or raises the error with its
-    coordinates.
+    The body rows are counted in a binary pass, the output is allocated, and
+    the body is parsed straight into it with ``np.loadtxt`` in blocks of
+    about 128 KiB.  That parser skips blank lines and accepts ``nan``/``inf``,
+    and rejects some cells that the ``csv`` module and ``float`` accept
+    (``1_0``, quoted numbers, non-ASCII digits).  So on a loadtxt error, a
+    blank or whitespace-only body line, a non-finite value, a column count
+    that differs from the header or a row count that differs from the binary
+    pass, the body is parsed again cell by cell, which either fills the
+    output or raises the error with its coordinates.
     """
     rows = _count_lines(path) - 1
     with open(path, newline="", encoding="utf-8-sig") as fh:
         names = _header(_rows(fh))
         try:
-            idx = None if response is None else _response_index(names, response)
-        except CsvParseError:
-            # the table route, which reports a fault in the body before this one
-            return split_response(*read_csv(path), response)
-        parsed = _stream_body(fh, rows, len(names), idx, order)
-    if parsed is not None:
-        X, y = parsed
-        if response is None:
-            return names, X
-        return [n for i, n in enumerate(names) if i != idx], X, y
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = _rows(fh)
-        next(reader)
-        table = _parse_cells(reader, len(names))
-    if response is None:
-        return names, table
-    feature_names, X, y = split_response(names, table, response)
-    del table  # X is a copy: free the table before any reordering copy of X
-    return feature_names, np.asarray(X, order=order), y
+            idx, fault = _response_index(names, response), None
+        except CsvParseError as exc:
+            # a fault in the body is reported before this one
+            idx, fault = 0, exc
+        try:
+            parsed = _fill(_loadtxt_blocks(fh, len(names)), rows, len(names), idx, order)
+        except MemoryError:  # the count may be inflated (by blank lines, say)
+            parsed = None
+    if parsed is None:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = _rows(fh)
+            next(reader)
+            table = _parse_cells(reader, len(names))
+        parsed = _fill([table], len(table), len(names), idx, order)
+    if fault is not None:
+        raise fault
+    return [n for i, n in enumerate(names) if i != idx], *parsed
 
 
 def _count_lines(path: str | Path) -> int:
@@ -101,40 +94,41 @@ def _count_lines(path: str | Path) -> int:
     return lines + (last not in (b"", b"\n", b"\r"))
 
 
-def _stream_body(fh, rows: int, width: int, idx: int | None, order: str):
-    """Parse the rest of ``fh`` with ``np.loadtxt`` a block at a time into a
-    table (C order; ``idx`` None) or into features (``order``) and response
-    column ``idx``; None on any irregularity that the cell loop must judge."""
-    if rows < 1:
-        return None
-    try:
-        # the count may be inflated (by blank lines, say): then the cell loop decides
-        X = np.empty((rows, width if idx is None else width - 1),
-                     order="C" if idx is None else order)
-        y = None if idx is None else np.empty(rows)
-    except MemoryError:
-        return None
+def _fill(blocks, rows: int, width: int, idx: int, order: str):
+    """Features (in ``order``) and response column ``idx`` of ``rows`` body
+    rows, written from ``blocks`` of parsed rows; None if the blocks hold
+    another number of rows, or if there are no rows."""
+    X = np.empty((rows, width - 1), order=order)
+    y = np.empty(rows)
     start = 0
+    for block in blocks:
+        stop = start + len(block)
+        if stop > rows:
+            return None
+        X[start:stop, :idx] = block[:, :idx]
+        X[start:stop, idx:] = block[:, idx + 1:]
+        y[start:stop] = block[:, idx]
+        start = stop
+        del block  # so the next block is parsed with none alive
+    return (X, y) if start == rows > 0 else None
+
+
+def _loadtxt_blocks(fh, width: int):
+    """The rest of ``fh`` parsed by ``np.loadtxt`` a block at a time, up to
+    the first block that the cell loop must judge: so the blocks hold fewer
+    rows than the binary pass counted unless the body is regular."""
     try:
         while lines := fh.readlines(_BLOCK_CHARS):
             if not all(map(str.strip, lines)):
-                return None
+                return
             block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-            stop = start + len(lines)
-            if (block.shape != (len(lines), width) or stop > rows
-                    or not np.isfinite(block).all()):
-                return None
-            if y is None:
-                X[start:stop] = block
-            else:
-                X[start:stop, :idx] = block[:, :idx]
-                X[start:stop, idx:] = block[:, idx + 1:]
-                y[start:stop] = block[:, idx]
-            start = stop
-            del lines, block  # so the next block is read with none alive
+            if block.shape != (len(lines), width) or not np.isfinite(block).all():
+                return
+            del lines
+            yield block
+            del block
     except ValueError:
-        return None
-    return (X, y) if start == rows else None
+        return
 
 
 def _rows(fh):
@@ -180,21 +174,6 @@ def _parse_cells(reader, width: int) -> Matrix:
     return np.array(rows)
 
 
-def split_response(
-    names: list[str], table: Matrix, response: str
-) -> tuple[list[str], Matrix, Vector]:
-    """Split a parsed CSV into features and the named response column.
-
-    ``response`` is a header name that no other column has, or a 0-based
-    column index.  Both parts are copies, so the table can be freed once
-    they exist; the features come out Fortran-ordered.
-    """
-    idx = _response_index(names, response)
-    feature_names = [n for i, n in enumerate(names) if i != idx]
-    keep = [i for i in range(len(names)) if i != idx]
-    return feature_names, table[:, keep], table[:, idx].copy()
-
-
 def _response_index(names: list[str], response: str) -> int:
     """The 0-based column of ``response``: a header name that no other column
     has, or else a column index."""
@@ -212,15 +191,6 @@ def _response_index(names: list[str], response: str) -> int:
         raise CsvParseError(f"response index {idx} out of range 0 to {len(names) - 1}",
                             1, None)
     return idx
-
-
-def diabetes_fixture_path() -> Path:
-    return Path(str(resources.files("larinfer").joinpath("data/diabetes.csv")))
-
-
-def load_diabetes() -> tuple[list[str], Matrix, Vector]:
-    """Bundled diabetes benchmark: 442 rows, 10 precentered unit-norm columns."""
-    return read_csv(diabetes_fixture_path(), "progression")
 
 
 def path_report_dict(

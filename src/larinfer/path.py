@@ -17,7 +17,7 @@ The alternative formulas that the tests check the engine against live in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,8 +53,7 @@ class StandardizedData:
     norms and ``response_scale`` equals sqrt(n), so raw-unit coefficients are
     ``b * response_scale / column_scales``.  ``gram`` is X'X and
     ``gram_factor`` its upper-triangular factor R with R'R = X'X, built and
-    rank-checked once by ``standardize`` and shared by every
-    ``with_response`` copy.
+    rank-checked once by ``standardize``.
     """
 
     X: Matrix
@@ -72,15 +71,6 @@ class StandardizedData:
     @property
     def p(self) -> int:
         return self.X.shape[1]
-
-    def with_response(self, y_raw: Vector) -> "StandardizedData":
-        """Same design, new raw-scale response (centered if the data was)."""
-        y = np.asarray(y_raw, dtype=np.float64)
-        if y.shape[0] != self.n:
-            raise DimensionMismatch(f"response length {y.shape[0]} != n = {self.n}")
-        if self.centered:
-            y = y - y.mean()
-        return replace(self, y=y / self.response_scale)
 
 
 def standardize(X_raw: Matrix, y_raw: Vector, center: bool = True) -> StandardizedData:

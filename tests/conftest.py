@@ -1,6 +1,6 @@
 import pytest
+from helpers import load_diabetes
 
-from larinfer.io import load_diabetes
 from larinfer.path import StandardizedData, standardize
 
 

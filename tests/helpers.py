@@ -1,8 +1,15 @@
-"""Shared generators for randomized tests, the n-space reference path engine,
-the per-replica reference bootstrap, and the per-replication reference
-coverage study."""
+"""The bundled diabetes data, the environment of a child interpreter, shared
+generators for randomized tests, the n-space reference path engine, the
+per-replica reference bootstrap, and the per-replication reference coverage
+study."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -22,8 +29,10 @@ from larinfer.identities import (
     full_column_basis,
     gamma_crossings,
     project,
+    with_response,
 )
 from larinfer.inference import chi2_thresholds, estimate_m, sigma_hat, tail_sums
+from larinfer.io import read_csv
 from larinfer.path import (
     TIE_TOL,
     LarPath,
@@ -32,6 +41,35 @@ from larinfer.path import (
     standardize,
 )
 from larinfer.simulate import CoverageResult, ScenarioSpec, generate_scenario
+
+
+def diabetes_fixture_path() -> Path:
+    return Path(str(resources.files("larinfer").joinpath("data/diabetes.csv")))
+
+
+def load_diabetes():
+    """Bundled diabetes benchmark: 442 rows, 10 precentered unit-norm columns."""
+    return read_csv(diabetes_fixture_path(), "progression")
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def child_env(**variables: str) -> dict[str, str]:
+    """The test's environment without the BLAS thread variables, plus
+    ``variables``, with the package on the import path."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    src = str(Path(str(resources.files("larinfer"))).parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**env, **variables}
+
+
+def run_python(code: str, **variables: str):
+    """The JSON value that ``code`` prints in a fresh interpreter run in
+    ``child_env(**variables)``."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=child_env(**variables))
+    return json.loads(out.stdout)
 
 
 def random_instance(
@@ -251,7 +289,7 @@ def reference_run_coverage(spec: ScenarioSpec, naive: bool = False) -> CoverageR
     for i in range(spec.reps):
         noise_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1, i]))
         eps = noise_rng.standard_normal(n)
-        d = data.with_response(data.y * data.response_scale + eps)
+        d = with_response(data, data.y * data.response_scale + eps)
         path = lar_path(d, d.y, zero_tol=0.0)
         sigma = sigma_hat(d, d.y * d.response_scale)
         _, S = tail_sums(path, sigma, n)

@@ -26,7 +26,9 @@ from larinfer.identities import (
     population_correlation_closed_form,
     replay_states,
     step_state,
+    studentized_T,
     terminal_coefficients,
+    with_response,
 )
 from larinfer.inference import (
     build_inference_report,
@@ -34,7 +36,6 @@ from larinfer.inference import (
     chi2_upper_quantile,
     estimate_m,
     sigma_hat,
-    studentized_T,
     tail_sums,
 )
 from larinfer.linalg import solve_spd
@@ -175,7 +176,7 @@ def test_05_null_chi2_aggregate():
     sums = np.empty(reps)
     for i in range(reps):
         y_n = rng.standard_normal(n)
-        d = data0.with_response(y_n)
+        d = with_response(data0, y_n)
         path = lar_path(d, d.y)
         sigma = sigma_hat(d, y_n)
         T = studentized_T(path, centers, sigma, n)
@@ -202,7 +203,7 @@ def test_06_termination_estimate_consistency():
     for i in range(reps):
         noise = np.random.default_rng(np.random.SeedSequence([spec.seed, 1, i]))
         y_n = data.y * data.response_scale + noise.standard_normal(spec.n)
-        d = data.with_response(y_n)
+        d = with_response(data, y_n)
         path = lar_path(d, d.y)
         _, S = tail_sums(path, sigma_hat(d, y_n), spec.n)
         hits += estimate_m(S, thresholds) == spec.m

@@ -1,14 +1,13 @@
 import ast
-import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from helpers import child_env, diabetes_fixture_path, run_python
 
 import larinfer
-from larinfer.io import diabetes_fixture_path
 
 PACKAGE = Path(larinfer.__file__).resolve().parent
 
@@ -27,15 +26,17 @@ def _imported_modules(tree: ast.Module) -> set[str]:
     return names
 
 
+def _trees(skip: str) -> dict[str, ast.Module]:
+    """The parsed modules of the package, by file name, without ``skip``."""
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != skip}
+
+
 def test_no_module_imports_identities():
     """The reference formulas are for the tests: no module of the package,
     its root included, imports ``larinfer.identities``."""
-    offenders = [
-        path.name
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "identities.py"
-        and "larinfer.identities" in _imported_modules(ast.parse(path.read_text()))
-    ]
+    offenders = [name for name, tree in _trees("identities.py").items()
+                 if "larinfer.identities" in _imported_modules(tree)]
     assert offenders == []
 
 
@@ -52,36 +53,47 @@ def test_only_the_path_module_names_step_records():
             return node.attr in ("LarStep", "steps")
         return False
 
-    offenders = [
-        path.name
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "path.py"
-        and any(offends(node) for node in ast.walk(ast.parse(path.read_text())))
-    ]
+    offenders = [name for name, tree in _trees("path.py").items()
+                 if any(offends(node) for node in ast.walk(tree))]
     assert offenders == []
 
 
-BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# Reached only from outside the package: the benchmark's trace worker
+# (``bench/trace_worker.py``) counts a traced path's steps as ``len(path.steps)``.
+OUTSIDE_CALLERS = {"LarPath.steps"}
+
+
+def test_every_definition_has_a_production_caller():
+    """Each module-level function or class, and each public method, outside
+    ``identities.py`` is named in the package's code outside ``identities.py``
+    or re-exported by the package root: code that only the tests call lives
+    with the tests or in ``larinfer.identities``."""
+    trees = _trees("identities.py").values()
+
+    def name(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            return node.id
+        return getattr(node, "attr", None) or getattr(node, "name", None)
+
+    named = {name(node) for tree in trees for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    defined = {}
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.name
+        if isinstance(node, ast.ClassDef):
+            defined.update((f"{node.name}.{item.name}", item.name) for item in node.body
+                           if isinstance(item, ast.FunctionDef) and item.name[0] != "_")
+    unused = [qualified for qualified, bare in defined.items()
+              if bare not in named and not bare.startswith("__")
+              and qualified not in {*larinfer.__all__, *OUTSIDE_CALLERS}]
+    assert unused == []
+
+
 needs_threads = pytest.mark.skipif(
     not Path("/proc/self/task").is_dir() or (os.cpu_count() or 1) < 2,
     reason="counts threads in /proc/self/task on a machine with 2 or more CPUs",
 )
-
-
-def _child_env(**variables: str) -> dict[str, str]:
-    """The test's environment without the BLAS thread variables, plus
-    ``variables``, with the package on the import path."""
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    return {**env, **variables}
-
-
-def _run_python(code: str, env: dict[str, str]) -> list:
-    """The JSON value that ``code`` prints in a fresh interpreter."""
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    return json.loads(out.stdout)
 
 
 # [threads of the process, environment unchanged, OPENBLAS_NUM_THREADS]
@@ -96,13 +108,12 @@ _THREADS_AFTER_IMPORT = (
 def test_import_loads_blas_with_one_thread():
     """By default the package loads OpenBLAS with one thread and leaves the
     environment as it found it."""
-    assert _run_python(_THREADS_AFTER_IMPORT, _child_env()) == [1, True, None]
+    assert run_python(_THREADS_AFTER_IMPORT) == [1, True, None]
 
 
 @needs_threads
 def test_the_callers_thread_count_wins():
-    env = _child_env(OPENBLAS_NUM_THREADS="2")
-    assert _run_python(_THREADS_AFTER_IMPORT, env) == [2, True, "2"]
+    assert run_python(_THREADS_AFTER_IMPORT, OPENBLAS_NUM_THREADS="2") == [2, True, "2"]
 
 
 def test_import_after_numpy_leaves_the_environment_alone():
@@ -110,7 +121,7 @@ def test_import_after_numpy_leaves_the_environment_alone():
     not touch the environment."""
     code = ("import os, numpy; before = dict(os.environ); import larinfer; "
             "print(int(dict(os.environ) == before))")
-    assert _run_python(code, _child_env()) == 1
+    assert run_python(code) == 1
 
 
 def test_infer_output_does_not_depend_on_blas_threads(tmp_path):
@@ -121,7 +132,7 @@ def test_infer_output_does_not_depend_on_blas_threads(tmp_path):
         subprocess.run(
             [sys.executable, "-m", "larinfer.cli", "infer", str(diabetes_fixture_path()),
              "--response", "progression", "--draws", "100", "--out", str(out)],
-            check=True, env=_child_env(**variables),
+            check=True, env=child_env(**variables),
         )
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
@@ -136,7 +147,7 @@ def test_tie_demo_output_does_not_depend_on_blas_threads(tmp_path):
         subprocess.run(
             [sys.executable, "-m", "larinfer.cli", "tie-demo", "--n", "500", "--reps", "2000",
              "--seed", "1", "--out", str(out)],
-            check=True, capture_output=True, env=_child_env(**variables),
+            check=True, capture_output=True, env=child_env(**variables),
         )
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
@@ -151,8 +162,7 @@ ROOT_NAMES = {
                    "NonPositiveScale", "NotPositiveDefinite", "NotPrototypical",
                    "RankDeficient", "RejectionBudgetExceeded", "ZeroColumn"],
     "inference": ["InferenceReport", "build_inference_report", "chi2_thresholds",
-                  "chi2_upper_quantile", "estimate_m", "sigma_hat", "studentized_T",
-                  "tail_sums"],
+                  "chi2_upper_quantile", "estimate_m", "sigma_hat", "tail_sums"],
     "linalg": ["solve_spd"],
     "path": ["LarBatch", "LarPath", "MarginReport", "StandardizedData", "lar_batch",
              "lar_path", "margins", "standardize"],
@@ -162,22 +172,16 @@ ROOT_NAMES = {
 ALL_NAMES = sorted(name for names in ROOT_NAMES.values() for name in names)
 
 
-def _fresh(code: str):
-    """The JSON value that ``code`` prints in a fresh interpreter, with the
-    caller's BLAS settings."""
-    return _run_python(code, _child_env())
-
-
 def _loaded_after(statement: str) -> list[str]:
     """The modules of the package that a fresh ``statement`` leaves loaded."""
-    return _fresh(f"import json, sys; {statement}; print(json.dumps(sorted("
-                  "m for m in sys.modules if m.split('.')[0] == 'larinfer')))")
+    return run_python(f"import json, sys; {statement}; print(json.dumps(sorted("
+                      "m for m in sys.modules if m.split('.')[0] == 'larinfer')))")
 
 
 def test_import_loads_numpy_and_no_module_of_the_package():
     code = ("import json, sys, larinfer; print(json.dumps(['numpy' in sys.modules, "
             "sorted(m for m in sys.modules if m.startswith('larinfer.'))]))")
-    assert _fresh(code) == [True, []]
+    assert run_python(code) == [True, []]
 
 
 def test_root_names_are_the_defining_modules_objects():
@@ -188,7 +192,7 @@ def test_root_names_are_the_defining_modules_objects():
             "if getattr(larinfer, name) is not "
             "getattr(importlib.import_module('larinfer.' + module), name) "
             "or name not in vars(larinfer)]))")
-    assert _fresh(code) == []
+    assert run_python(code) == []
 
 
 def test_all_lists_the_root_names():
@@ -199,7 +203,7 @@ def test_star_import_and_dir_cover_the_root_names():
     code = ("import json, larinfer; listed = dir(larinfer); namespace = {}; "
             "exec('from larinfer import *', namespace); "
             "print(json.dumps([sorted(set(namespace) - {'__builtins__'}), listed]))")
-    bound, listed = _fresh(code)
+    bound, listed = run_python(code)
     assert bound == ALL_NAMES
     assert set(ALL_NAMES) <= set(listed)
 
@@ -207,7 +211,7 @@ def test_star_import_and_dir_cover_the_root_names():
 def test_submodules_resolve_on_first_use():
     code = (f"import json, larinfer; print(json.dumps("
             f"[getattr(larinfer, m).__name__ for m in {sorted(ROOT_NAMES)!r}]))")
-    assert _fresh(code) == [f"larinfer.{m}" for m in sorted(ROOT_NAMES)]
+    assert run_python(code) == [f"larinfer.{m}" for m in sorted(ROOT_NAMES)]
 
 
 def test_unknown_name_raises_attribute_error():
@@ -221,18 +225,18 @@ def test_identities_stays_unbound_until_imported():
             "before = [hasattr(larinfer, 'identities'), 'larinfer.identities' in sys.modules]; "
             "import larinfer.identities; "
             "print(json.dumps(before + [larinfer.identities is sys.modules['larinfer.identities']]))")
-    assert _fresh(code) == [False, False, True]
+    assert run_python(code) == [False, False, True]
 
 
 def test_first_name_leaves_the_environment_alone():
     code = ("import json, os, larinfer; before = dict(os.environ); larinfer.lar_path; "
             "print(json.dumps(dict(os.environ) == before))")
-    assert _fresh(code) is True
+    assert run_python(code) is True
 
 
 def test_io_loads_no_inference_machinery():
-    """``read_csv`` and ``load_diabetes`` need neither the bootstrap nor the
-    path engine; ``io`` names their types for annotations only."""
+    """``read_csv`` needs neither the bootstrap nor the path engine; ``io``
+    names their types for annotations only."""
     loaded = set(_loaded_after("import larinfer.io"))
     assert loaded.isdisjoint({"larinfer.bootstrap", "larinfer.inference", "larinfer.simulate"})
 

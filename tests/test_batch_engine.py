@@ -13,6 +13,7 @@ from larinfer.bootstrap import (
     interval_sets,
 )
 from larinfer.exceptions import RankDeficient
+from larinfer.identities import with_response
 from larinfer.inference import build_inference_report
 from larinfer.path import lar_batch, lar_path, standardize
 
@@ -225,7 +226,7 @@ def test_interval_sets_match_one_response_at_a_time(naive, diabetes, monkeypatch
     sets = list(interval_sets(data, Y, paths, m_bars, cfgs, naive=naive))
     assert len(sets) == 4
     for y, path, m_bar, cfg, iv in zip(Y, paths, m_bars, cfgs, sets):
-        ref = bootstrap_intervals(data.with_response(y * data.response_scale), path,
+        ref = bootstrap_intervals(with_response(data, y * data.response_scale), path,
                                   m_bar, cfg, naive=naive)
         assert iv.m_bar == m_bar and iv.draws == cfg.draws
         assert np.array_equal(iv.membership_freq, ref.membership_freq)

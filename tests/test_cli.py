@@ -3,7 +3,6 @@ import csv
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 import tempfile
@@ -12,12 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import child_env, diabetes_fixture_path, load_diabetes, run_python
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import larinfer.io as io_module
 from larinfer.cli import main
-from larinfer.io import diabetes_fixture_path, load_diabetes, read_csv
+from larinfer.io import read_csv
 from larinfer.exceptions import CsvParseError
 
 DIABETES = str(diabetes_fixture_path())
@@ -41,28 +41,28 @@ def _duplicate_pair_csv(tmp_path, rows, factor):
 
 class TestReadCsv:
     def test_round_trips_fixture(self):
-        names, table = read_csv(DIABETES)
-        assert names[-1] == "progression"
-        assert table.shape == (442, 11)
+        names, X, y = read_csv(DIABETES, "progression")
+        assert names[-1] == "glu" and len(names) == 10
+        assert X.shape == (442, 10) and y.shape == (442,)
 
     def test_error_coordinates(self, tmp_path):
         bad = _write_csv(tmp_path / "bad.csv", [["a", "b"], [1.0, 2.0], [3.0, "oops"]])
         with pytest.raises(CsvParseError) as err:
-            read_csv(bad)
+            read_csv(bad, "a")
         assert err.value.row == 3
         assert err.value.col == 2
 
     def test_ragged_row(self, tmp_path):
         bad = _write_csv(tmp_path / "ragged.csv", [["a", "b"], [1.0, 2.0, 3.0]])
         with pytest.raises(CsvParseError) as err:
-            read_csv(bad)
+            read_csv(bad, "a")
         assert err.value.row == 2
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")
         with pytest.raises(CsvParseError):
-            read_csv(p)
+            read_csv(p, "a")
 
 
 # (file bytes, whether np.loadtxt parses the body; else the cell loop runs)
@@ -88,6 +88,8 @@ CSV_PARITY = {
     "single row": (b"a,b,c\n1,2,3\n", True),
     "single column": (b"a\n1\n2\n3\n", True),
     "blank line, single column": (b"a\n1\n\n3\n", False),
+    # the binary pass counts three body rows; the cell loop's table has two
+    "quoted body cell across two lines": (b'a,b\n"1\n",2\n3,4\n', False),
     "header only": (b"a,b\n", False),
 }
 
@@ -107,6 +109,15 @@ def _cell_loop(path):
         return names, io_module._parse_cells(reader, len(names))
 
 
+def _split(names, table, response, order):
+    """The parsed table split into feature names, features in ``order`` and
+    the response column."""
+    idx = io_module._response_index(names, response)
+    keep = [i for i in range(len(names)) if i != idx]
+    X = np.asarray(table[:, keep], order=order)
+    return [names[i] for i in keep], X, table[:, idx].copy()
+
+
 @pytest.fixture
 def cell_loop_calls(monkeypatch):
     """Records each time ``read_csv`` falls back to the cell loop."""
@@ -117,22 +128,32 @@ def cell_loop_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("case", list(CSV_PARITY))
-def test_read_csv_fast_path_matches_cell_loop(case, tmp_path, cell_loop_calls):
-    content, fast = CSV_PARITY[case]
+def _assert_parity(content, fast, response, order, tmp_path, cell_loop_calls):
+    """``read_csv(path, response, order)`` gives the cell loop's table split
+    at the response, in the same layout, or the same error, and parses the
+    body with np.loadtxt unless the file is irregular."""
     path = tmp_path / "t.csv"
     path.write_bytes(content)
-    expected = _csv_outcome(_cell_loop, path)
+    expected = _csv_outcome(lambda p: _split(*_cell_loop(p), response, order), path)
     cell_loop_calls.clear()
-    got = _csv_outcome(read_csv, path)
+    got = _csv_outcome(lambda p: read_csv(p, response, order), path)
     assert bool(cell_loop_calls) != fast
     if expected[0] == "error":
         assert got == expected
-    else:
-        assert got[0] == expected[0]
-        assert got[1].dtype == expected[1].dtype == np.float64
-        assert got[1].shape == expected[1].shape
-        np.testing.assert_array_equal(got[1], expected[1])
+        return
+    assert got[0] == expected[0]
+    for got_part, want in zip(got[1:], expected[1:]):
+        assert got_part.dtype == np.float64 and got_part.shape == want.shape
+        assert got_part.tobytes() == want.tobytes()
+        assert got_part.flags.c_contiguous == want.flags.c_contiguous
+        assert got_part.flags.f_contiguous == want.flags.f_contiguous
+
+
+@pytest.mark.parametrize("case", list(CSV_PARITY))
+def test_read_csv_fast_path_matches_cell_loop(case, tmp_path, cell_loop_calls):
+    """Every file of the table with its first column as the response, with
+    the features in C order."""
+    _assert_parity(*CSV_PARITY[case], "a", "C", tmp_path, cell_loop_calls)
 
 
 def test_read_csv_fast_path_is_exact(tmp_path, cell_loop_calls):
@@ -141,10 +162,10 @@ def test_read_csv_fast_path_is_exact(tmp_path, cell_loop_calls):
     values = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 4))
     path = _write_csv(tmp_path / "r.csv", [["a", "b", "c", "d"]]
                       + [[repr(float(v)) for v in row] for row in values])
-    _, table = read_csv(path)
+    _, X, y = read_csv(path, "a")
     assert not cell_loop_calls
-    assert table.shape == values.shape
-    np.testing.assert_array_equal(table, values)
+    assert X.shape == (50, 3) and y.shape == (50,)
+    np.testing.assert_array_equal(np.column_stack([y, X]), values)
     np.testing.assert_array_equal(_cell_loop(path)[1], values)
 
 
@@ -196,34 +217,13 @@ def _split_cases():
 @pytest.mark.parametrize("content, fast, response", _split_cases())
 def test_read_csv_split_route_matches_table_route(content, fast, response, tmp_path,
                                                   cell_loop_calls):
-    """``read_csv(path, response)`` gives ``split_response`` of the parsed
-    table, Fortran-ordered features included, or the same error, and parses
-    the body with np.loadtxt exactly when the table route does."""
-    path = tmp_path / "t.csv"
-    path.write_bytes(content)
-    expected = _csv_outcome(lambda p: io_module.split_response(*_cell_loop(p), response), path)
-    cell_loop_calls.clear()
-    got = _csv_outcome(lambda p: read_csv(p, response), path)
-    assert bool(cell_loop_calls) != fast
-    if expected[0] == "error":
-        assert got == expected
-        return
-    assert got[0] == expected[0]
-    for got_part, want in zip(got[1:], expected[1:]):
-        assert got_part.dtype == np.float64 and got_part.shape == want.shape
-        assert got_part.tobytes() == want.tobytes()
-        assert np.isfortran(got_part) == np.isfortran(want)
+    """Every file of both tables with the features in Fortran order."""
+    _assert_parity(content, fast, response, "F", tmp_path, cell_loop_calls)
 
 
 @pytest.mark.parametrize("response", ["a", "b", "c"])
-def test_read_csv_split_route_in_c_order(response, tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_bytes(_block_csv(BLOCK_ROWS + 1))
-    _, X_f, y_f = read_csv(path, response)
-    _, X_c, y_c = read_csv(path, response, order="C")
-    assert X_c.flags.c_contiguous and np.isfortran(X_f)
-    np.testing.assert_array_equal(X_c, X_f)
-    assert y_c.tobytes() == y_f.tobytes()
+def test_read_csv_split_route_in_c_order(response, tmp_path, cell_loop_calls):
+    _assert_parity(_block_csv(BLOCK_ROWS + 1), True, response, "C", tmp_path, cell_loop_calls)
 
 
 def test_block_rows_is_one_block(tmp_path):
@@ -294,12 +294,7 @@ class TestFit:
         assert "row 3" in err and "column 1" in err
 
     def test_duplicate_column_exit_code(self, tmp_path, capsys):
-        rng = np.random.default_rng(0)
-        rows = [["a", "b", "y"]]
-        for _ in range(12):
-            v = float(rng.standard_normal())
-            rows.append([v, 2.0 * v, float(rng.standard_normal())])
-        dup = _write_csv(tmp_path / "dup.csv", rows)
+        dup = _duplicate_pair_csv(tmp_path, rows=12, factor=2.0)
         code = main(["fit", dup, "--response", "y"])
         assert code == 3
         assert "error:" in capsys.readouterr().err
@@ -346,6 +341,17 @@ class TestInfer:
         code = main(["infer", dup, "--response", "y", "--draws", "40"])
         assert code == 3
         assert "rank deficient" in capsys.readouterr().err
+
+    def test_path_that_stops_before_step_p_exits_3(self, tmp_path, capsys):
+        # an all-zero response, uncentered: the sample path has no step, and
+        # the stopping rule needs the tail sums of all p steps
+        path = _csv_file(tmp_path, "a,b,y\n1,2,0\n3,1,0\n2,5,0\n4,4,0\n")
+        assert main(["infer", path, "--response", "y", "--no-center"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: the sample path stops at step 0 of 2")
+        assert err.count("\n") == 1
+        assert main(["fit", path, "--response", "y", "--no-center"]) == 0
+        assert json.loads(capsys.readouterr().out)["terminated_at"] == 0
 
     def test_terminal_fit_solved_once(self, tmp_path, monkeypatch):
         import larinfer.bootstrap as bootstrap
@@ -463,11 +469,7 @@ class TestNearCollinearDesign:
 
 class TestSimulate:
     def _scenario(self, tmp_path, **overrides):
-        raw = dict(n=120, p=5, m=2, delta0=0.05, reps=2, boot_draws=50, seed=4)
-        raw.update(overrides)
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(raw))
-        return str(path)
+        return _scenario_file(tmp_path, json.dumps({**_SCENARIO, **overrides}))
 
     def test_smoke_and_reproducible(self, tmp_path, capsys):
         scen = self._scenario(tmp_path)
@@ -769,27 +771,16 @@ class TestTieDemo:
 
 def test_import_does_not_load_scipy_optimize():
     """A fresh ``import larinfer.cli`` loads no scipy module at all."""
-    import larinfer
-
-    src = str(Path(larinfer.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = ("import sys, larinfer.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    code = ("import json, sys, larinfer.cli; "
+            "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
+    assert run_python(code) == []
 
 
 def test_import_does_not_load_identities():
     """A fresh ``import larinfer.cli`` loads none of the reference formulas."""
-    import larinfer
-
-    src = str(Path(larinfer.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, larinfer.cli; print('larinfer.identities' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    code = ("import json, sys, larinfer.cli; "
+            "print(json.dumps('larinfer.identities' in sys.modules))")
+    assert run_python(code) is False
 
 
 def _limit_address_space():
@@ -808,16 +799,12 @@ def test_out_of_memory_exits_3_naming_the_size(command, names, tmp_path):
     """A bootstrap too large for memory ends with exit 3 and one error line
     that names the option to lower, not a traceback.  The child runs under a
     2 GiB address-space limit, so it cannot take much of the machine's memory."""
-    import larinfer
-
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"n": 100, "p": 5, "m": 2, "delta0": 0.5, "reps": 2,
                                     "boot_draws": 10 ** 12, "seed": 1}))
     argv = [a.format(scenario=scenario, out=tmp_path / "out.csv") for a in command]
-    src = str(Path(larinfer.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-m", "larinfer.cli", *argv], capture_output=True,
-                         text=True, env=env, preexec_fn=_limit_address_space, timeout=300)
+                         text=True, env=child_env(), preexec_fn=_limit_address_space, timeout=300)
     assert out.returncode == 3
     (line,) = out.stderr.splitlines()
     assert line.startswith("error: out of memory") and names in line
@@ -829,14 +816,10 @@ def test_row_count_too_large_to_allocate_goes_to_the_cell_loop(tmp_path):
     10^6 rows, 3 GB of design.  Under a 2 GiB address-space limit that
     allocation fails; the cell loop then reports the first blank line, as it
     does without the limit, instead of running out of memory."""
-    import larinfer
-
     path = tmp_path / "blank.csv"
     path.write_text(",".join(f"x{j}" for j in range(400)) + "\n" + "\n" * 10 ** 6)
-    src = str(Path(larinfer.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-m", "larinfer.cli", "fit", str(path),
-                          "--response", "x0"], capture_output=True, text=True, env=env,
+                          "--response", "x0"], capture_output=True, text=True, env=child_env(),
                          preexec_fn=_limit_address_space, timeout=300)
     assert out.returncode == 2
     assert out.stderr == "error: expected 400 fields, found 0 (row 2, column 1)\n"

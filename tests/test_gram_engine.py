@@ -5,6 +5,7 @@ import pytest
 from helpers import reference_lar_path_nspace
 
 from larinfer.exceptions import RankDeficient
+from larinfer.identities import with_response
 from larinfer.inference import build_inference_report
 from larinfer.linalg import GRAM_RANK_TOL, cholesky_spd, gram_factor
 from larinfer.path import lar_path, standardize
@@ -88,7 +89,7 @@ def test_strong_collinearity_error_scales_with_condition_squared(seed, noise):
 def test_factor_is_shared_across_responses():
     rng = np.random.default_rng(22)
     data = standardize(rng.standard_normal((50, 4)), rng.standard_normal(50))
-    other = data.with_response(rng.standard_normal(50))
+    other = with_response(data, rng.standard_normal(50))
     assert other.gram_factor is data.gram_factor
     R = data.gram_factor
     assert np.allclose(R.T @ R, data.X.T @ data.X, atol=1e-14)

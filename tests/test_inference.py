@@ -7,14 +7,13 @@ from scipy.special import chdtri
 from scipy.stats import chi2 as chi2_dist
 
 from larinfer.exceptions import InvalidTail
-from larinfer.identities import full_column_basis, replay_states
+from larinfer.identities import full_column_basis, replay_states, studentized_T
 from larinfer.inference import (
     build_inference_report,
     chi2_thresholds,
     chi2_upper_quantile,
     estimate_m,
     sigma_hat,
-    studentized_T,
     tail_sums,
 )
 from larinfer.path import lar_path, standardize
@@ -210,7 +209,7 @@ class TestReportAssembly:
         assert report.sigma_hat == pytest.approx(
             math.sqrt(float(resid @ resid) / (data.n - data.p)), rel=1e-12
         )
-        assert np.allclose(report.S, report.W[::-1].cumsum()[::-1], atol=1e-10)
-        # default centers: observed up to m_bar, zero beyond
-        assert np.allclose(report.T_hat[: report.m_bar], 0.0, atol=0)
-        assert np.all(report.T_hat[report.m_bar :] != 0.0)
+        W, S = tail_sums(path, report.sigma_hat, data.n)
+        assert np.allclose(report.S, W[::-1].cumsum()[::-1], atol=1e-10)
+        assert report.S.tobytes() == S.tobytes()
+        assert report.m_bar == estimate_m(report.S, report.thresholds)

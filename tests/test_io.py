@@ -10,13 +10,14 @@ import weakref
 
 import numpy as np
 import pytest
+from helpers import diabetes_fixture_path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import larinfer.io as io_module
 from larinfer import cli
 from larinfer.cli import main
-from larinfer.io import diabetes_fixture_path, write_json
+from larinfer.io import write_json
 from larinfer.path import StandardizedData, standardize
 
 DIABETES = str(diabetes_fixture_path())
@@ -150,7 +151,7 @@ def test_ingest_standardizes_like_standardize(tmp_path, response, no_center):
     rng = np.random.default_rng(response)
     table = rng.standard_normal((300, 9)) * rng.uniform(0.1, 50.0, 9) + rng.uniform(-9, 9, 9)
     path = _design_csv(tmp_path, table, response)
-    _, X, y = io_module.split_response(*io_module.read_csv(path), "y")
+    _, X, y = io_module.read_csv(path, "y")
     X_before, y_before = X.copy(order="K"), y.copy()
     expected = standardize(X, y, center=not no_center)
     assert X.tobytes() == X_before.tobytes() and np.isfortran(X) == np.isfortran(X_before)

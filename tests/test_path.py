@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import orthonormal_design, population_instance, random_instance
+from helpers import load_diabetes, orthonormal_design, population_instance, random_instance
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -63,8 +63,6 @@ class TestStandardize:
 
     def test_diabetes_design_already_standardized(self, diabetes):
         names, data = diabetes
-        from larinfer.io import load_diabetes
-
         _, X_raw, y_raw = load_diabetes()
         assert np.allclose(data.X, X_raw, atol=1e-12)
         assert np.allclose(

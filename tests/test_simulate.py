@@ -8,7 +8,7 @@ import larinfer.simulate as simulate
 from helpers import orthonormal_design, reference_run_coverage
 
 from larinfer.exceptions import RejectionBudgetExceeded
-from larinfer.identities import asymptotic_coef_cov, ols_on_active
+from larinfer.identities import asymptotic_coef_cov, ols_on_active, with_response
 from larinfer.path import lar_path, margins, standardize
 from larinfer.simulate import (
     ScenarioSpec,
@@ -219,7 +219,7 @@ class TestAsymptoticCoefCov:
         )
         samples = []
         for _ in range(2500):
-            d = data.with_response(mu_n + rng.standard_normal(n))
+            d = with_response(data, mu_n + rng.standard_normal(n))
             path = lar_path(d, d.y)
             if path.entrants[:m] != pop.entrants:
                 continue
