@@ -166,14 +166,13 @@ class BootstrapSetup:
     pools: Matrix  # R x n centered, scaled full-fit residuals to resample from
     sigmas: Vector  # R residual-scale estimates sigma-hat of the full fits
     b_bars: Matrix  # R x p terminal refits on the first m_bar entrants
-    b_centers: Matrix  # R x p coefficients of the resampling center mu = X b_center
-    starts: Matrix  # R x p X'mu
+    starts: Matrix  # R x p X'mu of the resampling center mu = X b_bar
     centers: Matrix  # R x p correlations the replica statistics are centered at
     m_bars: NDArray[np.int64]
 
 
 def bootstrap_setup(
-    data: StandardizedData, Y: Matrix, paths: list[LarPath], m_bars, naive: bool = False
+    data: StandardizedData, Y: Matrix, paths: list[LarPath], m_bars
 ) -> BootstrapSetup:
     """Set-up of each response row of Y (on the scale of ``data.y``) with its
     sample path and m_bar; each quantity is computed for all rows at once."""
@@ -184,19 +183,12 @@ def bootstrap_setup(
     for r, (path, m_bar) in enumerate(zip(paths, m_bars.tolist())):
         entrants[r, :m_bar] = path.entrants[:m_bar]
         xty[r] = path.start_correlations
-        steps = path.terminated_at if naive else m_bar
-        centers[r, :steps] = path.correlations[:steps]
+        centers[r, :m_bar] = path.correlations[:m_bar]
     b_bars = _refits(data, entrants, xty, m_bars)
-    fits = full_fit(data, Y)
-    # full least-squares resampling center when naive: its path
-    # correlations equal the sample ones at every step, so the replica
-    # statistics are centered at the full correlation sequence.
-    # Demonstrates the failure mode for steps beyond the true
-    # termination point.
-    b_centers = fits if naive else b_bars
     return BootstrapSetup(
-        data, paths, _residual_pools(data, Y, fits), sigma_hat(data, Y * data.response_scale),
-        b_bars, b_centers, (data.gram @ b_centers.T).T, centers, m_bars,
+        data, paths, _residual_pools(data, Y, full_fit(data, Y)),
+        sigma_hat(data, Y * data.response_scale), b_bars, (data.gram @ b_bars.T).T,
+        centers, m_bars,
     )
 
 
@@ -338,7 +330,6 @@ def bootstrap_intervals(
     path: LarPath,
     m_bar: int,
     cfg: BootstrapConfig,
-    naive: bool = False,
 ) -> IntervalSet:
     """Confidence intervals for step correlations and step coefficients.
 
@@ -348,7 +339,7 @@ def bootstrap_intervals(
     re-fit by least squares.  Negative lower endpoints of correlation
     intervals are clamped to zero.
     """
-    return next(interval_sets(data, data.y[None], [path], [m_bar], [cfg], naive))
+    return next(interval_sets(data, data.y[None], [path], [m_bar], [cfg]))
 
 
 def interval_sets(
@@ -357,7 +348,6 @@ def interval_sets(
     paths: list[LarPath],
     m_bars,
     cfgs: list[BootstrapConfig],
-    naive: bool = False,
 ) -> Iterator[IntervalSet]:
     """``bootstrap_intervals`` of each response row of Y (on the scale of
     ``data.y``) with its sample path, m_bar and config, yielded in order.
@@ -367,7 +357,7 @@ def interval_sets(
     few engine calls instead of one per response; each replica still draws
     from ``replica_rng(cfg.seed, b)``.
     """
-    setup = bootstrap_setup(data, Y, paths, m_bars, naive)
+    setup = bootstrap_setup(data, Y, paths, m_bars)
     return (
         _intervals(setup, r, cfg, *stats)
         for r, (cfg, stats) in enumerate(zip(cfgs, _collect(setup, cfgs)))

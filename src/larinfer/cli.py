@@ -102,10 +102,11 @@ def cmd_simulate(args) -> int:
         if done % batch == 0 or done == total:
             print(f"replication {done}/{total}", file=sys.stderr)
 
-    result = run_coverage(spec, progress=progress)
     out_path = Path(args.out)
     write_header = not out_path.exists() or out_path.stat().st_size == 0
+    # opened before the study, so an unwritable --out fails before the work
     with open(out_path, "a", encoding="utf-8", newline="") as fh:
+        result = run_coverage(spec, progress=progress)
         writer = csv.writer(fh)
         if write_header:
             writer.writerow(

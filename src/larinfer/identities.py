@@ -3,11 +3,12 @@
 Every routine here restates a quantity that the production code computes
 another way: alternative step-length and equiangular formulas, an n-space
 Gram-Schmidt basis and a replay of a recorded path through it, the entrance
-criteria, a closed form of the step correlation, the studentized step
-statistics of one path, the one-column quantile, a design with a new
-response, the single-response residual pool and terminal refit and
+criteria, a closed form of the step correlation, the per-step and
+studentized step statistics of one path, the one-column quantile, a design
+with a new response, the single-response residual pool and terminal refit and
 single-draw forms of the bootstrap, and the asymptotic covariance of the
-step-coefficient errors.  The tests check the engine against them.  No
+step-coefficient errors.  The tests check the engine against them.  The
+standard residual bootstrap, the paper's counterexample, is here as well.  No
 module of the package imports this one, the package root included; import
 it as ``larinfer.identities``.
 """
@@ -21,6 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .bootstrap import (
+    BootstrapSetup,
     TerminalCoefficients,
     _ols_from_correlations,
     _residual_pools,
@@ -307,6 +309,12 @@ def population_correlation_closed_form(
     return num / denom
 
 
+def step_statistics(path: LarPath, sigma: float, n: int) -> Vector:
+    """Per-step statistics W_k = n (1/A_k^2 - 1/A_{k-1}^2) C_k^2 / sigma^2,
+    whose tail sums ``tail_sums`` returns, by the same expression."""
+    return n * path.inv_angle_sq_increments * path.correlations**2 / sigma**2
+
+
 def studentized_T(path: LarPath, centers: Vector, sigma: float, n: int) -> Vector:
     """Studentized step-correlation statistics relative to given centers;
     the bootstrap computes them for its replicas in ``_replicas``."""
@@ -375,9 +383,28 @@ def bootstrap_path_draw(
     """One replica path and its residual-scale estimate."""
     setup = bootstrap_setup(data, data.y[None], [path], [m_bar])
     eps = setup.pools[0][rng.integers(0, data.n, data.n)]
-    path_star = lar_path(data, data.X @ setup.b_centers[0] + eps, zero_tol=0.0)
+    path_star = lar_path(data, data.X @ setup.b_bars[0] + eps, zero_tol=0.0)
     sigma_star = _residual_scale(data, (data.X.T @ eps)[None], np.array([eps @ eps]))
     return path_star, float(sigma_star[0])
+
+
+def naive_setup(
+    data: StandardizedData, Y: Matrix, paths: list[LarPath], m_bars
+) -> BootstrapSetup:
+    """``bootstrap_setup`` of the standard residual bootstrap, which can fail
+    for LAR: the replicas resample around the full least-squares fit, whose
+    path correlations equal the sample ones at every step, so the replica
+    statistics are centered at each path's whole correlation sequence.
+
+    Substituted for ``larinfer.bootstrap.bootstrap_setup``, it runs the
+    production chain on the standard bootstrap; the production set-up it
+    starts from is the one bound when this module was imported.
+    """
+    setup = bootstrap_setup(data, Y, paths, m_bars)
+    centers = np.zeros_like(setup.centers)
+    for r, path in enumerate(paths):
+        centers[r, : path.terminated_at] = path.correlations
+    return replace(setup, starts=(data.gram @ full_fit(data, Y).T).T, centers=centers)
 
 
 @dataclass(frozen=True)

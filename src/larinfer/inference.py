@@ -121,18 +121,15 @@ def chi2_thresholds(p: int, n: int) -> Vector:
     return np.array([chi2_upper_quantile(p - k + 1, 1.0 / n) for k in range(1, p + 1)])
 
 
-def tail_sums(
-    path: LarPath | LarBatch, sigma: float | Vector, n: int
-) -> tuple[Vector, Vector]:
-    """Per-step statistics W and their tail sums S over a full sample path.
+def tail_sums(path: LarPath | LarBatch, sigma: float | Vector, n: int) -> Vector:
+    """Tail sums S_k = W_k + ... + W_p over a full sample path of the per-step
+    statistics W_k = n (1/A_k^2 - 1/A_{k-1}^2) C_k^2 / sigma^2.
 
-    For a LarBatch, ``sigma`` is a column with one estimate per row, and W and
-    S have one row per path (0 past the row's last step).
+    For a LarBatch, ``sigma`` is a column with one estimate per row, and S has
+    one row per path (0 past the row's last step).
     """
-    increments = path.inv_angle_sq_increments
-    W = n * increments * path.correlations**2 / sigma**2
-    S = W[..., ::-1].cumsum(axis=-1)[..., ::-1]
-    return W, S
+    W = n * path.inv_angle_sq_increments * path.correlations**2 / sigma**2
+    return W[..., ::-1].cumsum(axis=-1)[..., ::-1]
 
 
 def estimate_m(S: Vector, thresholds: Vector) -> int | NDArray[np.int64]:
@@ -170,6 +167,6 @@ def build_inference_report(data: StandardizedData, path: LarPath) -> InferenceRe
             "the stopping rule needs the tail sums of all p steps"
         )
     sigma = sigma_hat(data, data.y * data.response_scale)
-    _, S = tail_sums(path, sigma, data.n)
+    S = tail_sums(path, sigma, data.n)
     thresholds = chi2_thresholds(data.p, data.n)
     return InferenceReport(sigma, S, thresholds, estimate_m(S, thresholds))

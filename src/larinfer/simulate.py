@@ -127,16 +127,11 @@ class CoverageResult:
 
 
 def run_coverage(
-    spec: ScenarioSpec,
-    naive: bool = False,
-    progress: Callable[[int, int], None] | None = None,
+    spec: ScenarioSpec, progress: Callable[[int, int], None] | None = None
 ) -> CoverageResult:
-    """Coverage study over fresh-noise replications of one accepted scenario.
-
-    ``naive`` recenters the bootstrap on the full least-squares fit instead
-    of the truncated projection, demonstrating its failure on the zero
-    targets beyond the true termination step.
-    """
+    """Coverage study of the modified bootstrap over fresh-noise replications
+    of one accepted scenario; ``progress(done, total)`` follows the
+    replications."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
     draw = generate_scenario(spec, rng)
     data, pop = draw.data, draw.pop_path
@@ -152,7 +147,7 @@ def run_coverage(
     term_cov: list[float] = []
     zero_cov: list[float] = []
     m_bars: list[int] = []
-    for i, (m_bar, iv) in enumerate(_replications(spec, data, thresholds, naive)):
+    for i, (m_bar, iv) in enumerate(_replications(spec, data, thresholds)):
         m_bars.append(m_bar)
         if iv is not None:
             corr = iv.correlation_intervals
@@ -194,7 +189,7 @@ def run_coverage(
 
 
 def _replications(
-    spec: ScenarioSpec, data: StandardizedData, thresholds: Vector, naive: bool
+    spec: ScenarioSpec, data: StandardizedData, thresholds: Vector
 ) -> Iterator[tuple[int, IntervalSet | None]]:
     """(m_bar, bootstrap intervals) of each replication in order; the
     intervals are None where m_bar is 0.
@@ -232,17 +227,14 @@ def _replications(
                 "rounding of the mean"
             )
         sigma = sigma_hat(data, Y * data.response_scale)
-        _, S = tail_sums(paths, sigma[:, None], n)
-        m_bars = estimate_m(S, thresholds)
+        m_bars = estimate_m(tail_sums(paths, sigma[:, None], n), thresholds)
         boot = np.flatnonzero(m_bars > 0)
         cfgs = [
             BootstrapConfig(draws=spec.boot_draws, alpha=spec.alpha, seed=int(
                 np.random.SeedSequence([spec.seed, 2, reps[i]]).generate_state(1)[0]))
             for i in boot
         ]
-        sets = interval_sets(
-            data, Y[boot], [paths.path(i) for i in boot], m_bars[boot], cfgs, naive=naive
-        )
+        sets = interval_sets(data, Y[boot], [paths.path(i) for i in boot], m_bars[boot], cfgs)
         del Y, paths
         for m_bar in m_bars.tolist():
             yield m_bar, (next(sets) if m_bar > 0 else None)

@@ -1,7 +1,7 @@
 """The bundled diabetes data, the environment of a child interpreter, shared
 generators for randomized tests, the n-space reference path engine, the
-per-replica reference bootstrap, and the per-replication reference coverage
-study."""
+per-replica reference bootstrap, the switch to the standard (naive)
+bootstrap, and the per-replication reference coverage study."""
 
 import json
 import math
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+import larinfer.bootstrap as bootstrap
 from larinfer.bootstrap import (
     BootstrapConfig,
     BootstrapSetup,
@@ -28,6 +29,7 @@ from larinfer.identities import (
     append_innovation,
     full_column_basis,
     gamma_crossings,
+    naive_setup,
     project,
     with_response,
 )
@@ -213,13 +215,14 @@ def reference_collect(
     residual scale from the n-space basis of the full column space, and
     refits its terminal step with its own solve.  The resampling state (pool,
     center, centers, terminal refit) is read from ``setup``, and the cells
-    and sample coefficients from the sample path; the center mu = X b_center
-    equals the projection the loop used to build, up to rounding.
+    and sample coefficients from the sample path; the center mu = X b, with
+    b solved from the set-up's X'mu, equals the projection the loop used to
+    build, up to rounding.
     """
     data, path, m_bar = setup.data, setup.paths[0], int(setup.m_bars[0])
     n, p = data.n, data.p
     basis = full_column_basis(data)
-    mu_center = data.X @ setup.b_centers[0]
+    mu_center = data.X @ np.linalg.solve(data.gram, setup.starts[0])
     cells = [(k, j) for k in range(1, m_bar + 1) for j in path.entrants[:k]]
     t_rows, b_rows, entry_rows = [], [], []
     for index in range(cfg.draws):
@@ -265,14 +268,23 @@ def reference_collect(
     return np.array(t_rows), np.array(b_rows), np.array(entry_rows)
 
 
-def reference_run_coverage(spec: ScenarioSpec, naive: bool = False) -> CoverageResult:
+def use_naive_bootstrap(monkeypatch, naive: bool = True) -> None:
+    """When ``naive``, make the library run the standard residual bootstrap:
+    ``identities.naive_setup`` replaces the set-up that ``interval_sets``
+    (and so ``bootstrap_intervals`` and ``run_coverage``) calls."""
+    if naive:
+        monkeypatch.setattr(bootstrap, "bootstrap_setup", naive_setup)
+
+
+def reference_run_coverage(spec: ScenarioSpec) -> CoverageResult:
     """Test-only reference: ``run_coverage`` one replication at a time.
 
     A copy of the loop the library ran before the coverage study moved to
     batches: each replication builds its own response from its noise stream,
     runs ``lar_path`` and ``sigma_hat`` on it, and, when its m_bar is
     positive, calls ``bootstrap_intervals`` with its own seed, so every
-    replication makes its own two engine calls.
+    replication makes its own two engine calls.  After ``use_naive_bootstrap``
+    it runs the standard bootstrap, as ``run_coverage`` does.
     """
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
     draw = generate_scenario(spec, rng)
@@ -292,14 +304,14 @@ def reference_run_coverage(spec: ScenarioSpec, naive: bool = False) -> CoverageR
         d = with_response(data, data.y * data.response_scale + eps)
         path = lar_path(d, d.y, zero_tol=0.0)
         sigma = sigma_hat(d, d.y * d.response_scale)
-        _, S = tail_sums(path, sigma, n)
+        S = tail_sums(path, sigma, n)
         m_bar = estimate_m(S, thresholds)
         m_hits += m_bar == m
         if m_bar > 0:
             evaluated += 1
             boot_seed = int(np.random.SeedSequence([spec.seed, 2, i]).generate_state(1)[0])
             cfg = BootstrapConfig(draws=spec.boot_draws, alpha=spec.alpha, seed=boot_seed)
-            iv = bootstrap_intervals(d, path, m_bar, cfg, naive=naive)
+            iv = bootstrap_intervals(d, path, m_bar, cfg)
             corr = iv.correlation_intervals
             hits = [
                 corr[k - 1, 0] <= target_C[k - 1] <= corr[k - 1, 1]

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import orthonormal_design, random_instance
+from helpers import orthonormal_design, random_instance, use_naive_bootstrap
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
@@ -205,7 +205,7 @@ def test_06_termination_estimate_consistency():
         y_n = data.y * data.response_scale + noise.standard_normal(spec.n)
         d = with_response(data, y_n)
         path = lar_path(d, d.y)
-        _, S = tail_sums(path, sigma_hat(d, y_n), spec.n)
+        S = tail_sums(path, sigma_hat(d, y_n), spec.n)
         hits += estimate_m(S, thresholds) == spec.m
     rate = hits / reps
     assert rate >= 0.97
@@ -227,12 +227,13 @@ def test_07_coverage_at_scale():
           f"terminal={result.terminal_coverage:.3f} in {elapsed:.0f}s")
 
 
-def test_08_modified_vs_naive_bootstrap():
+def test_08_modified_vs_naive_bootstrap(monkeypatch):
     start = time.perf_counter()
     spec = ScenarioSpec(n=1000, p=20, m=3, delta0=0.2, reps=200,
                         boot_draws=200, seed=8, threads=4)
-    modified = run_coverage(spec, naive=False)
-    naive = run_coverage(spec, naive=True)
+    modified = run_coverage(spec)
+    use_naive_bootstrap(monkeypatch)
+    naive = run_coverage(spec)
     assert naive.zero_step_coverage < 0.85
     assert 0.90 <= modified.zero_step_coverage <= 0.98
     elapsed = time.perf_counter() - start
@@ -326,7 +327,7 @@ def scenario_batch():
     Y -= Y.mean(axis=1, keepdims=True)
     batch = lar_batch((Y / data.response_scale) @ data.X, data.gram, coef_steps=0)
     sigma = sigma_hat(data, Y)
-    _, S = tail_sums(batch, sigma[:, None], n)
+    S = tail_sums(batch, sigma[:, None], n)
     keep = (batch.entrants[:, : spec.m] == pop.entrants).all(axis=1)
     assert keep.mean() >= 0.99
     return spec, pop, batch, sigma, S, keep, time.perf_counter() - start

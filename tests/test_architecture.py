@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -88,6 +89,51 @@ def test_every_definition_has_a_production_caller():
               if bare not in named and not bare.startswith("__")
               and qualified not in {*larinfer.__all__, *OUTSIDE_CALLERS}]
     assert unused == []
+
+
+# Passed only from outside the package: the trace worker replays the command
+# line through ``main(argv)``.
+OUTSIDE_ARGUMENTS = {"main(argv)"}
+
+
+def test_every_defaulted_parameter_is_passed_in_production():
+    """Each defaulted parameter of a module-level function or a method outside
+    ``identities.py`` is passed, by position or by keyword, by some call of
+    that name in the package's code outside ``identities.py``: a switch that
+    only the tests set belongs with the tests or in ``larinfer.identities``."""
+    trees = _trees("identities.py").values()
+    # per callee name: the most positional arguments of a call, and the keywords
+    positional: dict[str, float] = {}
+    keywords: dict[str, set[str]] = {}
+    for call in (node for tree in trees for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)):
+        callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        spread = any(isinstance(arg, ast.Starred) for arg in call.args)
+        positional[callee] = max(positional.get(callee, 0),
+                                 math.inf if spread else len(call.args))
+        keywords.setdefault(callee, set()).update(kw.arg or "**" for kw in call.keywords)
+
+    unpassed = []
+    for node in (node for tree in trees for node in tree.body):
+        is_class = isinstance(node, ast.ClassDef)
+        for fn in node.body if is_class else [node]:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            # a method's first parameter is bound by the attribute lookup
+            bound = int(is_class and "staticmethod" not in
+                        [getattr(d, "id", None) for d in fn.decorator_list])
+            ordered = fn.args.posonlyargs + fn.args.args
+            first_default = len(ordered) - len(fn.args.defaults)
+            defaulted = [(i - bound, arg.arg) for i, arg in enumerate(ordered)
+                         if i >= first_default]
+            defaulted += [(math.inf, arg.arg) for arg, default
+                          in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
+            passed = keywords.get(fn.name, set())
+            unpassed += [f"{node.name + '.' if is_class else ''}{fn.name}({param})"
+                         for index, param in defaulted
+                         if positional.get(fn.name, 0) <= index
+                         and not {param, "**"} & passed]
+    assert sorted(set(unpassed) - OUTSIDE_ARGUMENTS) == []
 
 
 needs_threads = pytest.mark.skipif(

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import orthonormal_design, reference_collect
+from helpers import orthonormal_design, reference_collect, use_naive_bootstrap
 
 import larinfer.bootstrap as bootstrap
 from larinfer.bootstrap import (
@@ -152,7 +152,8 @@ def _case(name, diabetes):
 def test_collect_matches_per_replica_reference(name, diabetes, monkeypatch):
     data, m_bar, naive, draws, seed = _case(name, diabetes)
     path = lar_path(data, data.y)
-    setup = bootstrap_setup(data, data.y[None], [path], [m_bar], naive=naive)
+    use_naive_bootstrap(monkeypatch, naive)
+    setup = bootstrap.bootstrap_setup(data, data.y[None], [path], [m_bar])
     cfg = BootstrapConfig(draws=draws, seed=seed)
     t_new, b_new, e_new = next(bootstrap._collect(setup, [cfg]))
     t_ref, b_ref, e_ref = reference_collect(setup, cfg)
@@ -164,10 +165,10 @@ def test_collect_matches_per_replica_reference(name, diabetes, monkeypatch):
         assert _max_rel_diff(t_new, t_ref) <= 1e-10
         assert _max_rel_diff(b_new, b_ref) <= 1e-10
 
-    iv = bootstrap_intervals(data, path, m_bar, cfg, naive=naive)
+    iv = bootstrap_intervals(data, path, m_bar, cfg)
     # the reference statistics through the same interval assembly
     monkeypatch.setattr(bootstrap, "_collect", lambda setup, cfgs: iter([(t_ref, b_ref, e_ref)]))
-    iv_ref = bootstrap_intervals(data, path, m_bar, cfg, naive=naive)
+    iv_ref = bootstrap_intervals(data, path, m_bar, cfg)
     assert _max_rel_diff(iv.correlation_intervals, iv_ref.correlation_intervals) <= 1e-10
     assert iv.coefficient_intervals.keys() == iv_ref.coefficient_intervals.keys()
     for cell, ends in iv.coefficient_intervals.items():
@@ -223,11 +224,12 @@ def test_interval_sets_match_one_response_at_a_time(naive, diabetes, monkeypatch
     cfgs = [BootstrapConfig(draws=60, seed=50 + i) for i in range(4)]
     # 8 * p^2 = 800 bytes per replica: chunks of 25
     monkeypatch.setattr(bootstrap, "CHUNK_BYTES", 25 * 800)
-    sets = list(interval_sets(data, Y, paths, m_bars, cfgs, naive=naive))
+    use_naive_bootstrap(monkeypatch, naive)
+    sets = list(interval_sets(data, Y, paths, m_bars, cfgs))
     assert len(sets) == 4
     for y, path, m_bar, cfg, iv in zip(Y, paths, m_bars, cfgs, sets):
         ref = bootstrap_intervals(with_response(data, y * data.response_scale), path,
-                                  m_bar, cfg, naive=naive)
+                                  m_bar, cfg)
         assert iv.m_bar == m_bar and iv.draws == cfg.draws
         assert np.array_equal(iv.membership_freq, ref.membership_freq)
         assert _max_rel_diff(iv.correlation_intervals, ref.correlation_intervals) <= 1e-12

@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_instance
+from helpers import random_instance, use_naive_bootstrap
 
 import larinfer.bootstrap as bootstrap
 from larinfer.bootstrap import (
     BootstrapConfig,
     bootstrap_intervals,
-    bootstrap_setup,
     membership_curves,
 )
 from larinfer.identities import (
@@ -75,16 +74,19 @@ class TestResidualPool:
 
 
 @pytest.mark.parametrize("naive", [False, True])
-def test_resampling_center(diabetes, naive):
+def test_resampling_center(diabetes, naive, monkeypatch):
     """The modified bootstrap resamples around the least-squares fit on the
     first m_bar entrants, the naive one around the full least-squares fit."""
     _, data = diabetes
     path = lar_path(data, data.y)
-    setup = bootstrap_setup(data, data.y[None], [path], [4], naive=naive)
+    use_naive_bootstrap(monkeypatch, naive)
+    setup = bootstrap.bootstrap_setup(data, data.y[None], [path], [4])
     cols = list(range(data.p)) if naive else path.entrants[:4]
     expected = np.zeros(data.p)
     expected[cols] = np.linalg.lstsq(data.X[:, cols], data.y, rcond=None)[0]
-    assert np.allclose(setup.b_centers[0], expected, rtol=1e-10, atol=1e-12)
+    # the center's coefficients, from its X'mu
+    center = np.linalg.solve(data.gram, setup.starts[0])
+    assert np.allclose(center, expected, rtol=1e-10, atol=1e-12)
     assert np.allclose(setup.starts[0], data.X.T @ (data.X @ expected), rtol=1e-10, atol=1e-12)
 
 
@@ -221,13 +223,14 @@ class TestIntervals:
 
 
     @pytest.mark.parametrize("naive", [False, True])
-    def test_assembly_matches_per_cell_quantiles(self, diabetes, naive):
+    def test_assembly_matches_per_cell_quantiles(self, diabetes, naive, monkeypatch):
         """The interval endpoints, from one sort per replication, equal the
         per-step and per-cell nearest-rank quantiles bit for bit."""
         _, data = diabetes
         path = lar_path(data, data.y)
         cfg = BootstrapConfig(draws=199, alpha=0.1, seed=12)
-        setup = bootstrap_setup(data, data.y[None], [path], [5], naive=naive)
+        use_naive_bootstrap(monkeypatch, naive)
+        setup = bootstrap.bootstrap_setup(data, data.y[None], [path], [5])
         t_star, b_star, entries = next(bootstrap._collect(setup, [cfg]))
         iv = bootstrap._intervals(setup, 0, cfg, t_star, b_star, entries)
         sigma = float(setup.sigmas[0])

@@ -15,6 +15,7 @@ from helpers import child_env, diabetes_fixture_path, load_diabetes, run_python
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import larinfer.cli as cli
 import larinfer.io as io_module
 from larinfer.cli import main
 from larinfer.io import read_csv
@@ -511,6 +512,26 @@ class TestSimulate:
         code = main(["simulate", scen, "--out", str(tmp_path / "x.csv")])
         assert code == 4
         assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_2_before_the_study(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the study ran before --out was opened")
+
+        monkeypatch.setattr(cli, "run_coverage", never)
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["simulate", self._scenario(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out}'\n")
+
+    def test_file_left_empty_by_a_failed_study_gets_the_header(self, tmp_path):
+        out = tmp_path / "x.csv"
+        failing = self._scenario(tmp_path, delta0=1e6, rejection_cap=20)
+        assert main(["simulate", failing, "--out", str(out)]) == 4
+        assert out.read_bytes() == b""
+        assert main(["simulate", self._scenario(tmp_path), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][0] == "n" and len(rows) == 2
 
 
 def _csv_file(tmp_path, text):

@@ -7,7 +7,12 @@ from scipy.special import chdtri
 from scipy.stats import chi2 as chi2_dist
 
 from larinfer.exceptions import InvalidTail
-from larinfer.identities import full_column_basis, replay_states, studentized_T
+from larinfer.identities import (
+    full_column_basis,
+    replay_states,
+    step_statistics,
+    studentized_T,
+)
 from larinfer.inference import (
     build_inference_report,
     chi2_thresholds,
@@ -94,7 +99,7 @@ class TestTailSums:
         data = random_instance(rng, n=60, p=6)
         path = lar_path(data, data.y)
         sigma = sigma_hat(data, data.y * data.response_scale)
-        W, S = tail_sums(path, sigma, data.n)
+        W, S = step_statistics(path, sigma, data.n), tail_sums(path, sigma, data.n)
         assert np.all(W >= 0.0)
         assert S[-1] == pytest.approx(W[-1], abs=0)
         assert np.all(np.diff(S) <= 0.0)
@@ -105,7 +110,7 @@ class TestTailSums:
         data = random_instance(rng, n=70, p=5)
         path = lar_path(data, data.y)
         sigma = sigma_hat(data, data.y * data.response_scale)
-        W, _ = tail_sums(path, sigma, data.n)
+        W = step_statistics(path, sigma, data.n)
         # W_k = n (e_k' y)^2 / (e_k'e_k sigma^2) via the innovation identity
         for state in replay_states(data, path):
             e = state.innovation
@@ -116,7 +121,7 @@ class TestTailSums:
         _, data = diabetes
         path = lar_path(data, data.y)
         sigma = sigma_hat(data, data.y * data.response_scale)
-        _, S = tail_sums(path, sigma, data.n)
+        S = tail_sums(path, sigma, data.n)
         expected = [463.800, 155.713, 52.193, 33.742, 23.515,
                     8.167, 7.466, 2.835, 1.994, 0.028]
         assert np.allclose(S, expected, atol=0.5)
@@ -209,7 +214,8 @@ class TestReportAssembly:
         assert report.sigma_hat == pytest.approx(
             math.sqrt(float(resid @ resid) / (data.n - data.p)), rel=1e-12
         )
-        W, S = tail_sums(path, report.sigma_hat, data.n)
+        W = step_statistics(path, report.sigma_hat, data.n)
+        S = tail_sums(path, report.sigma_hat, data.n)
         assert np.allclose(report.S, W[::-1].cumsum()[::-1], atol=1e-10)
         assert report.S.tobytes() == S.tobytes()
         assert report.m_bar == estimate_m(report.S, report.thresholds)

@@ -5,7 +5,7 @@ import pytest
 
 import larinfer.bootstrap as bootstrap
 import larinfer.simulate as simulate
-from helpers import orthonormal_design, reference_run_coverage
+from helpers import orthonormal_design, reference_run_coverage, use_naive_bootstrap
 
 from larinfer.exceptions import RejectionBudgetExceeded
 from larinfer.identities import asymptotic_coef_cov, ols_on_active, with_response
@@ -113,7 +113,8 @@ def _split(rows: int, size: int) -> list[int]:
 @pytest.mark.parametrize("name", list(PARITY_SCENARIOS))
 def test_batched_study_matches_per_replication_loop(name, naive, monkeypatch):
     spec = ScenarioSpec(**PARITY_SCENARIOS[name])
-    expected = reference_run_coverage(spec, naive=naive)
+    use_naive_bootstrap(monkeypatch, naive)
+    expected = reference_run_coverage(spec)
     if name == "some m_bar=0":
         assert 0 < expected.reps_evaluated < spec.reps
     if name == "all m_bar=0":
@@ -130,7 +131,7 @@ def test_batched_study_matches_per_replication_loop(name, naive, monkeypatch):
     # repr equality: equal values and types, with NaN equal to NaN.  By
     # default the replications are one block, and their replicas share
     # chunks of CHUNK_ROWS.
-    assert repr(run_coverage(spec, naive=naive)) == repr(expected)
+    assert repr(run_coverage(spec)) == repr(expected)
     assert calls["sample"] == [spec.reps]
     assert calls["replica"] == _split(rows, bootstrap.CHUNK_ROWS)
 
@@ -141,7 +142,7 @@ def test_batched_study_matches_per_replication_loop(name, naive, monkeypatch):
     assert chunk < spec.boot_draws and spec.boot_draws % chunk
     calls["sample"].clear()
     calls["replica"].clear()
-    assert repr(run_coverage(spec, naive=naive)) == repr(expected)
+    assert repr(run_coverage(spec)) == repr(expected)
     assert calls["sample"] == _split(spec.reps, 3)
     sizes = calls["replica"]
     assert sum(sizes) == rows and all(0 < size <= chunk for size in sizes)
