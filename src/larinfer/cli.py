@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 from contextlib import nullcontext
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,6 @@ from . import io as reports
 from .bootstrap import BootstrapConfig, bootstrap_intervals
 from .exceptions import CsvParseError, LarInferError, RejectionBudgetExceeded
 from .inference import build_inference_report
-from .io import InferredPathReport
 from .path import _standardize_owned, lar_path
 from .simulate import ScenarioSpec, run_coverage, tie_demo
 
@@ -36,6 +36,13 @@ def _out_stream(path: str | None):
     if path is None or path == "-":
         return nullcontext(sys.stdout)
     return open(path, "w", encoding="utf-8", newline="")
+
+
+def _write_report(args, doc: dict, write_csv) -> int:
+    """Write ``doc`` to ``--out`` as JSON, or with ``write_csv`` for ``--format csv``."""
+    with _out_stream(args.out) as out:
+        (reports.write_json if args.format == "json" else write_csv)(doc, out)
+    return EXIT_OK
 
 
 def _load_standardized(args):
@@ -52,12 +59,7 @@ def cmd_fit(args) -> int:
     n, p, centered = data.n, data.p, data.centered
     del data  # the report reads only the path: free the design before building it
     doc = reports.path_report_dict(path, n, p, centered, names, args.response)
-    with _out_stream(args.out) as out:
-        if args.format == "json":
-            reports.write_json(doc, out)
-        else:
-            reports.write_fit_csv(doc, out)
-    return EXIT_OK
+    return _write_report(args, doc, reports.write_fit_csv)
 
 
 def _check_seed(seed: int) -> None:
@@ -77,16 +79,9 @@ def cmd_infer(args) -> int:
     inference = build_inference_report(data, path)
     cfg = BootstrapConfig(draws=args.draws, alpha=args.alpha, seed=args.seed)
     intervals = bootstrap_intervals(data, path, inference.m_bar, cfg)
-    report = InferredPathReport(
-        names, args.response, data, path, inference, intervals, cfg
-    )
-    doc = report.to_dict()
-    with _out_stream(args.out) as out:
-        if args.format == "json":
-            reports.write_json(doc, out)
-        else:
-            reports.write_infer_csv(doc, out)
-    return EXIT_OK
+    doc = reports.infer_report_dict(path, data.n, data.p, data.centered, names,
+                                    args.response, inference, intervals, cfg)
+    return _write_report(args, doc, reports.write_infer_csv)
 
 
 def cmd_simulate(args) -> int:
@@ -108,19 +103,10 @@ def cmd_simulate(args) -> int:
     with open(out_path, "a", encoding="utf-8", newline="") as fh:
         result = run_coverage(spec, progress=progress)
         writer = csv.writer(fh)
+        keys = ["n", "p", "m", "delta0", "reps", "boot_draws", "seed"]
         if write_header:
-            writer.writerow(
-                ["n", "p", "m", "delta0", "reps", "boot_draws", "seed",
-                 "corr_coverage", "coef_coverage", "m_correct",
-                 "terminal_coverage", "zero_step_coverage", "reps_evaluated"]
-            )
-        writer.writerow(
-            [spec.n, spec.p, spec.m, repr(spec.delta0), spec.reps,
-             spec.boot_draws, spec.seed, repr(result.corr_coverage),
-             repr(result.coef_coverage), repr(result.m_correct),
-             repr(result.terminal_coverage), repr(result.zero_step_coverage),
-             result.reps_evaluated]
-        )
+            writer.writerow(keys + [f.name for f in fields(result)])
+        writer.writerow([getattr(spec, key) for key in keys] + list(astuple(result)))
     return EXIT_OK
 
 
@@ -136,10 +122,8 @@ def cmd_tie_demo(args) -> int:
         writer = csv.writer(out)
         writer.writerow(["draw", "C1", "C2", "C3", "C4", "second_entrant"])
         for i in range(args.reps):
-            writer.writerow(
-                [i] + [repr(float(v)) for v in result.correlations[i]]
-                + [f"x{result.second_entrants[i] + 1}"]
-            )
+            writer.writerow([i, *result.correlations[i].tolist(),
+                             f"x{result.second_entrants[i] + 1}"])
     tallies = {
         f"x{j + 1}": int(np.sum(result.second_entrants == j)) for j in range(4)
     }

@@ -159,7 +159,8 @@ def build_inference_report(data: StandardizedData, path: LarPath) -> InferenceRe
     """σ̂, the tail sums, their thresholds and m̄ for a sample path.
 
     The stopping rule needs the tail sums of all p steps, so a path that
-    stops before step p raises DegenerateResponse.
+    stops before step p raises DegenerateResponse, and so does σ̂ = 0 (a
+    design that fits the response exactly), since the tail sums divide by σ̂².
     """
     if path.terminated_at < data.p:
         raise DegenerateResponse(
@@ -167,6 +168,9 @@ def build_inference_report(data: StandardizedData, path: LarPath) -> InferenceRe
             "the stopping rule needs the tail sums of all p steps"
         )
     sigma = sigma_hat(data, data.y * data.response_scale)
+    if sigma == 0.0:
+        raise DegenerateResponse("sigma_hat = 0: the design fits the response exactly, "
+                                 "and the tail sums divide by sigma_hat")
     S = tail_sums(path, sigma, data.n)
     thresholds = chi2_thresholds(data.p, data.n)
     return InferenceReport(sigma, S, thresholds, estimate_m(S, thresholds))

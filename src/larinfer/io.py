@@ -1,7 +1,8 @@
 """CSV ingestion, report assembly, and serialization for the CLI.
 
 All real numbers are serialized with ``repr`` (shortest round-trip, up to 17
-significant digits) so reports re-parse to the exact in-memory values.
+significant digits) so reports re-parse to the exact in-memory values; the
+CSV formats get that from ``csv.writer``, which writes a float as its ``repr``.
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -22,7 +22,7 @@ from .exceptions import CsvParseError
 if TYPE_CHECKING:
     from .bootstrap import BootstrapConfig, IntervalSet
     from .inference import InferenceReport
-    from .path import LarPath, StandardizedData
+    from .path import LarPath
 
 SCHEMA_VERSION = 1
 
@@ -193,6 +193,23 @@ def _response_index(names: list[str], response: str) -> int:
     return idx
 
 
+def _report(kind: str, path: LarPath, n: int, p: int, centered: bool, response: str,
+            **body) -> dict:
+    """A report document: the shared head, ``body`` in its order, then the
+    correlation and coefficient traces of ``path``."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "n": n,
+        "p": p,
+        "response": response,
+        "centered": centered,
+        **body,
+        "correlation_traces": np.abs(path.correlations_all).tolist(),
+        "coefficient_traces": path.coefficients.tolist(),
+    }
+
+
 def path_report_dict(
     path: LarPath, n: int, p: int, centered: bool, names: list[str], response: str
 ) -> dict:
@@ -211,91 +228,58 @@ def path_report_dict(
         }
         for k, (j, sign, corr, angle, weight) in enumerate(columns, start=1)
     ]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "fit",
-        "n": n,
-        "p": p,
-        "response": response,
-        "centered": centered,
-        "variables": names,
-        "terminated_at": path.terminated_at,
-        "steps": steps,
-        "correlation_traces": np.abs(path.correlations_all).tolist(),
-        "coefficient_traces": path.coefficients.tolist(),
-    }
+    return _report("fit", path, n, p, centered, response, variables=names,
+                   terminated_at=path.terminated_at, steps=steps)
 
 
-@dataclass(frozen=True)
-class InferredPathReport:
-    """Everything the inference tables and panels need, in one document."""
-
-    names: list[str]
-    response: str
-    data: StandardizedData
-    path: LarPath
-    inference: InferenceReport
-    intervals: IntervalSet
-    cfg: BootstrapConfig
-
-    def to_dict(self) -> dict:
-        names, path = self.names, self.path
-        inf, iv = self.inference, self.intervals
-        step_rows = [
-            {
-                "step": k,
-                "variable": names[path.entrants[k - 1]],
-                "tail_sum": float(inf.S[k - 1]),
-                "threshold": float(inf.thresholds[k - 1]),
-                "correlation": float(path.correlations[k - 1]),
-                "interval_lo": float(iv.correlation_intervals[k - 1, 0]),
-                "interval_hi": float(iv.correlation_intervals[k - 1, 1]),
-            }
-            for k in range(1, path.terminated_at + 1)
-        ]
-        m_bar = inf.m_bar
-        terminal_rows = [
-            {
-                "variable": names[j],
-                "estimate": float(iv.terminal.b_bar[j]),
-                "interval_lo": float(iv.coefficient_intervals[(m_bar, j)][0]),
-                "interval_hi": float(iv.coefficient_intervals[(m_bar, j)][1]),
-                "raw_estimate": float(iv.terminal.raw_scale[j]),
-            }
-            for j in path.entrants[:m_bar]
-        ]
-        coef_rows = [
-            {
-                "step": k,
-                "variable": names[j],
-                "estimate": float(
-                    iv.terminal.b_bar[j] if k == m_bar else path.coefficients[k - 1, j]
-                ),
-                "interval_lo": float(lo),
-                "interval_hi": float(hi),
-            }
-            for (k, j), (lo, hi) in sorted(iv.coefficient_intervals.items())
-        ]
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "infer",
-            "n": self.data.n,
-            "p": self.data.p,
-            "response": self.response,
-            "centered": self.data.centered,
-            "alpha": self.cfg.alpha,
-            "draws": self.cfg.draws,
-            "seed": self.cfg.seed,
-            "variables": names,
-            "sigma_hat": float(inf.sigma_hat),
-            "m_bar": m_bar,
-            "steps": step_rows,
-            "terminal_coefficients": terminal_rows,
-            "coefficient_intervals": coef_rows,
-            "membership_freq": iv.membership_freq.tolist(),
-            "correlation_traces": np.abs(path.correlations_all).tolist(),
-            "coefficient_traces": path.coefficients.tolist(),
+def infer_report_dict(
+    path: LarPath, n: int, p: int, centered: bool, names: list[str], response: str,
+    inference: InferenceReport, intervals: IntervalSet, cfg: BootstrapConfig,
+) -> dict:
+    """Inference report: the stopping-rule table, the terminal coefficients,
+    every step's coefficient intervals and the membership frequencies."""
+    inf, iv = inference, intervals
+    step_rows = [
+        {
+            "step": k,
+            "variable": names[path.entrants[k - 1]],
+            "tail_sum": float(inf.S[k - 1]),
+            "threshold": float(inf.thresholds[k - 1]),
+            "correlation": float(path.correlations[k - 1]),
+            "interval_lo": float(iv.correlation_intervals[k - 1, 0]),
+            "interval_hi": float(iv.correlation_intervals[k - 1, 1]),
         }
+        for k in range(1, path.terminated_at + 1)
+    ]
+    m_bar = inf.m_bar
+    terminal_rows = [
+        {
+            "variable": names[j],
+            "estimate": float(iv.terminal.b_bar[j]),
+            "interval_lo": float(iv.coefficient_intervals[(m_bar, j)][0]),
+            "interval_hi": float(iv.coefficient_intervals[(m_bar, j)][1]),
+            "raw_estimate": float(iv.terminal.raw_scale[j]),
+        }
+        for j in path.entrants[:m_bar]
+    ]
+    coef_rows = [
+        {
+            "step": k,
+            "variable": names[j],
+            "estimate": float(
+                iv.terminal.b_bar[j] if k == m_bar else path.coefficients[k - 1, j]
+            ),
+            "interval_lo": float(lo),
+            "interval_hi": float(hi),
+        }
+        for (k, j), (lo, hi) in sorted(iv.coefficient_intervals.items())
+    ]
+    return _report(
+        "infer", path, n, p, centered, response, alpha=cfg.alpha, draws=cfg.draws,
+        seed=cfg.seed, variables=names, sigma_hat=float(inf.sigma_hat), m_bar=m_bar,
+        steps=step_rows, terminal_coefficients=terminal_rows,
+        coefficient_intervals=coef_rows, membership_freq=iv.membership_freq.tolist(),
+    )
 
 
 def write_json(doc: dict, out) -> None:
@@ -367,16 +351,10 @@ def write_fit_csv(doc: dict, out) -> None:
     names = doc["variables"]
     writer = csv.writer(out)
     header = ["step", "variable", "sign", "correlation", "angle", "weight"]
-    header += [f"abs_corr_{n}" for n in names] + [f"coef_{n}" for n in names]
-    writer.writerow(header)
-    for i, row in enumerate(doc["steps"]):
-        cells = [
-            row["step"], row["variable"], repr(row["sign"]),
-            repr(row["correlation"]), repr(row["angle"]), repr(row["weight"]),
-        ]
-        cells += [repr(v) for v in doc["correlation_traces"][i]]
-        cells += [repr(v) for v in doc["coefficient_traces"][i]]
-        writer.writerow(cells)
+    writer.writerow(header + [f"abs_corr_{n}" for n in names] + [f"coef_{n}" for n in names])
+    traces = zip(doc["correlation_traces"], doc["coefficient_traces"])
+    for row, (corr, coef) in zip(doc["steps"], traces):
+        writer.writerow([row[key] for key in header] + corr + coef)
 
 
 def write_infer_csv(doc: dict, out) -> None:
@@ -385,16 +363,7 @@ def write_infer_csv(doc: dict, out) -> None:
         ["step", "variable", "tail_sum", "threshold", "correlation",
          "interval_lo", "interval_hi"]
     )
-    for row in doc["steps"]:
-        writer.writerow(
-            [row["step"], row["variable"], repr(row["tail_sum"]),
-             repr(row["threshold"]), repr(row["correlation"]),
-             repr(row["interval_lo"]), repr(row["interval_hi"])]
-        )
+    writer.writerows(row.values() for row in doc["steps"])
     writer.writerow([])
     writer.writerow(["variable", "estimate", "interval_lo", "interval_hi", "raw_estimate"])
-    for row in doc["terminal_coefficients"]:
-        writer.writerow(
-            [row["variable"], repr(row["estimate"]), repr(row["interval_lo"]),
-             repr(row["interval_hi"]), repr(row["raw_estimate"])]
-        )
+    writer.writerows(row.values() for row in doc["terminal_coefficients"])

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,22 @@ import larinfer.io as io_module
 from larinfer.cli import main
 from larinfer.io import read_csv
 from larinfer.exceptions import CsvParseError
+from larinfer.simulate import ScenarioSpec, run_coverage, tie_demo
 
 DIABETES = str(diabetes_fixture_path())
+
+
+def _cell(value) -> str:
+    """A report value as its CSV cell: the repr of a float, the str of an int
+    or a name."""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _json_doc(tmp_path, argv):
+    """The JSON report of the same run as ``argv``."""
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    return json.loads(out.read_text())
 
 
 def _write_csv(path, rows):
@@ -275,6 +290,12 @@ class TestFit:
         assert len(rows) == 11
         assert rows[1][1] == "bmi"
         assert float(rows[1][3]) == pytest.approx(45.16, abs=1e-2)
+        # every cell holds the JSON report's value, formatted as repr or str
+        doc = _json_doc(tmp_path, ["fit", DIABETES, "--response", "progression"])
+        traces = zip(doc["correlation_traces"], doc["coefficient_traces"])
+        for row, step, (corr, coef) in zip(rows[1:], doc["steps"], traces, strict=True):
+            assert row == [_cell(step[key]) for key in rows[0][:6]] + [
+                _cell(v) for v in corr + coef]
 
     def test_single_feature_toy(self, tmp_path):
         toy = _write_csv(
@@ -426,6 +447,34 @@ class TestInfer:
         blank = rows.index([])
         assert rows[blank + 1][0] == "variable"
         assert len(rows) == blank + 2 + 5
+        # every cell holds the JSON report's value, formatted as repr or str
+        doc = _json_doc(tmp_path, ["infer", DIABETES, "--response", "progression",
+                                   "--draws", "60", "--seed", "1"])
+        for header, body, table in ((rows[0], rows[1:blank], doc["steps"]),
+                                    (rows[blank + 1], rows[blank + 2:],
+                                     doc["terminal_coefficients"])):
+            for row, entry in zip(body, table, strict=True):
+                assert row == [_cell(entry[key]) for key in header]
+
+    def test_exact_fit_exits_3_naming_sigma_hat(self, tmp_path, capsys):
+        # y = 2a: the full fit leaves no residual, so sigma_hat = 0 and the
+        # tail sums would divide by zero
+        path = _csv_file(tmp_path, "a,y\n1,2\n2,4\n3,6\n4,8\n")
+        out = tmp_path / "out.json"
+        assert main(["infer", path, "--response", "y", "--draws", "40",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: sigma_hat = 0")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_rounding_level_sigma_hat_is_accepted(self, tmp_path):
+        # y = 3a up to the rounding of the decimal cells: sigma_hat is tiny
+        # but not 0, so the tail sums are huge but finite
+        path = _csv_file(tmp_path, "a,y\n0.1,0.3\n0.2,0.6\n0.3,0.9\n0.7,2.1\n")
+        doc = _json_doc(tmp_path, ["infer", path, "--response", "y", "--draws", "40"])
+        assert 0.0 < doc["sigma_hat"] < 1e-12
+        assert math.isfinite(doc["steps"][0]["tail_sum"])
 
 
 def _near_collinear_csv(tmp_path, offset):
@@ -483,6 +532,10 @@ class TestSimulate:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "n"
         assert len(rows) == 2
+        # the scenario's keys, then the study's result, each cell formatted
+        # as repr or str
+        values = {**_SCENARIO, **asdict(run_coverage(ScenarioSpec(**_SCENARIO)))}
+        assert rows[1] == [_cell(values[key]) for key in rows[0]]
         # appending to an existing file must not repeat the header
         assert main(["simulate", scen, "--out", str(out_a)]) == 0
         with open(out_a, newline="") as fh:
@@ -787,6 +840,8 @@ class TestTieDemo:
         assert len(rows) == 2
         assert rows[1][5] in ("x2", "x3")
         assert float(rows[1][1]) > 0.0
+        result = tie_demo(200, 1, np.random.default_rng(np.random.SeedSequence([2])))
+        assert rows[1][1:5] == [repr(v) for v in result.correlations[0].tolist()]
         assert "tie steps" in capsys.readouterr().err
 
 
