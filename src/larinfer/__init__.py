@@ -30,7 +30,6 @@ _EXPORTS = {
     "bootstrap": (
         "BootstrapConfig",
         "IntervalSet",
-        "TerminalCoefficients",
         "bootstrap_intervals",
         "membership_curves",
     ),
@@ -62,7 +61,6 @@ _EXPORTS = {
     "path": (
         "LarBatch",
         "LarPath",
-        "MarginReport",
         "StandardizedData",
         "lar_batch",
         "lar_path",

@@ -140,20 +140,14 @@ def _refits(data: StandardizedData, entrants, corr: Matrix, m_bars) -> Matrix:
 
 
 @dataclass(frozen=True)
-class TerminalCoefficients:
-    b_bar: Vector  # p-vector supported on the estimated active set
-    raw_scale: Vector  # back-mapped coefficients in original units
-
-
-@dataclass(frozen=True)
 class IntervalSet:
     correlation_intervals: Matrix  # p x 2, rows (lo, hi) for each step
     coefficient_intervals: dict[tuple[int, int], tuple[float, float]]
     membership_freq: Matrix  # p x p, rows variables, columns steps
-    m_bar: int
-    alpha: float
-    draws: int
-    terminal: TerminalCoefficients  # least-squares refit on the first m_bar entrants
+    # least-squares refit on the first m_bar entrants, a p-vector supported on
+    # them, and the same coefficients in the original units
+    b_bar: Vector
+    raw_b_bar: Vector
 
 
 @dataclass(frozen=True)
@@ -236,9 +230,8 @@ def _intervals(setup: BootstrapSetup, r: int, cfg: BootstrapConfig, t_star: Matr
         (center - b_hi * scale).tolist(), (center - b_lo * scale).tolist()
     )))
     b_bar = setup.b_bars[r]
-    terminal = TerminalCoefficients(b_bar, b_bar * data.response_scale / data.column_scales)
     return IntervalSet(corr, coef, membership_curves(entries, data.p),
-                       int(setup.m_bars[r]), cfg.alpha, cfg.draws, terminal)
+                       b_bar, b_bar * data.response_scale / data.column_scales)
 
 
 def _collect(

@@ -117,18 +117,15 @@ def cmd_tie_demo(args) -> int:
     if args.reps < 1:
         raise ValueError(f"--reps must be at least 1, got {args.reps}")
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
-    result = tie_demo(args.n, args.reps, rng)
+    correlations, second, population_path = tie_demo(args.n, args.reps, rng)
     with _out_stream(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(["draw", "C1", "C2", "C3", "C4", "second_entrant"])
         for i in range(args.reps):
-            writer.writerow([i, *result.correlations[i].tolist(),
-                             f"x{result.second_entrants[i] + 1}"])
-    tallies = {
-        f"x{j + 1}": int(np.sum(result.second_entrants == j)) for j in range(4)
-    }
+            writer.writerow([i, *correlations[i].tolist(), f"x{second[i] + 1}"])
+    tallies = {f"x{j + 1}": int(np.sum(second == j)) for j in range(4)}
     print(
-        f"population tie steps: {result.population_path.tie_steps}; "
+        f"population tie steps: {population_path.tie_steps}; "
         f"step-2 entrant tallies: {tallies}",
         file=sys.stderr,
     )

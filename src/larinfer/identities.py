@@ -23,7 +23,6 @@ from numpy.typing import NDArray
 
 from .bootstrap import (
     BootstrapSetup,
-    TerminalCoefficients,
     _ols_from_correlations,
     _residual_pools,
     _residual_scale,
@@ -367,11 +366,12 @@ def ols_on_active(data: StandardizedData, order: list[int], y: Vector) -> Vector
 
 def terminal_coefficients(
     data: StandardizedData, path: LarPath, m_bar: int
-) -> TerminalCoefficients:
-    """Least-squares refit of the path's response on its first m_bar
-    entrants, from X'y of ``data.y`` instead of the path's start correlations."""
+) -> tuple[Vector, Vector]:
+    """Least-squares refit (b_bar, raw_b_bar) of the path's response on its
+    first m_bar entrants, from X'y of ``data.y`` instead of the path's start
+    correlations; raw_b_bar is b_bar in the original units."""
     b_bar = ols_on_active(data, path.entrants[:m_bar], data.y)
-    return TerminalCoefficients(b_bar, b_bar * data.response_scale / data.column_scales)
+    return b_bar, b_bar * data.response_scale / data.column_scales
 
 
 def bootstrap_path_draw(

@@ -255,10 +255,10 @@ def infer_report_dict(
     terminal_rows = [
         {
             "variable": names[j],
-            "estimate": float(iv.terminal.b_bar[j]),
+            "estimate": float(iv.b_bar[j]),
             "interval_lo": float(iv.coefficient_intervals[(m_bar, j)][0]),
             "interval_hi": float(iv.coefficient_intervals[(m_bar, j)][1]),
-            "raw_estimate": float(iv.terminal.raw_scale[j]),
+            "raw_estimate": float(iv.raw_b_bar[j]),
         }
         for j in path.entrants[:m_bar]
     ]
@@ -267,7 +267,7 @@ def infer_report_dict(
             "step": k,
             "variable": names[j],
             "estimate": float(
-                iv.terminal.b_bar[j] if k == m_bar else path.coefficients[k - 1, j]
+                iv.b_bar[j] if k == m_bar else path.coefficients[k - 1, j]
             ),
             "interval_lo": float(lo),
             "interval_hi": float(hi),

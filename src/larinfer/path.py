@@ -104,12 +104,21 @@ def _standardize_owned(X: Matrix, y_raw: Vector, center: bool) -> StandardizedDa
     finite = all(np.isfinite(X[:, a:b]).all() for a, b in _column_blocks(p))
     if not (finite and np.isfinite(y).all()):
         raise NonFiniteValue("design or response holds a NaN or infinite entry")
-    if center:
-        X -= X.mean(axis=0)
-        y = y - y.mean()
-        if np.linalg.norm(y) <= 1e-12:
-            raise DegenerateResponse("response is constant after centering")
-    norms = _column_norms(X)
+    # cells near the float limit overflow a mean or a sum of squares, which
+    # leaves a norm that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        if center:
+            X -= X.mean(axis=0)
+            y = y - y.mean()
+        norms = _column_norms(X)
+        y_norm = np.linalg.norm(y)
+    if not np.isfinite(norms).all():
+        bad = int(np.argmin(np.isfinite(norms)))
+        raise NonFiniteValue(f"column {bad} is too large: its sum of squares overflows")
+    if not np.isfinite(y_norm):
+        raise NonFiniteValue("response is too large: its sum of squares overflows")
+    if center and y_norm <= 1e-12:
+        raise DegenerateResponse("response is constant after centering")
     if np.any(norms <= 1e-12):
         bad = int(np.argmin(norms))
         raise ZeroColumn(f"column {bad} has near-zero norm after centering")
@@ -433,21 +442,13 @@ def lar_path(
     return batch.path(0)
 
 
-@dataclass(frozen=True)
-class MarginReport:
-    delta_m1: float
-    delta_m2: float
-    delta: float
-    vacuous: bool
+def margins(population_path: LarPath) -> float:
+    """Largest separation constant delta satisfied by a prototypical path.
 
-
-def margins(population_path: LarPath) -> MarginReport:
-    """Largest separation constants satisfied by a prototypical path.
-
-    delta_m1 is the smallest gap between the step correlation and any
-    non-active competitor; delta_m2 the smallest angle-scaled gap between
-    competing step lengths and the winning one.  Vacuous when no competitor
-    exists at any step (then both margins are +inf).
+    delta = min(delta_m1, delta_m2): delta_m1 is the smallest gap between the
+    step correlation and any non-active competitor, delta_m2 the smallest
+    angle-scaled gap between competing step lengths and the winning one.
+    +inf when no competitor exists at any step.
     """
     if population_path.tie_steps:
         raise NotPrototypical(
@@ -466,8 +467,4 @@ def margins(population_path: LarPath) -> MarginReport:
     _, per, _ = _crossings(c[:-1], C[:-1], A[:-1], w[:-1], active[:-1])
     rest = entry[None, :] > np.arange(1, m)[:, None]
     step_gaps = (A[:-1, None] * (per - population_path.weights[:-1, None]))[rest]
-    vacuous = not gaps.size and not step_gaps.size
-    delta_m1 = float(gaps.min()) if gaps.size else math.inf
-    delta_m2 = float(step_gaps.min()) if step_gaps.size else math.inf
-    delta = min(delta_m1, delta_m2)
-    return MarginReport(delta_m1, delta_m2, delta, vacuous)
+    return float(min(gaps.min(initial=math.inf), step_gaps.min(initial=math.inf)))

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .bootstrap import BootstrapConfig, IntervalSet, chunk_rows, interval_sets
-from .exceptions import DegenerateResponse, NotPrototypical, RejectionBudgetExceeded
+from .exceptions import DegenerateResponse, RejectionBudgetExceeded
 from .inference import chi2_thresholds, estimate_m, sigma_hat, tail_sums
 from .linalg import solve_spd
 from .path import LarPath, StandardizedData, lar_batch, lar_path, margins, standardize
@@ -79,17 +79,14 @@ def ar1_covariance(p: int, rho: float) -> Matrix:
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
-@dataclass(frozen=True)
-class ScenarioDraw:
-    data: StandardizedData
-    mu: Vector  # population response on the standardized scale
-    beta: Vector  # raw-design coefficients that generated the mean
-    pop_path: LarPath
-    delta: float
+def generate_scenario(
+    spec: ScenarioSpec, rng: np.random.Generator
+) -> tuple[StandardizedData, LarPath]:
+    """Rejection-sample a design and mean satisfying the margin constraint.
 
-
-def generate_scenario(spec: ScenarioSpec, rng: np.random.Generator) -> ScenarioDraw:
-    """Rejection-sample a design and mean satisfying the margin constraint."""
+    Returns the standardized design, whose response ``y`` is the mean, and
+    the mean's population path.
+    """
     chol = np.linalg.cholesky(ar1_covariance(spec.p, spec.rho))
     for _ in range(spec.rejection_cap):
         X_n = rng.standard_normal((spec.n, spec.p)) @ chol.T
@@ -101,16 +98,11 @@ def generate_scenario(spec: ScenarioSpec, rng: np.random.Generator) -> ScenarioD
             data = standardize(X_n, mu_n, center=True)
         except DegenerateResponse:
             continue
-        mu = data.y
-        pop_path = lar_path(data, mu, zero_tol=1e-10)
+        pop_path = lar_path(data, data.y, zero_tol=1e-10)
         if pop_path.tie_steps or pop_path.terminated_at != spec.m:
             continue
-        try:
-            report = margins(pop_path)
-        except NotPrototypical:
-            continue
-        if report.delta >= spec.delta0:
-            return ScenarioDraw(data, mu, beta, pop_path, report.delta)
+        if margins(pop_path) >= spec.delta0:
+            return data, pop_path
     raise RejectionBudgetExceeded(
         f"no acceptable design within {spec.rejection_cap} attempts"
     )
@@ -133,8 +125,7 @@ def run_coverage(
     of one accepted scenario; ``progress(done, total)`` follows the
     replications."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
-    draw = generate_scenario(spec, rng)
-    data, pop = draw.data, draw.pop_path
+    data, pop = generate_scenario(spec, rng)
     n, p, m = spec.n, spec.p, spec.m
     thresholds = chi2_thresholds(p, n)
     target_C = np.zeros(p)
@@ -242,23 +233,17 @@ def _replications(
         del sets
 
 
-@dataclass(frozen=True)
-class TieDemoResult:
-    correlations: Matrix  # reps x 4 sample step correlations
-    second_entrants: NDArray[np.int64]  # step-2 entrant per draw
-    population_path: LarPath
-    data: StandardizedData
-    mu: Vector
-
-
-def tie_demo(n: int, reps: int, rng: np.random.Generator) -> TieDemoResult:
+def tie_demo(
+    n: int, reps: int, rng: np.random.Generator
+) -> tuple[Matrix, NDArray[np.int64], LarPath]:
     """Construction with a deliberate population tie at step 2.
 
     The mean points along the first column plus the equiangular vector of
     the first three columns of a strongly AR(1)-correlated design, so the
     second and third variables tie for entry at population step 2.  Noisy
     draws resolve the tie either way, splitting the later step correlations
-    into two clusters.
+    into two clusters.  Returns the sample step correlations (reps x 4), the
+    step-2 entrant of each draw and the population path.
     """
     p = 4
     chol = np.linalg.cholesky(ar1_covariance(p, 0.9))
@@ -275,4 +260,4 @@ def tie_demo(n: int, reps: int, rng: np.random.Generator) -> TieDemoResult:
     start = np.einsum("rn,jn->rj", Y, np.ascontiguousarray(X.T))
     paths = lar_batch(start, data.gram, coef_steps=0,
                       row_name=lambda r: f"draw {r}")
-    return TieDemoResult(paths.correlations, paths.entrants[:, 1], pop, data, mu)
+    return paths.correlations, paths.entrants[:, 1], pop

@@ -287,8 +287,7 @@ def reference_run_coverage(spec: ScenarioSpec) -> CoverageResult:
     it runs the standard bootstrap, as ``run_coverage`` does.
     """
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
-    draw = generate_scenario(spec, rng)
-    data, pop = draw.data, draw.pop_path
+    data, pop = generate_scenario(spec, rng)
     n, p, m = spec.n, spec.p, spec.m
     thresholds = chi2_thresholds(p, n)
     target_C = np.zeros(p)

@@ -65,9 +65,9 @@ def test_01_diabetes_deterministic_reproduction(diabetes):
     report = build_inference_report(data, path)
     assert np.allclose(report.S, DIABETES_S, atol=0.5)
     assert report.m_bar == 5
-    term = terminal_coefficients(data, path, report.m_bar)
+    b_bar, _ = terminal_coefficients(data, path, report.m_bar)
     for name, expected in DIABETES_TERMINAL.items():
-        assert term.b_bar[names.index(name)] == pytest.approx(expected, abs=1e-3)
+        assert b_bar[names.index(name)] == pytest.approx(expected, abs=1e-3)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     print(f"PASS diabetes deterministic: order, C, S, m_bar=5, "
@@ -195,8 +195,7 @@ def test_06_termination_estimate_consistency():
     start = time.perf_counter()
     spec = ScenarioSpec(n=1000, p=20, m=3, delta0=0.2, seed=6)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
-    draw = generate_scenario(spec, rng)
-    data = draw.data
+    data, _ = generate_scenario(spec, rng)
     thresholds = chi2_thresholds(spec.p, spec.n)
     reps = 500
     hits = 0
@@ -245,14 +244,13 @@ def test_08_modified_vs_naive_bootstrap(monkeypatch):
 def test_09_tie_demo_bimodality():
     start = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence([9]))
-    result = run_tie_demo(n=500, reps=2000, rng=rng)
-    assert 2 in result.population_path.tie_steps
-    second = result.second_entrants
+    correlations, second, population_path = run_tie_demo(n=500, reps=2000, rng=rng)
+    assert 2 in population_path.tie_steps
     f1 = float(np.mean(second == 1))
     f2 = float(np.mean(second == 2))
     assert f1 >= 0.10 and f2 >= 0.10
-    c3_a = result.correlations[second == 1, 2]
-    c3_b = result.correlations[second == 2, 2]
+    c3_a = correlations[second == 1, 2]
+    c3_b = correlations[second == 2, 2]
     pooled_se = math.sqrt(c3_a.var(ddof=1) / len(c3_a)
                           + c3_b.var(ddof=1) / len(c3_b))
     gap = abs(c3_a.mean() - c3_b.mean())
@@ -271,8 +269,7 @@ def test_10_asymptotic_covariance_oracle():
     n, p, m, reps = 4000, 6, 3, 20_000
     spec = ScenarioSpec(n=n, p=p, m=m, delta0=0.2, seed=10)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
-    draw = generate_scenario(spec, rng)
-    data, pop = draw.data, draw.pop_path
+    data, pop = generate_scenario(spec, rng)
     R = data.X.T @ data.X
     target = asymptotic_coef_cov(
         R, list(pop.entrants), np.asarray(pop.signs, dtype=float), 1.0
@@ -320,8 +317,8 @@ def scenario_batch():
     first m entrants are the population's."""
     start = time.perf_counter()
     spec = ScenarioSpec(n=1000, p=20, m=3, delta0=0.2, seed=6)
-    draw = generate_scenario(spec, np.random.default_rng(np.random.SeedSequence([spec.seed, 0])))
-    data, pop, n = draw.data, draw.pop_path, spec.n
+    data, pop = generate_scenario(spec, np.random.default_rng(np.random.SeedSequence([spec.seed, 0])))
+    n = spec.n
     noise = np.random.default_rng(np.random.SeedSequence([spec.seed, 3]))
     Y = data.y * data.response_scale + noise.standard_normal((4000, n))
     Y -= Y.mean(axis=1, keepdims=True)

@@ -136,6 +136,40 @@ def test_every_defaulted_parameter_is_passed_in_production():
     assert sorted(set(unpassed) - OUTSIDE_ARGUMENTS) == []
 
 
+# Records or fields that production never reads as attributes, each with why it stays.
+UNREAD_FIELDS = {
+    # the trace worker counts a traced path's steps as ``len(path.steps)``
+    "LarStep",
+    # deprecated and ignored, kept so that old callers and scenario files load
+    "BootstrapConfig.parallel", "BootstrapConfig.threads", "ScenarioSpec.threads",
+    # ``cmd_simulate`` writes the whole record through ``dataclasses.astuple``
+    "CoverageResult",
+}
+
+
+def test_every_record_field_is_read_in_production():
+    """Each field of a dataclass outside ``identities.py`` is read as an
+    attribute, under its name, somewhere in the package's code outside
+    ``identities.py``: a field that only the tests read, or nothing reads,
+    goes, and a record left with nothing to carry goes with it."""
+    trees = _trees("identities.py").values()
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+    def is_dataclass(node: ast.ClassDef) -> bool:
+        return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                   for d in node.decorator_list)
+
+    unread = [f"{node.name}.{item.target.id}"
+              for tree in trees for node in tree.body
+              if isinstance(node, ast.ClassDef) and is_dataclass(node)
+              and node.name not in UNREAD_FIELDS
+              for item in node.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+              and item.target.id not in read]
+    assert sorted(set(unread) - UNREAD_FIELDS) == []
+
+
 needs_threads = pytest.mark.skipif(
     not Path("/proc/self/task").is_dir() or (os.cpu_count() or 1) < 2,
     reason="counts threads in /proc/self/task on a machine with 2 or more CPUs",
@@ -201,8 +235,8 @@ def test_tie_demo_output_does_not_depend_on_blas_threads(tmp_path):
 
 # The names the package root re-exports, by the module that defines them.
 ROOT_NAMES = {
-    "bootstrap": ["BootstrapConfig", "IntervalSet", "TerminalCoefficients",
-                  "bootstrap_intervals", "membership_curves"],
+    "bootstrap": ["BootstrapConfig", "IntervalSet", "bootstrap_intervals",
+                  "membership_curves"],
     "exceptions": ["CsvParseError", "DegenerateResponse", "DimensionMismatch", "InvalidTail",
                    "LarInferError", "NoPositiveCandidate", "NonFiniteValue",
                    "NonPositiveScale", "NotPositiveDefinite", "NotPrototypical",
@@ -210,7 +244,7 @@ ROOT_NAMES = {
     "inference": ["InferenceReport", "build_inference_report", "chi2_thresholds",
                   "chi2_upper_quantile", "estimate_m", "sigma_hat", "tail_sums"],
     "linalg": ["solve_spd"],
-    "path": ["LarBatch", "LarPath", "MarginReport", "StandardizedData", "lar_batch",
+    "path": ["LarBatch", "LarPath", "StandardizedData", "lar_batch",
              "lar_path", "margins", "standardize"],
     "simulate": ["CoverageResult", "ScenarioSpec", "generate_scenario", "run_coverage",
                  "tie_demo"],

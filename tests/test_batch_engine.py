@@ -230,10 +230,12 @@ def test_interval_sets_match_one_response_at_a_time(naive, diabetes, monkeypatch
     for y, path, m_bar, cfg, iv in zip(Y, paths, m_bars, cfgs, sets):
         ref = bootstrap_intervals(with_response(data, y * data.response_scale), path,
                                   m_bar, cfg)
-        assert iv.m_bar == m_bar and iv.draws == cfg.draws
+        # one coefficient cell per variable active at each step k <= m_bar
+        assert len(iv.coefficient_intervals) == m_bar * (m_bar + 1) // 2
         assert np.array_equal(iv.membership_freq, ref.membership_freq)
         assert _max_rel_diff(iv.correlation_intervals, ref.correlation_intervals) <= 1e-12
         assert iv.coefficient_intervals.keys() == ref.coefficient_intervals.keys()
         for cell, ends in iv.coefficient_intervals.items():
             assert _max_rel_diff(ends, ref.coefficient_intervals[cell]) <= 1e-12
-        assert np.allclose(iv.terminal.b_bar, ref.terminal.b_bar, rtol=1e-12, atol=1e-15)
+        assert np.allclose(iv.b_bar, ref.b_bar, rtol=1e-12, atol=1e-15)
+        assert np.allclose(iv.raw_b_bar, ref.raw_b_bar, rtol=1e-12, atol=1e-15)

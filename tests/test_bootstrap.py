@@ -129,9 +129,9 @@ class TestIntervals:
             lo, hi = iv.correlation_intervals[k - 1]
             assert lo == pytest.approx(path.correlations[k - 1], abs=1e-10)
             assert hi == pytest.approx(path.correlations[k - 1], abs=1e-10)
-        term = terminal_coefficients(data, path, m_bar)
+        b_bar, _ = terminal_coefficients(data, path, m_bar)
         for (k, j), (lo, hi) in iv.coefficient_intervals.items():
-            center = term.b_bar[j] if k == m_bar else path.coefficients[k - 1, j]
+            center = b_bar[j] if k == m_bar else path.coefficients[k - 1, j]
             assert lo == pytest.approx(center, abs=1e-10)
             assert hi == pytest.approx(center, abs=1e-10)
 
@@ -184,13 +184,13 @@ class TestIntervals:
         assert lo == pytest.approx(18.186, rel=0.20)
         assert hi == pytest.approx(29.997, rel=0.20)
         hdl = names.index("hdl")
-        term = terminal_coefficients(data, path, 5)
-        assert np.allclose(iv.terminal.b_bar, term.b_bar, rtol=1e-12, atol=1e-12)
-        assert np.allclose(iv.terminal.raw_scale, term.raw_scale, rtol=1e-12, atol=1e-12)
-        assert term.b_bar[bmi] == pytest.approx(24.903, abs=1e-3)
-        assert term.b_bar[hdl] == pytest.approx(-13.752, abs=1e-3)
+        b_bar, raw_b_bar = terminal_coefficients(data, path, 5)
+        assert np.allclose(iv.b_bar, b_bar, rtol=1e-12, atol=1e-12)
+        assert np.allclose(iv.raw_b_bar, raw_b_bar, rtol=1e-12, atol=1e-12)
+        assert b_bar[bmi] == pytest.approx(24.903, abs=1e-3)
+        assert b_bar[hdl] == pytest.approx(-13.752, abs=1e-3)
         lo_h, hi_h = iv.coefficient_intervals[(5, hdl)]
-        assert lo_h < term.b_bar[hdl] < hi_h
+        assert lo_h < b_bar[hdl] < hi_h
         assert lo_h < 0.0  # no truncation for coefficients
 
     def test_parallel_matches_serial(self, diabetes):

@@ -258,6 +258,26 @@ def test_response_as_the_only_column_exits_3(tmp_path, capsys):
     assert "need n > p >= 1, got n=3, p=0" in capsys.readouterr().err
 
 
+# A CSV, the command after it, the exit code and the words of the error line.
+# A nan or infinite cell is a parse error.  Finite cells near the float limit
+# whose column or response overflows its mean or sum of squares are a numeric
+# error, with or without centering.
+NON_FINITE_CELLS = {
+    cell: (f"a,b,y\n1,2,3\n{cell},1,2\n3,4,5\n2,2,1\n", ["fit"], 2, ["row 3", "column 1"])
+    for cell in ("nan", "inf")
+}
+NON_FINITE_CELLS.update(
+    (f"{target} overflow {command[0]}{' no-center' if flags else ''}",
+     (body, command + flags, 3, [f"{target} is too large"]))
+    for target, body in (
+        ("column 0", "a,b,y\n1e308,1,1\n1e308,2,5\n-1e308,4,2\n3,1,7\n"),
+        ("response", "a,b,y\n1,1,1e308\n2,2,1e308\n4,1,-1e308\n3,5,7\n"),
+    )
+    for command in (["fit"], ["infer", "--draws", "100"])
+    for flags in ([], ["--no-center"])
+)
+
+
 class TestFit:
     def test_diabetes_json(self, tmp_path, capsys):
         out = tmp_path / "fit.json"
@@ -328,14 +348,22 @@ class TestFit:
         assert code == 3
         assert "rank deficient" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cell", ["nan", "inf"])
-    def test_non_finite_cell_exit_code(self, tmp_path, capsys, cell):
+    @pytest.mark.parametrize("case", list(NON_FINITE_CELLS))
+    def test_non_finite_cell_exit_code(self, tmp_path, capsys, case):
+        body, command, expected, words = NON_FINITE_CELLS[case]
         bad = tmp_path / "nonfinite.csv"
-        bad.write_text(f"a,b,y\n1,2,3\n{cell},1,2\n3,4,5\n2,2,1\n")
-        code = main(["fit", str(bad), "--response", "y"])
-        assert code == 2
+        bad.write_text(body)
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command[0], str(bad), "--response", "y", *command[1:],
+                         "--out", str(out)])
+        assert code == expected
         err = capsys.readouterr().err
-        assert "row 3" in err and "column 1" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(word in err for word in words)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
 
     def test_byte_order_mark_first_column_as_response(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -840,8 +868,8 @@ class TestTieDemo:
         assert len(rows) == 2
         assert rows[1][5] in ("x2", "x3")
         assert float(rows[1][1]) > 0.0
-        result = tie_demo(200, 1, np.random.default_rng(np.random.SeedSequence([2])))
-        assert rows[1][1:5] == [repr(v) for v in result.correlations[0].tolist()]
+        correlations, _, _ = tie_demo(200, 1, np.random.default_rng(np.random.SeedSequence([2])))
+        assert rows[1][1:5] == [repr(v) for v in correlations[0].tolist()]
         assert "tie steps" in capsys.readouterr().err
 
 

@@ -47,18 +47,19 @@ class TestGenerateScenario:
     def test_postconditions(self):
         spec = ScenarioSpec(n=200, p=20, m=3, delta0=0.2, seed=0)
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
-        draw = generate_scenario(spec, rng)
-        assert draw.pop_path.terminated_at == spec.m
-        assert len(draw.pop_path.steps) == spec.m
-        assert not draw.pop_path.tie_steps
-        assert draw.delta >= spec.delta0
-        assert np.count_nonzero(draw.beta) == spec.m
-        # recompute the margin from scratch on the returned design
-        fresh = lar_path(draw.data, draw.mu, zero_tol=1e-10)
-        assert fresh.entrants == draw.pop_path.entrants
-        report = margins(fresh)
-        assert report.delta == pytest.approx(draw.delta, rel=1e-12)
-        assert not report.vacuous
+        data, pop = generate_scenario(spec, rng)
+        assert pop.terminated_at == spec.m
+        assert len(pop.steps) == spec.m
+        assert not pop.tie_steps
+        delta = margins(pop)
+        assert spec.delta0 <= delta and not math.isinf(delta)
+        # the mean data.y is a combination of exactly the m entrant columns
+        fit = np.linalg.lstsq(data.X, data.y, rcond=None)[0]
+        assert sorted(np.flatnonzero(np.abs(fit) > 1e-8).tolist()) == sorted(pop.entrants)
+        # recompute the path and its margin from scratch on the returned design
+        fresh = lar_path(data, data.y, zero_tol=1e-10)
+        assert fresh.entrants == pop.entrants
+        assert margins(fresh) == delta
 
     def test_budget_exceeded_on_impossible_margin(self):
         spec = ScenarioSpec(n=40, p=4, m=2, delta0=1e6, rejection_cap=25, seed=1)
@@ -153,16 +154,15 @@ def test_batched_study_matches_per_replication_loop(name, naive, monkeypatch):
 class TestTieDemo:
     def test_population_tie_and_bimodal_resolution(self):
         rng = np.random.default_rng(7)
-        result = tie_demo(n=400, reps=400, rng=rng)
-        pop = result.population_path
+        correlations, second, pop = tie_demo(n=400, reps=400, rng=rng)
         assert pop.entrants[0] == 0
         assert 2 in pop.tie_steps
-        assert set(np.unique(result.second_entrants)) <= {1, 2}
-        share_1 = float(np.mean(result.second_entrants == 1))
+        assert set(np.unique(second)) <= {1, 2}
+        share_1 = float(np.mean(second == 1))
         assert 0.1 <= share_1 <= 0.9
         # the two tie resolutions leave distinct step-3 correlation clusters
-        c3_a = result.correlations[result.second_entrants == 1, 2]
-        c3_b = result.correlations[result.second_entrants == 2, 2]
+        c3_a = correlations[second == 1, 2]
+        c3_b = correlations[second == 2, 2]
         assert abs(c3_a.mean() - c3_b.mean()) > 2 * (c3_a.std() + c3_b.std()) / math.sqrt(
             min(len(c3_a), len(c3_b))
         )
