@@ -21,6 +21,7 @@ response, and their replicas share chunks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -166,10 +167,10 @@ class BootstrapSetup:
 
 
 def bootstrap_setup(
-    data: StandardizedData, Y: Matrix, paths: list[LarPath], m_bars
+    data: StandardizedData, Y: Matrix, paths: list[LarPath], m_bars, sigmas
 ) -> BootstrapSetup:
     """Set-up of each response row of Y (on the scale of ``data.y``) with its
-    sample path and m_bar; each quantity is computed for all rows at once."""
+    sample path, m_bar and sigma-hat; each quantity is found for all rows at once."""
     m_bars = np.asarray(m_bars, dtype=np.int64)
     entrants = np.zeros((len(paths), data.p), dtype=np.int64)
     xty = np.zeros((len(paths), data.p))
@@ -181,7 +182,7 @@ def bootstrap_setup(
     b_bars = _refits(data, entrants, xty, m_bars)
     return BootstrapSetup(
         data, paths, _residual_pools(data, Y, full_fit(data, Y)),
-        sigma_hat(data, Y * data.response_scale), b_bars, (data.gram @ b_bars.T).T,
+        np.asarray(sigmas, dtype=np.float64), b_bars, (data.gram @ b_bars.T).T,
         centers, m_bars,
     )
 
@@ -248,6 +249,8 @@ def _collect(
     are freed before the next chunk starts.
     """
     draws = [cfg.draws for cfg in cfgs]
+    if 8 * sum(draws) > sys.maxsize:  # replica indices past what numpy can size
+        raise MemoryError
     chunk = chunk_rows(8 * setup.data.p ** 2, max(draws))
     ends = np.cumsum(draws)
     owner = np.repeat(np.arange(len(cfgs)), draws)
@@ -332,7 +335,8 @@ def bootstrap_intervals(
     re-fit by least squares.  Negative lower endpoints of correlation
     intervals are clamped to zero.
     """
-    return next(interval_sets(data, data.y[None], [path], [m_bar], [cfg]))
+    sigma = sigma_hat(data, data.y[None] * data.response_scale)
+    return next(interval_sets(data, data.y[None], [path], [m_bar], sigma, [cfg]))
 
 
 def interval_sets(
@@ -340,17 +344,18 @@ def interval_sets(
     Y: Matrix,
     paths: list[LarPath],
     m_bars,
+    sigmas,
     cfgs: list[BootstrapConfig],
 ) -> Iterator[IntervalSet]:
     """``bootstrap_intervals`` of each response row of Y (on the scale of
-    ``data.y``) with its sample path, m_bar and config, yielded in order.
+    ``data.y``) with its sample path, m_bar, sigma-hat and config, in order.
 
     The responses are set up together on the call, and their replicas run in
     shared chunks as the sets are drawn, so a study of many responses makes a
     few engine calls instead of one per response; each replica still draws
     from ``replica_rng(cfg.seed, b)``.
     """
-    setup = bootstrap_setup(data, Y, paths, m_bars)
+    setup = bootstrap_setup(data, Y, paths, m_bars, sigmas)
     return (
         _intervals(setup, r, cfg, *stats)
         for r, (cfg, stats) in enumerate(zip(cfgs, _collect(setup, cfgs)))

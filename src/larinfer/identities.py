@@ -29,7 +29,7 @@ from .bootstrap import (
     bootstrap_setup,
 )
 from .exceptions import DimensionMismatch, NoPositiveCandidate, NonPositiveScale, RankDeficient
-from .inference import full_fit
+from .inference import full_fit, sigma_hat
 from .linalg import RANK_TOL, solve_spd
 from .path import ZERO_SIGN_TOL, LarPath, StandardizedData, _crossings, lar_path
 
@@ -381,7 +381,8 @@ def bootstrap_path_draw(
     rng: np.random.Generator,
 ) -> tuple[LarPath, float]:
     """One replica path and its residual-scale estimate."""
-    setup = bootstrap_setup(data, data.y[None], [path], [m_bar])
+    Y = data.y[None]
+    setup = bootstrap_setup(data, Y, [path], [m_bar], sigma_hat(data, Y * data.response_scale))
     eps = setup.pools[0][rng.integers(0, data.n, data.n)]
     path_star = lar_path(data, data.X @ setup.b_bars[0] + eps, zero_tol=0.0)
     sigma_star = _residual_scale(data, (data.X.T @ eps)[None], np.array([eps @ eps]))
@@ -389,7 +390,7 @@ def bootstrap_path_draw(
 
 
 def naive_setup(
-    data: StandardizedData, Y: Matrix, paths: list[LarPath], m_bars
+    data: StandardizedData, Y: Matrix, paths: list[LarPath], m_bars, sigmas
 ) -> BootstrapSetup:
     """``bootstrap_setup`` of the standard residual bootstrap, which can fail
     for LAR: the replicas resample around the full least-squares fit, whose
@@ -400,7 +401,7 @@ def naive_setup(
     production chain on the standard bootstrap; the production set-up it
     starts from is the one bound when this module was imported.
     """
-    setup = bootstrap_setup(data, Y, paths, m_bars)
+    setup = bootstrap_setup(data, Y, paths, m_bars, sigmas)
     centers = np.zeros_like(setup.centers)
     for r, path in enumerate(paths):
         centers[r, : path.terminated_at] = path.correlations

@@ -148,29 +148,36 @@ def estimate_m(S: Vector, thresholds: Vector) -> int | NDArray[np.int64]:
 
 
 @dataclass(frozen=True)
-class InferenceReport:
-    sigma_hat: float
+class InferenceReport:  # one entry (or row) per response of a stack
+    sigma_hat: float | Vector
     S: Vector
     thresholds: Vector
-    m_bar: int
+    m_bar: int | NDArray[np.int64]
 
 
-def build_inference_report(data: StandardizedData, path: LarPath) -> InferenceReport:
-    """σ̂, the tail sums, their thresholds and m̄ for a sample path.
+def build_inference_report(data: StandardizedData, paths: LarPath | LarBatch, Y=None,
+                           row_name=None) -> InferenceReport:
+    """σ̂, the tail sums, their thresholds and m̄ of the sample path of ``data.y``,
+    or of each response row of Y (R x n, on the scale of ``data.y``) with its
+    row of the LarBatch ``paths``.
 
     The stopping rule needs the tail sums of all p steps, so a path that
     stops before step p raises DegenerateResponse, and so does σ̂ = 0 (a
     design that fits the response exactly), since the tail sums divide by σ̂².
+    For a stack the message starts with ``row_name`` of the first such row.
     """
-    if path.terminated_at < data.p:
-        raise DegenerateResponse(
-            f"the sample path stops at step {path.terminated_at} of {data.p}; "
-            "the stopping rule needs the tail sums of all p steps"
-        )
-    sigma = sigma_hat(data, data.y * data.response_scale)
-    if sigma == 0.0:
-        raise DegenerateResponse("sigma_hat = 0: the design fits the response exactly, "
-                                 "and the tail sums divide by sigma_hat")
-    S = tail_sums(path, sigma, data.n)
+    def fail(bad, message: str) -> DegenerateResponse:
+        name = "" if row_name is None else f"{row_name(bad[0])}: "
+        return DegenerateResponse(name + message)
+
+    stops = np.atleast_1d(paths.terminated_at)
+    if (short := np.flatnonzero(stops < data.p)).size:
+        raise fail(short, f"the sample path stops at step {stops[short[0]]} of {data.p}; "
+                          "the stopping rule needs the tail sums of all p steps")
+    sigma = sigma_hat(data, (data.y if Y is None else Y) * data.response_scale)
+    if (exact := np.flatnonzero(np.atleast_1d(sigma) == 0.0)).size:
+        raise fail(exact, "sigma_hat = 0: the design fits the response exactly, "
+                          "and the tail sums divide by sigma_hat")
+    S = tail_sums(paths, sigma if Y is None else sigma[:, None], data.n)
     thresholds = chi2_thresholds(data.p, data.n)
     return InferenceReport(sigma, S, thresholds, estimate_m(S, thresholds))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -18,11 +19,10 @@ from numpy.typing import NDArray
 
 from .bootstrap import BootstrapConfig, IntervalSet, chunk_rows, interval_sets
 from .exceptions import DegenerateResponse, RejectionBudgetExceeded
-from .inference import chi2_thresholds, estimate_m, sigma_hat, tail_sums
+from .inference import build_inference_report
 from .linalg import solve_spd
 from .path import LarPath, StandardizedData, lar_batch, lar_path, margins, standardize
 
-Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
 
 
@@ -126,8 +126,7 @@ def run_coverage(
     replications."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
     data, pop = generate_scenario(spec, rng)
-    n, p, m = spec.n, spec.p, spec.m
-    thresholds = chi2_thresholds(p, n)
+    p, m = spec.p, spec.m
     target_C = np.zeros(p)
     target_C[:m] = pop.correlations
     # population step coefficients; constant at the terminal value beyond m
@@ -138,49 +137,30 @@ def run_coverage(
     term_cov: list[float] = []
     zero_cov: list[float] = []
     m_bars: list[int] = []
-    for i, (m_bar, iv) in enumerate(_replications(spec, data, thresholds)):
+    for i, (m_bar, iv) in enumerate(_replications(spec, data)):
         m_bars.append(m_bar)
         if iv is not None:
-            corr = iv.correlation_intervals
-            hits = [
-                corr[k - 1, 0] <= target_C[k - 1] <= corr[k - 1, 1]
-                for k in range(1, m_bar + 1)
-            ]
-            corr_cov.append(float(np.mean(hits)))
-            cells = list(iv.coefficient_intervals.items())
-            coef_hits = [
-                lo <= target_b[k - 1, j] <= hi for (k, j), (lo, hi) in cells
-            ]
-            coef_cov.append(float(np.mean(coef_hits)))
-            term_hits = [
-                lo <= target_b[m - 1, j] <= hi
-                for (k, j), (lo, hi) in cells
-                if k == m_bar
-            ]
-            term_cov.append(float(np.mean(term_hits)))
+            lo, hi = iv.correlation_intervals.T
+            hits = (lo <= target_C) & (target_C <= hi)  # target_C is 0 past step m
+            corr_cov.append(float(np.mean(hits[:m_bar])))
+            ks, js = np.array(list(iv.coefficient_intervals)).T
+            lo, hi = np.array(list(iv.coefficient_intervals.values())).T
+            at, end = target_b[ks - 1, js], target_b[m - 1, js]
+            coef_cov.append(float(np.mean((lo <= at) & (at <= hi))))
+            term_cov.append(float(np.mean(((lo <= end) & (end <= hi))[ks == m_bar])))
             if m < p:
-                zero_hits = [
-                    corr[k - 1, 0] <= 0.0 <= corr[k - 1, 1] for k in range(m + 1, p + 1)
-                ]
-                zero_cov.append(float(np.mean(zero_hits)))
+                zero_cov.append(float(np.mean(hits[m:])))
         if progress is not None:
             progress(i + 1, spec.reps)
 
-    def _mean(xs: list[float]) -> float:
-        return float(np.mean(xs)) if xs else math.nan
-
-    return CoverageResult(
-        _mean(corr_cov),
-        _mean(coef_cov),
-        m_bars.count(m) / spec.reps,
-        _mean(term_cov),
-        _mean(zero_cov),
-        len(m_bars) - m_bars.count(0),
-    )
+    corr, coef, term, zero = (float(np.mean(xs)) if xs else math.nan
+                              for xs in (corr_cov, coef_cov, term_cov, zero_cov))
+    return CoverageResult(corr, coef, m_bars.count(m) / spec.reps, term, zero,
+                          len(m_bars) - m_bars.count(0))
 
 
 def _replications(
-    spec: ScenarioSpec, data: StandardizedData, thresholds: Vector
+    spec: ScenarioSpec, data: StandardizedData
 ) -> Iterator[tuple[int, IntervalSet | None]]:
     """(m_bar, bootstrap intervals) of each replication in order; the
     intervals are None where m_bar is 0.
@@ -189,7 +169,8 @@ def _replications(
     budget of a response row and four p x p arrays per replication, of which
     its path uses two: the responses of a block, each drawn from its
     replication's own noise stream, are one stack and run as one path batch
-    (with no traces), and the bootstrap replicas of the block come from one
+    (with no traces) and one call of the stopping rule, whose sigma-hats the
+    bootstrap set-up reuses; the bootstrap replicas of the block come from one
     ``interval_sets`` stream, which runs a few replications per engine call.
     A block's stack is freed before its replicas run, and its bootstrap
     set-up before the next block starts.
@@ -206,28 +187,24 @@ def _replications(
         Y += data.y * data.response_scale
         Y -= Y.mean(axis=1, keepdims=True)
         Y /= data.response_scale
-        paths = lar_batch(Y @ data.X, data.gram,
-                          row_name=lambda r: f"replication {reps[r]}")
-        # the correlations left after a step vanish exactly only when the
-        # noise is lost to the rounding of the mean
-        short = np.flatnonzero(paths.terminated_at < p)
-        if short.size:
-            raise DegenerateResponse(
-                f"replication {reps[short[0]]}: the sample path stops at step "
-                f"{paths.terminated_at[short[0]]} of {p}; the noise is below the "
-                "rounding of the mean"
-            )
-        sigma = sigma_hat(data, Y * data.response_scale)
-        m_bars = estimate_m(tail_sums(paths, sigma[:, None], n), thresholds)
-        boot = np.flatnonzero(m_bars > 0)
+
+        def name(r: int) -> str:
+            return f"replication {reps[r]}"
+
+        paths = lar_batch(Y @ data.X, data.gram, row_name=name)
+        # a path stops early only when the noise is lost to the rounding of the mean
+        report = build_inference_report(data, paths, Y, name)
+        boot = np.flatnonzero(report.m_bar > 0)
         cfgs = [
             BootstrapConfig(draws=spec.boot_draws, alpha=spec.alpha, seed=int(
                 np.random.SeedSequence([spec.seed, 2, reps[i]]).generate_state(1)[0]))
             for i in boot
         ]
-        sets = interval_sets(data, Y[boot], [paths.path(i) for i in boot], m_bars[boot], cfgs)
-        del Y, paths
-        for m_bar in m_bars.tolist():
+        sets = interval_sets(data, Y[boot], [paths.path(i) for i in boot],
+                             report.m_bar[boot], report.sigma_hat[boot], cfgs)
+        m_bars = report.m_bar.tolist()
+        del Y, paths, report
+        for m_bar in m_bars:
             yield m_bar, (next(sets) if m_bar > 0 else None)
         # the drained stream still holds the block's bootstrap set-up
         del sets
@@ -254,6 +231,8 @@ def tie_demo(
     u = solve_spd(data.gram[:3, :3], np.ones(3))
     mu = X[:, 0] + (X[:, :3] @ u) / math.sqrt(float(np.sum(u)))
     pop = lar_path(data, mu, zero_tol=1e-10)
+    if 8 * reps * n > sys.maxsize:  # past what numpy can size
+        raise MemoryError
     # one (reps, n) block holds the same numbers as reps draws of n in turn
     Y = mu + rng.standard_normal((reps, n)) / math.sqrt(n)
     # numpy's own loops, not BLAS, whose bits depend on its thread count

@@ -59,6 +59,22 @@ def test_only_the_path_module_names_step_records():
     assert offenders == []
 
 
+def test_stopping_rule_lives_in_inference():
+    """σ̂, the tail sums, their thresholds and m̄ come from one rule,
+    ``inference.build_inference_report``: no production module but
+    ``inference.py`` calls ``tail_sums``, ``estimate_m`` or ``chi2_thresholds``."""
+    rule = {"tail_sums", "estimate_m", "chi2_thresholds"}
+    offenders = []
+    for name, tree in _trees("inference.py").items():
+        if name == "identities.py":
+            continue
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if callee in rule:
+                offenders.append(f"{name}: {callee}")
+    assert offenders == []
+
+
 # Reached only from outside the package: the benchmark's trace worker
 # (``bench/trace_worker.py``) counts a traced path's steps as ``len(path.steps)``.
 OUTSIDE_CALLERS = {"LarPath.steps"}

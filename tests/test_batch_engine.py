@@ -14,7 +14,7 @@ from larinfer.bootstrap import (
 )
 from larinfer.exceptions import RankDeficient
 from larinfer.identities import with_response
-from larinfer.inference import build_inference_report
+from larinfer.inference import build_inference_report, sigma_hat
 from larinfer.path import lar_batch, lar_path, standardize
 
 
@@ -27,7 +27,8 @@ def _max_rel_diff(new, ref) -> float:
 
 def _collect(data, path, m_bar, cfg):
     """Replica statistics of the sample response alone: (T*, B*, entry steps)."""
-    setup = bootstrap_setup(data, data.y[None], [path], [m_bar])
+    setup = bootstrap_setup(data, data.y[None], [path], [m_bar],
+                            sigma_hat(data, data.y[None] * data.response_scale))
     return next(bootstrap._collect(setup, [cfg]))
 
 
@@ -153,7 +154,8 @@ def test_collect_matches_per_replica_reference(name, diabetes, monkeypatch):
     data, m_bar, naive, draws, seed = _case(name, diabetes)
     path = lar_path(data, data.y)
     use_naive_bootstrap(monkeypatch, naive)
-    setup = bootstrap.bootstrap_setup(data, data.y[None], [path], [m_bar])
+    setup = bootstrap.bootstrap_setup(data, data.y[None], [path], [m_bar],
+                                      sigma_hat(data, data.y[None] * data.response_scale))
     cfg = BootstrapConfig(draws=draws, seed=seed)
     t_new, b_new, e_new = next(bootstrap._collect(setup, [cfg]))
     t_ref, b_ref, e_ref = reference_collect(setup, cfg)
@@ -225,7 +227,8 @@ def test_interval_sets_match_one_response_at_a_time(naive, diabetes, monkeypatch
     # 8 * p^2 = 800 bytes per replica: chunks of 25
     monkeypatch.setattr(bootstrap, "CHUNK_BYTES", 25 * 800)
     use_naive_bootstrap(monkeypatch, naive)
-    sets = list(interval_sets(data, Y, paths, m_bars, cfgs))
+    sets = list(interval_sets(data, Y, paths, m_bars,
+                              sigma_hat(data, Y * data.response_scale), cfgs))
     assert len(sets) == 4
     for y, path, m_bar, cfg, iv in zip(Y, paths, m_bars, cfgs, sets):
         ref = bootstrap_intervals(with_response(data, y * data.response_scale), path,

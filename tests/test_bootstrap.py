@@ -18,7 +18,7 @@ from larinfer.identities import (
     residual_pool,
     terminal_coefficients,
 )
-from larinfer.inference import build_inference_report
+from larinfer.inference import build_inference_report, sigma_hat
 from larinfer.path import lar_path, standardize
 
 
@@ -80,7 +80,8 @@ def test_resampling_center(diabetes, naive, monkeypatch):
     _, data = diabetes
     path = lar_path(data, data.y)
     use_naive_bootstrap(monkeypatch, naive)
-    setup = bootstrap.bootstrap_setup(data, data.y[None], [path], [4])
+    setup = bootstrap.bootstrap_setup(data, data.y[None], [path], [4],
+                                      sigma_hat(data, data.y[None] * data.response_scale))
     cols = list(range(data.p)) if naive else path.entrants[:4]
     expected = np.zeros(data.p)
     expected[cols] = np.linalg.lstsq(data.X[:, cols], data.y, rcond=None)[0]
@@ -230,7 +231,8 @@ class TestIntervals:
         path = lar_path(data, data.y)
         cfg = BootstrapConfig(draws=199, alpha=0.1, seed=12)
         use_naive_bootstrap(monkeypatch, naive)
-        setup = bootstrap.bootstrap_setup(data, data.y[None], [path], [5])
+        setup = bootstrap.bootstrap_setup(data, data.y[None], [path], [5],
+                                          sigma_hat(data, data.y[None] * data.response_scale))
         t_star, b_star, entries = next(bootstrap._collect(setup, [cfg]))
         iv = bootstrap._intervals(setup, 0, cfg, t_star, b_star, entries)
         sigma = float(setup.sigmas[0])

@@ -898,7 +898,14 @@ def _limit_address_space():
     (["infer", DIABETES, "--response", "progression", "--draws", str(10 ** 12)],
      "--draws"),
     (["simulate", "{scenario}", "--out", "{out}"], "reps * boot_draws"),
-], ids=["infer", "simulate"])
+    # sizes past what numpy can even describe, let alone allocate
+    (["infer", DIABETES, "--response", "progression", "--draws", str(2 ** 63)], "--draws"),
+    (["infer", DIABETES, "--response", "progression", "--draws", str(2 ** 62)], "--draws"),
+    (["simulate", "{huge}", "--out", "{out}"], "reps * boot_draws"),
+    (["tie-demo", "--n", "50", "--reps", str(2 ** 62)], "--reps"),
+    (["tie-demo", "--n", "50", "--reps", str(2 ** 63)], "--reps"),
+], ids=["infer", "simulate", "infer-2^63", "infer-2^62", "simulate-10^20",
+        "tie-demo-2^62", "tie-demo-2^63"])
 def test_out_of_memory_exits_3_naming_the_size(command, names, tmp_path):
     """A bootstrap too large for memory ends with exit 3 and one error line
     that names the option to lower, not a traceback.  The child runs under a
@@ -906,7 +913,10 @@ def test_out_of_memory_exits_3_naming_the_size(command, names, tmp_path):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"n": 100, "p": 5, "m": 2, "delta0": 0.5, "reps": 2,
                                     "boot_draws": 10 ** 12, "seed": 1}))
-    argv = [a.format(scenario=scenario, out=tmp_path / "out.csv") for a in command]
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n": 100, "p": 5, "m": 2, "delta0": 0.5, "reps": 2,
+                                "boot_draws": 10 ** 20, "seed": 1}))
+    argv = [a.format(scenario=scenario, huge=huge, out=tmp_path / "out.csv") for a in command]
     out = subprocess.run([sys.executable, "-m", "larinfer.cli", *argv], capture_output=True,
                          text=True, env=child_env(), preexec_fn=_limit_address_space, timeout=300)
     assert out.returncode == 3

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from helpers import orthonormal_design, random_instance
 from scipy.special import chdtri
 from scipy.stats import chi2 as chi2_dist
 
-from larinfer.exceptions import InvalidTail
+from larinfer.exceptions import DegenerateResponse, InvalidTail
 from larinfer.identities import (
     full_column_basis,
     replay_states,
@@ -21,7 +22,7 @@ from larinfer.inference import (
     sigma_hat,
     tail_sums,
 )
-from larinfer.path import lar_path, standardize
+from larinfer.path import lar_batch, lar_path, standardize
 
 
 class TestSigmaHat:
@@ -219,3 +220,43 @@ class TestReportAssembly:
         assert np.allclose(report.S, W[::-1].cumsum()[::-1], atol=1e-10)
         assert report.S.tobytes() == S.tobytes()
         assert report.m_bar == estimate_m(report.S, report.thresholds)
+
+
+class TestStackedReport:
+    """``build_inference_report`` of a stack of responses, as the coverage
+    study calls it, against one call per response."""
+
+    @staticmethod
+    def _name(r: int) -> str:
+        return f"response {r}"
+
+    def test_rows_match_one_response_calls(self, diabetes):
+        _, data = diabetes
+        rng = np.random.default_rng(61)
+        Y = data.y + 0.05 * rng.standard_normal((5, data.n))
+        Y -= Y.mean(axis=1, keepdims=True)
+        paths = lar_batch(Y @ data.X, data.gram, row_name=self._name)
+        report = build_inference_report(data, paths, Y, self._name)
+        assert report.sigma_hat.shape == (5,) and report.S.shape == (5, data.p)
+        assert np.array_equal(report.thresholds, chi2_thresholds(data.p, data.n))
+        for i, y in enumerate(Y):
+            one = build_inference_report(replace(data, y=y), paths.path(i))
+            # the stacked products round differently from one response's
+            assert report.m_bar[i] == one.m_bar
+            assert report.sigma_hat[i] == pytest.approx(one.sigma_hat, rel=1e-12, abs=0)
+            assert np.allclose(report.S[i], one.S, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("row, message", [
+        (np.zeros(4), "response 1: the sample path stops at step 0 of 1; "),
+        (None, "response 1: sigma_hat = 0: the design fits the response exactly"),
+    ], ids=["stops early", "exact fit"])
+    def test_failing_row_is_named(self, row, message):
+        a = np.array([1.0, 2.0, 3.0, 4.0])
+        # y = 2a: the full fit leaves no residual, so sigma_hat is exactly 0
+        data = standardize(a[:, None], 2.0 * a, center=True)
+        noisy = data.y + np.array([0.3, -0.1, -0.4, 0.2])
+        Y = np.vstack([noisy, data.y if row is None else row, noisy])
+        paths = lar_batch(Y @ data.X, data.gram, row_name=self._name)
+        with pytest.raises(DegenerateResponse) as err:
+            build_inference_report(data, paths, Y, self._name)
+        assert str(err.value).startswith(message)

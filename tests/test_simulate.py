@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import larinfer.bootstrap as bootstrap
+import larinfer.inference as inference
 import larinfer.simulate as simulate
 from helpers import orthonormal_design, reference_run_coverage, use_naive_bootstrap
 
@@ -149,6 +150,26 @@ def test_batched_study_matches_per_replication_loop(name, naive, monkeypatch):
     assert sum(sizes) == rows and all(0 < size <= chunk for size in sizes)
     # only a block's last chunk may be short
     assert len(sizes) <= -(-rows // chunk) + len(calls["sample"]) - 1
+
+
+def test_study_computes_one_sigma_hat_per_block(monkeypatch):
+    """Each block of replications gets its sigma-hats from one stacked call,
+    which the stopping rule and the bootstrap set-up share."""
+    spec = ScenarioSpec(**PARITY_SCENARIOS["m=3"])
+    # a byte budget of two replications a block: three blocks
+    monkeypatch.setattr(bootstrap, "CHUNK_BYTES", 2 * 8 * (spec.n + 4 * spec.p**2))
+    rows = []
+    original = inference.sigma_hat
+
+    def counted(data, y_raw):
+        rows.append(len(y_raw))
+        return original(data, y_raw)
+
+    for module in (inference, bootstrap, simulate):
+        if getattr(module, "sigma_hat", None) is original:
+            monkeypatch.setattr(module, "sigma_hat", counted)
+    assert run_coverage(spec).reps_evaluated == spec.reps
+    assert rows == [2, 2, 1]
 
 
 class TestTieDemo:
