@@ -10,12 +10,13 @@ The design is the same in every replica, so a replica response
 y* = mu + e* reaches the path only through X'y* = X'mu + X'e*.  Each replica
 keeps X'e* and |e*|^2 and no n-length vector: its residual scale follows
 from the triangular factor R of X'X, and the replicas run in lockstep through
-one call of the batch path engine ``lar_batch`` per chunk, with one batched
-least-squares refit.  Each replica draws from its own substream, so the
-draws do not depend on the chunking.  The responses on one design (the
-replications of a coverage study, or the one response of ``infer``) are set
-up together as one ``BootstrapSetup``, a record of arrays with a row per
-response, and their replicas share chunks.
+one call of the batch path engine ``lar_batch`` per chunk.  The engine's
+full step at m_bar is the least-squares refit on the first m_bar entrants,
+for the sample path and for each replica.  Each replica draws from its own
+substream, so the draws do not depend on the chunking.  The responses on
+one design (the replications of a coverage study, or the one response of
+``infer``) are set up together as one ``BootstrapSetup``, a record of arrays
+with a row per response, and their replicas share chunks.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .inference import full_fit, sigma_hat
-from .linalg import solve_spd
 from .path import LarPath, StandardizedData, lar_batch
 
 Vector = NDArray[np.float64]
@@ -113,33 +113,6 @@ def _residual_scale(data: StandardizedData, xte: Matrix, ee: Vector) -> Vector:
     return np.sqrt(data.n * rss / (data.n - data.p))
 
 
-def _ols_from_correlations(data: StandardizedData, order, xty: Vector) -> Vector:
-    """Least-squares p-vector supported on the columns ``order``, from X'y and G_AA.
-
-    ``order`` (..., k) and ``xty`` (..., p) may carry matching leading batch
-    axes; each row is solved on its own.
-    """
-    order = np.asarray(order, dtype=np.int64)
-    b = np.zeros(np.shape(xty))
-    if order.shape[-1]:
-        gram_aa = data.gram[order[..., :, None], order[..., None, :]]
-        rhs = np.take_along_axis(xty, order, axis=-1)
-        np.put_along_axis(b, order, solve_spd(gram_aa, rhs), axis=-1)
-    return b
-
-
-def _refits(data: StandardizedData, entrants, corr: Matrix, m_bars) -> Matrix:
-    """Least-squares p-vector of each row on its first m_bars[i] entrants,
-    from its row of X'y in ``corr``; zero where m_bar is 0.  One batched
-    solve per distinct m_bar."""
-    m_bars = np.asarray(m_bars, dtype=np.int64)
-    b = np.zeros(np.shape(corr))
-    for m_bar in set(m_bars.tolist()) - {0}:
-        rows = np.flatnonzero(m_bars == m_bar)
-        b[rows] = _ols_from_correlations(data, entrants[rows, :m_bar], corr[rows])
-    return b
-
-
 @dataclass(frozen=True)
 class IntervalSet:
     correlation_intervals: Matrix  # p x 2, rows (lo, hi) for each step
@@ -172,14 +145,12 @@ def bootstrap_setup(
     """Set-up of each response row of Y (on the scale of ``data.y``) with its
     sample path, m_bar and sigma-hat; each quantity is found for all rows at once."""
     m_bars = np.asarray(m_bars, dtype=np.int64)
-    entrants = np.zeros((len(paths), data.p), dtype=np.int64)
-    xty = np.zeros((len(paths), data.p))
+    b_bars = np.zeros((len(paths), data.p))
     centers = np.zeros((len(paths), data.p))
     for r, (path, m_bar) in enumerate(zip(paths, m_bars.tolist())):
-        entrants[r, :m_bar] = path.entrants[:m_bar]
-        xty[r] = path.start_correlations
+        if m_bar:
+            b_bars[r] = path.refits[m_bar - 1]
         centers[r, :m_bar] = path.correlations[:m_bar]
-    b_bars = _refits(data, entrants, xty, m_bars)
     return BootstrapSetup(
         data, paths, _residual_pools(data, Y, full_fit(data, Y)),
         np.asarray(sigmas, dtype=np.float64), b_bars, (data.gram @ b_bars.T).T,
@@ -292,28 +263,26 @@ def _replicas(
         xte[i] = data.X.T @ eps
         ee[i] = eps @ eps
     sigma_star = _residual_scale(data, xte, ee)
-    start_corr = setup.starts[owner] + xte
     m_bars = setup.m_bars[owner]
     batch = lar_batch(
-        start_corr, data.gram, zero_tol=0.0, coef_steps=int(m_bars.max()),
+        setup.starts[owner] + xte, data.gram, zero_tol=0.0, coef_steps=int(m_bars.max()),
         row_name=lambda i: f"bootstrap replica {index[i]}",
     )
     done = np.arange(p) < batch.terminated_at[:, None]
-    ok = sigma_star > 0.0
     signs = np.where(done, batch.signs, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_star = (
             signs * np.sqrt(batch.inv_angle_sq_increments) * math.sqrt(n)
             * (batch.correlations - setup.centers[owner]) / sigma_star[:, None]
         )
-    t_star[~ok] = 0.0
+    t_star[~(sigma_star > 0.0)] = 0.0
 
+    # the terminal step is the least-squares refit; a row that stopped before
+    # it has a zero refit, as it has zero coefficients
     coef_rows = batch.coefficients
-    refit = np.where(ok & (batch.terminated_at >= m_bars), m_bars, 0)
-    rows_refit = np.flatnonzero(refit)
-    coef_rows[rows_refit, refit[rows_refit] - 1] = _refits(
-        data, batch.entrants, start_corr, refit
-    )[rows_refit]
+    rows_refit = np.flatnonzero(m_bars)
+    terminal = m_bars[rows_refit] - 1
+    coef_rows[rows_refit, terminal] = batch.refits[rows_refit, terminal]
 
     entries = np.full((rows, p), p, dtype=np.float64)
     rows_done, steps = np.nonzero(done)

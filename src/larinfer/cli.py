@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as reports
-from .bootstrap import BootstrapConfig, bootstrap_intervals
+from .bootstrap import BootstrapConfig, interval_sets
 from .exceptions import CsvParseError, LarInferError, RejectionBudgetExceeded
 from .inference import build_inference_report
 from .path import _standardize_owned, lar_path
@@ -78,7 +78,9 @@ def cmd_infer(args) -> int:
     path = lar_path(data, data.y)
     inference = build_inference_report(data, path)
     cfg = BootstrapConfig(draws=args.draws, alpha=args.alpha, seed=args.seed)
-    intervals = bootstrap_intervals(data, path, inference.m_bar, cfg)
+    # the bootstrap reuses the stopping rule's sigma-hat instead of refitting
+    intervals = next(interval_sets(data, data.y[None], [path], [inference.m_bar],
+                                   [inference.sigma_hat], [cfg]))
     doc = reports.infer_report_dict(path, data.n, data.p, data.centered, names,
                                     args.response, inference, intervals, cfg)
     return _write_report(args, doc, reports.write_infer_csv)
@@ -186,7 +188,7 @@ _MEMORY_HINTS = {
     "infer": "lower --draws (the bootstrap keeps every replica's statistics)",
     "simulate": "lower the scenario's reps * boot_draws (each bootstrap keeps "
                 "every replica's statistics)",
-    "tie-demo": "lower --reps",
+    "tie-demo": "lower --n or --reps",
 }
 
 

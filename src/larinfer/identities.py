@@ -23,7 +23,6 @@ from numpy.typing import NDArray
 
 from .bootstrap import (
     BootstrapSetup,
-    _ols_from_correlations,
     _residual_pools,
     _residual_scale,
     bootstrap_setup,
@@ -357,11 +356,17 @@ def bootstrap_errors(data: StandardizedData, y: Vector, rng: np.random.Generator
 
 
 def ols_on_active(data: StandardizedData, order: list[int], y: Vector) -> Vector:
-    """Least-squares coefficients of y on the given active columns.
+    """Least-squares coefficients of y on the given active columns, solved
+    directly from their Gram block, the reference for the engine's refits.
 
     Returns a full p-vector supported on ``order``.
     """
-    return _ols_from_correlations(data, order, data.X.T @ np.asarray(y, dtype=np.float64))
+    order = np.asarray(order, dtype=np.int64)
+    b = np.zeros(data.p)
+    if order.size:
+        xty = data.X.T @ np.asarray(y, dtype=np.float64)
+        b[order] = solve_spd(data.gram[np.ix_(order, order)], xty[order])
+    return b
 
 
 def terminal_coefficients(

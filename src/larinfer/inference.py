@@ -9,6 +9,7 @@ with lives in ``larinfer.identities``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -116,9 +117,15 @@ def chi2_upper_quantile(df: int, tail: float) -> float:
     return 2.0 * x
 
 
+@functools.lru_cache
 def chi2_thresholds(p: int, n: int) -> Vector:
-    """Upper 1/n chi-squared quantiles with p-k+1 degrees of freedom, k=1..p."""
-    return np.array([chi2_upper_quantile(p - k + 1, 1.0 / n) for k in range(1, p + 1)])
+    """Upper 1/n chi-squared quantiles with p-k+1 degrees of freedom, k=1..p.
+
+    Computed once per (p, n): later calls return the same read-only array.
+    """
+    thresholds = np.array([chi2_upper_quantile(p - k + 1, 1.0 / n) for k in range(1, p + 1)])
+    thresholds.setflags(write=False)
+    return thresholds
 
 
 def tail_sums(path: LarPath | LarBatch, sigma: float | Vector, n: int) -> Vector:

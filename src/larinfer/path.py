@@ -170,7 +170,8 @@ class LarPath:
 
     ``weights`` are the step lengths.  ``correlations_all`` and
     ``equiangular_dots`` hold c_k and w_k (m x p) when the engine kept its
-    traces, else None.  ``coefficients`` has a row of p entries per kept step.
+    traces, else None.  ``coefficients`` has a row of p entries per kept step,
+    and ``refits`` the least-squares fit on the step's active columns.
     """
 
     entrants: list[int]
@@ -180,10 +181,10 @@ class LarPath:
     weights: Vector
     inv_angle_sq: Vector
     ties: NDArray[np.bool_]
-    start_correlations: Vector  # X'response, the correlations before the first step
     correlations_all: Matrix | None
     equiangular_dots: Matrix | None
     coefficients: Matrix
+    refits: Matrix
     terminated_at: int
 
     @property
@@ -230,15 +231,14 @@ def _crossings(
 class LarBatch:
     """Paths of a batch of responses on one design, one row per response.
 
-    ``start`` is the engine's input (not a copy), the starting correlations
-    (B x p).  Step arrays are B x p; entries past a row's ``terminated_at``
-    are 0, and -1 in ``entrants``.  ``coefficients`` holds the first
-    ``coef_steps`` coefficient rows of each path (B x coef_steps x p).
+    Step arrays are B x p; entries past a row's ``terminated_at`` are 0, and
+    -1 in ``entrants``.  ``coefficients`` holds the first ``coef_steps``
+    coefficient rows of each path (B x coef_steps x p), and ``refits`` the
+    least-squares fits on the active columns of the same steps.
     ``correlations_all`` and ``equiangular_dots`` hold c_k and w_k
     (B x p x p) when traces were asked for, else None.
     """
 
-    start: Matrix
     entrants: NDArray[np.int64]
     signs: Matrix
     correlations: Matrix
@@ -248,6 +248,7 @@ class LarBatch:
     ties: NDArray[np.bool_]
     terminated_at: NDArray[np.int64]
     coefficients: NDArray[np.float64]
+    refits: NDArray[np.float64]
     correlations_all: NDArray[np.float64] | None
     equiangular_dots: NDArray[np.float64] | None
 
@@ -266,7 +267,8 @@ class LarBatch:
         return LarPath(
             self.entrants[row, :m].tolist(), self.signs[row, :m], self.correlations[row, :m],
             self.angles[row, :m], self.weights[row, :m], self.inv_angle_sq[row, :m],
-            self.ties[row, :m], self.start[row], c_all, w_all, self.coefficients[row, :m], m,
+            self.ties[row, :m], c_all, w_all, self.coefficients[row, :m],
+            self.refits[row, :m], m,
         )
 
 
@@ -287,22 +289,25 @@ def lar_batch(
     equiangular weights G_AA^-1 s_A = T^-1 z scattered to columns.  So
     1/A_k^2 = |z|^2, w_k = X'a_k = A_k G G_AA^-1 s_A, the correlations are
     updated as c <- c - gamma * w and the coefficients as
-    b <- b + gamma * A_k * G_AA^-1 s_A, all in p-space.
+    b <- b + gamma * A_k * G_AA^-1 s_A, all in p-space.  The full step
+    gamma = C_k / A_k reaches the least-squares fit on the active columns,
+    b + C_k G_AA^-1 s_A, which is kept as the step's refit.
 
     Each row follows the rules of a single path: ``zero_tol`` is relative to
     the row's first step correlation (the row stops when C_k <= zero_tol * C_1,
     and at C_1 <= zero_tol for the first step); entrant candidates within
     TIE_TOL are flagged as a tie and the lowest index wins.  Only the first
-    ``coef_steps`` coefficient rows are kept (default p).  ``traces`` keeps c_k
-    and w_k, which take B * p * p floats each.  A failing row raises
-    RankDeficient (the new column's norm orthogonal to the active columns is
-    at or below RANK_TOL * max(1, |x_j|), which a design that ``standardize``
-    accepted never gives), NonPositiveScale or NoPositiveCandidate;
-    ``row_name`` maps its batch row to the phrase the message names it by.
+    ``coef_steps`` coefficient and refit rows are kept (default p).
+    ``traces`` keeps c_k and w_k, which take B * p * p floats each.  A failing
+    row raises RankDeficient (the new column's norm orthogonal to the active
+    columns is at or below RANK_TOL * max(1, |x_j|), which a design that
+    ``standardize`` accepted never gives), NonPositiveScale or
+    NoPositiveCandidate; ``row_name`` maps its batch row to the phrase the
+    message names it by.
     """
     if not zero_tol >= 0.0:
         raise ValueError(f"zero_tol must be a nonnegative number, got {zero_tol}")
-    c = start = np.atleast_2d(np.asarray(start, dtype=np.float64))
+    c = np.atleast_2d(np.asarray(start, dtype=np.float64))
     B, p = c.shape
     if G.shape != (p, p):
         raise DimensionMismatch(f"Gram matrix shape {G.shape} != ({p}, {p})")
@@ -321,6 +326,7 @@ def lar_batch(
     ] + ([np.zeros((B, p, p)), np.zeros((B, p, p))] if traces else [])
     terminated_at = np.full(B, p, dtype=np.int64)
     coefficients = np.zeros((B, m, p))
+    refits = np.zeros((B, m, p))
 
     # State of the live rows; rows[i] is the batch row of live row i.
     rows = np.arange(B)
@@ -401,6 +407,7 @@ def lar_batch(
             tie_next = near.sum(axis=1) > 1
 
         if k < m:
+            refits[rows, k] = coef + C[:, None] * direction
             coef = coef + (gamma * A)[:, None] * direction
             coefficients[rows, k] = coef
         for record, value in zip(out, (j, s, C, A, gamma, inv_a2, tie, c, w)):
@@ -411,8 +418,8 @@ def lar_batch(
     entrants, signs, correlations, angles, weights, inv_angle_sq, ties = out[:7]
     c_trace, w_trace = out[7:] if traces else (None, None)
     return LarBatch(
-        start, entrants, signs, correlations, angles, weights, inv_angle_sq, ties,
-        terminated_at, coefficients, c_trace, w_trace,
+        entrants, signs, correlations, angles, weights, inv_angle_sq, ties,
+        terminated_at, coefficients, refits, c_trace, w_trace,
     )
 
 

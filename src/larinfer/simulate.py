@@ -124,6 +124,8 @@ def run_coverage(
     """Coverage study of the modified bootstrap over fresh-noise replications
     of one accepted scenario; ``progress(done, total)`` follows the
     replications."""
+    if 8 * spec.reps > sys.maxsize:  # replications past what numpy can size
+        raise MemoryError
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
     data, pop = generate_scenario(spec, rng)
     p, m = spec.p, spec.m
@@ -167,7 +169,7 @@ def _replications(
 
     The replications run in blocks of ``chunk_rows(8 (n + 4 p^2))`` rows, a
     budget of a response row and four p x p arrays per replication, of which
-    its path uses two: the responses of a block, each drawn from its
+    its path uses three: the responses of a block, each drawn from its
     replication's own noise stream, are one stack and run as one path batch
     (with no traces) and one call of the stopping rule, whose sigma-hats the
     bootstrap set-up reuses; the bootstrap replicas of the block come from one
@@ -223,6 +225,8 @@ def tie_demo(
     step-2 entrant of each draw and the population path.
     """
     p = 4
+    if 8 * max(p, reps) * n > sys.maxsize:  # past what numpy can size
+        raise MemoryError
     chol = np.linalg.cholesky(ar1_covariance(p, 0.9))
     X_n = rng.standard_normal((n, p)) @ chol.T
     data = standardize(X_n, np.ones(n), center=False)
@@ -231,8 +235,6 @@ def tie_demo(
     u = solve_spd(data.gram[:3, :3], np.ones(3))
     mu = X[:, 0] + (X[:, :3] @ u) / math.sqrt(float(np.sum(u)))
     pop = lar_path(data, mu, zero_tol=1e-10)
-    if 8 * reps * n > sys.maxsize:  # past what numpy can size
-        raise MemoryError
     # one (reps, n) block holds the same numbers as reps draws of n in turn
     Y = mu + rng.standard_normal((reps, n)) / math.sqrt(n)
     # numpy's own loops, not BLAS, whose bits depend on its thread count

@@ -17,7 +17,6 @@ import larinfer.bootstrap as bootstrap
 from larinfer.bootstrap import (
     BootstrapConfig,
     BootstrapSetup,
-    _ols_from_correlations,
     bootstrap_intervals,
     replica_rng,
 )
@@ -30,6 +29,7 @@ from larinfer.identities import (
     full_column_basis,
     gamma_crossings,
     naive_setup,
+    ols_on_active,
     project,
     with_response,
 )
@@ -120,7 +120,8 @@ def reference_lar_path_nspace(
 
     Recomputes the correlations from the n-length residual at every step and
     grows an n x k basis, as the library engine did before it moved to the
-    p x p factor of X'X.  The differential tests compare the two.
+    p x p factor of X'X, and refits each step by ``np.linalg.lstsq`` on the
+    active columns.  The differential tests compare the two.
     """
     X = data.X
     n, p = X.shape
@@ -135,6 +136,7 @@ def reference_lar_path_nspace(
     b = np.zeros(p)
     steps: list[tuple] = []  # (j, s, C, A, gamma, inv_a2, tie, c, w) per step
     coef_rows: list[np.ndarray] = []
+    refits: list[np.ndarray] = []
     entrant: int | None = None
     tie = False
     c_first: float | None = None
@@ -191,6 +193,9 @@ def reference_lar_path_nspace(
 
         steps.append((j, s, C, A, gamma, inv_a2, tie, c, w))
         coef_rows.append(b)
+        refit = np.zeros(p)
+        refit[order] = np.linalg.lstsq(X[:, order], resp, rcond=None)[0]
+        refits.append(refit)
         tie = tie_next
 
     m = len(steps)
@@ -198,8 +203,8 @@ def reference_lar_path_nspace(
     signs, corr, angles, weights, inv_a2s = (np.array(v, dtype=float) for v in scalars)
     return LarPath(
         list(entrants), signs, corr, angles, weights, inv_a2s, np.array(ties, dtype=bool),
-        X.T @ resp, np.reshape(c_all, (m, p)), np.reshape(w_all, (m, p)),
-        np.reshape(coef_rows, (m, p)), m,
+        np.reshape(c_all, (m, p)), np.reshape(w_all, (m, p)),
+        np.reshape(coef_rows, (m, p)), np.reshape(refits, (m, p)), m,
     )
 
 
@@ -252,9 +257,8 @@ def reference_collect(
             avail = min(m_bar, steps)
             coef_rows[:avail] = path_star.coefficients[:avail]
             if steps >= m_bar:
-                coef_rows[m_bar - 1] = _ols_from_correlations(
-                    data, path_star.entrants[:m_bar],
-                    path_star.start_correlations,
+                coef_rows[m_bar - 1] = ols_on_active(
+                    data, path_star.entrants[:m_bar], mu_center + eps
                 )
             for i, (k, j) in enumerate(cells):
                 sample = setup.b_bars[0, j] if k == m_bar else path.coefficients[k - 1, j]

@@ -41,6 +41,14 @@ def test_no_module_imports_identities():
     assert offenders == []
 
 
+def test_bootstrap_imports_nothing_from_linalg():
+    """The path engine's full step gives every least-squares refit the
+    bootstrap needs, for the sample and for each replica: ``bootstrap.py``
+    has no solver of its own to import from ``larinfer.linalg``."""
+    imported = _imported_modules(ast.parse((PACKAGE / "bootstrap.py").read_text()))
+    assert sorted(m for m in imported if m.startswith("larinfer.linalg")) == []
+
+
 def test_only_the_path_module_names_step_records():
     """Production code reads a path's arrays: no module but ``path.py`` names
     ``LarStep`` or reads a ``.steps`` attribute."""

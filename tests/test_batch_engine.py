@@ -13,7 +13,7 @@ from larinfer.bootstrap import (
     interval_sets,
 )
 from larinfer.exceptions import RankDeficient
-from larinfer.identities import with_response
+from larinfer.identities import ols_on_active, with_response
 from larinfer.inference import build_inference_report, sigma_hat
 from larinfer.path import lar_batch, lar_path, standardize
 
@@ -90,6 +90,24 @@ def test_rows_match_single_paths(seed):
     assert len(stops) > 1  # rows leave the batch at different steps
 
 
+@pytest.mark.parametrize("seed", range(32))
+def test_refits_are_least_squares_on_the_active_columns(seed):
+    """Each kept refit row is the direct least-squares solve on the step's
+    active columns, also on rows that stop before the last kept step, and
+    zero past a row's last step."""
+    data, Y = _batch_design(seed)
+    steps = min(3, data.p - 1)
+    batch = lar_batch(Y @ data.X, data.gram, 1e-10, coef_steps=steps)
+    assert batch.refits.shape == (len(Y), steps, data.p)
+    for r, y in enumerate(Y):
+        m = min(int(batch.terminated_at[r]), steps)
+        for k in range(m):
+            ref = ols_on_active(data, batch.entrants[r, : k + 1], y)
+            assert _max_rel_diff(batch.refits[r, k], ref) <= 1e-12
+        assert not batch.refits[r, m:].any()
+    assert (batch.terminated_at < steps).any()  # some rows stop early
+
+
 def test_ties_are_flagged_and_lowest_index_wins():
     rng = np.random.default_rng(31)
     data = standardize(orthonormal_design(rng, 40, 4), rng.standard_normal(40), center=False)
@@ -110,6 +128,7 @@ def test_coefficient_rows_can_be_cut_short():
     short = lar_batch(Y @ data.X, data.gram, coef_steps=2)
     assert short.coefficients.shape == (3, 2, 6)
     assert np.array_equal(short.coefficients, full.coefficients[:, :2])
+    assert np.array_equal(short.refits, full.refits[:, :2])
     assert np.array_equal(short.correlations, full.correlations)
     assert full.correlations_all is None and full.equiangular_dots is None
 

@@ -403,24 +403,6 @@ class TestInfer:
         assert main(["fit", path, "--response", "y", "--no-center"]) == 0
         assert json.loads(capsys.readouterr().out)["terminated_at"] == 0
 
-    def test_terminal_fit_solved_once(self, tmp_path, monkeypatch):
-        import larinfer.bootstrap as bootstrap
-
-        calls = []
-        solve = bootstrap.solve_spd
-
-        def counting(*args):
-            calls.append(1)
-            return solve(*args)
-
-        monkeypatch.setattr(bootstrap, "solve_spd", counting)
-        out = tmp_path / "infer.json"
-        code = main(["infer", DIABETES, "--response", "progression",
-                     "--draws", "40", "--seed", "3", "--out", str(out)])
-        assert code == 0
-        # one batched refit for all 40 replicas plus one for the sample path
-        assert len(calls) == 1 + 1
-
     def test_diabetes_report(self, tmp_path):
         out = tmp_path / "infer.json"
         code = main(["infer", DIABETES, "--response", "progression",
@@ -902,21 +884,30 @@ def _limit_address_space():
     (["infer", DIABETES, "--response", "progression", "--draws", str(2 ** 63)], "--draws"),
     (["infer", DIABETES, "--response", "progression", "--draws", str(2 ** 62)], "--draws"),
     (["simulate", "{huge}", "--out", "{out}"], "reps * boot_draws"),
+    (["simulate", "{many}", "--out", "{out}"], "reps * boot_draws"),
     (["tie-demo", "--n", "50", "--reps", str(2 ** 62)], "--reps"),
     (["tie-demo", "--n", "50", "--reps", str(2 ** 63)], "--reps"),
+    (["tie-demo", "--n", str(2 ** 62), "--reps", "1"], "--n"),
+    (["tie-demo", "--n", str(2 ** 58), "--reps", "1"], "--n"),
 ], ids=["infer", "simulate", "infer-2^63", "infer-2^62", "simulate-10^20",
-        "tie-demo-2^62", "tie-demo-2^63"])
+        "simulate-reps-10^20", "tie-demo-2^62", "tie-demo-2^63", "tie-demo-n-2^62",
+        "tie-demo-n-2^58"])
 def test_out_of_memory_exits_3_naming_the_size(command, names, tmp_path):
-    """A bootstrap too large for memory ends with exit 3 and one error line
-    that names the option to lower, not a traceback.  The child runs under a
-    2 GiB address-space limit, so it cannot take much of the machine's memory."""
+    """A bootstrap, study or tie demonstration too large for memory ends with
+    exit 3 and one error line that names the option to lower, not a
+    traceback.  The child runs under a 2 GiB address-space limit, so it
+    cannot take much of the machine's memory."""
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"n": 100, "p": 5, "m": 2, "delta0": 0.5, "reps": 2,
                                     "boot_draws": 10 ** 12, "seed": 1}))
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({"n": 100, "p": 5, "m": 2, "delta0": 0.5, "reps": 2,
                                 "boot_draws": 10 ** 20, "seed": 1}))
-    argv = [a.format(scenario=scenario, huge=huge, out=tmp_path / "out.csv") for a in command]
+    many = tmp_path / "many.json"
+    many.write_text(json.dumps({"n": 60, "p": 4, "m": 1, "delta0": 0.01, "reps": 10 ** 20,
+                                "boot_draws": 40, "seed": 1}))
+    argv = [a.format(scenario=scenario, huge=huge, many=many, out=tmp_path / "out.csv")
+            for a in command]
     out = subprocess.run([sys.executable, "-m", "larinfer.cli", *argv], capture_output=True,
                          text=True, env=child_env(), preexec_fn=_limit_address_space, timeout=300)
     assert out.returncode == 3

@@ -63,6 +63,7 @@ def test_matches_nspace_reference(seed):
         assert _max_rel_diff(s_new.equiangular_dots, s_ref.equiangular_dots) <= 1e-10
         assert _max_rel_diff(s_new.correlations_all, s_ref.correlations_all) <= 1e-10
     assert _max_rel_diff(new.coefficients, ref.coefficients) <= 1e-10
+    assert _max_rel_diff(new.refits, ref.refits) <= 1e-10
     if kind == "sample":
         m_new = build_inference_report(data, new).m_bar
         m_ref = build_inference_report(data, ref).m_bar
@@ -84,6 +85,7 @@ def test_strong_collinearity_error_scales_with_condition_squared(seed, noise):
     assert new.entrants == ref.entrants
     bound = 50.0 * EPS * np.linalg.cond(data.X) ** 2
     assert _max_rel_diff(new.coefficients, ref.coefficients) <= bound
+    assert _max_rel_diff(new.refits, ref.refits) <= bound
 
 
 def test_factor_is_shared_across_responses():

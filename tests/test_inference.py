@@ -204,6 +204,16 @@ class TestReportAssembly:
         for k in range(1, 5):
             assert thr[k - 1] == chi2_upper_quantile(4 - k + 1, 1.0 / 200.0)
 
+    def test_thresholds_are_computed_once_per_shape(self):
+        """A second call with the same (p, n) returns the same array, which
+        is read-only so that no caller can change what the next one gets."""
+        first = chi2_thresholds(7, 311)
+        assert chi2_thresholds(7, 311) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        assert chi2_thresholds(7, 312) is not first
+
     def test_report_consistency(self, diabetes):
         _, data = diabetes
         path = lar_path(data, data.y)
