@@ -332,9 +332,14 @@ def interval_sets(
 
 
 def membership_curves(entry_steps: Matrix, p: int) -> Matrix:
-    """Cumulative entry frequencies: rows variables, columns steps 1..p."""
+    """Cumulative entry frequencies: rows variables, columns steps 1..p.
+
+    Filled a step at a time, so no replicas x variables x p temporary is made.
+    """
     entries = np.atleast_2d(np.asarray(entry_steps, dtype=np.float64))
     if entries.shape[0] < 1:
         raise ValueError("need at least one replica")
-    steps = np.arange(1, p + 1)
-    return (entries[:, :, None] <= steps[None, None, :]).mean(axis=0)
+    curves = np.empty((entries.shape[1], p))
+    for k in range(p):
+        curves[:, k] = (entries <= k + 1).mean(axis=0)
+    return curves

@@ -74,10 +74,10 @@ def cmd_infer(args) -> int:
             "rule needs the tail sums of all p steps"
         )
     _check_seed(args.seed)
+    cfg = BootstrapConfig(draws=args.draws, alpha=args.alpha, seed=args.seed)
     names, data = _load_standardized(args)
     path = lar_path(data, data.y)
     inference = build_inference_report(data, path)
-    cfg = BootstrapConfig(draws=args.draws, alpha=args.alpha, seed=args.seed)
     # the bootstrap reuses the stopping rule's sigma-hat instead of refitting
     intervals = next(interval_sets(data, data.y[None], [path], [inference.m_bar],
                                    [inference.sigma_hat], [cfg]))

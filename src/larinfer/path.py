@@ -152,19 +152,6 @@ def _column_norms(X: Matrix) -> Vector:
 
 
 @dataclass(frozen=True)
-class LarStep:
-    entrant: int
-    sign: float
-    correlation: float
-    angle: float
-    weight: float
-    correlations_all: Vector | None
-    equiangular_dots: Vector | None
-    inv_angle_sq: float
-    tie: bool
-
-
-@dataclass(frozen=True)
 class LarPath:
     """One path as per-step arrays, cut at its last step m = ``terminated_at``.
 
@@ -197,16 +184,10 @@ class LarPath:
         return (np.flatnonzero(self.ties) + 1).tolist()
 
     @property
-    def steps(self) -> tuple[LarStep, ...]:
-        """One LarStep record per step, built on each call."""
-        none = [None] * self.terminated_at
-        c_all = none if self.correlations_all is None else self.correlations_all
-        w_all = none if self.equiangular_dots is None else self.equiangular_dots
-        return tuple(map(
-            LarStep, self.entrants, self.signs.tolist(), self.correlations.tolist(),
-            self.angles.tolist(), self.weights.tolist(), c_all, w_all,
-            self.inv_angle_sq.tolist(), self.ties.tolist(),
-        ))
+    def steps(self) -> range:
+        """The step numbers 1..m; the benchmark's trace counts a path's steps
+        as ``len(path.steps)``."""
+        return range(1, self.terminated_at + 1)
 
 
 def _crossings(

@@ -120,7 +120,8 @@ def test_04_path_identity_suite():
         innovations = [s.innovation for s in states]
         proj_parts = [e * (float(e @ y) / float(e @ e)) for e in innovations]
         running = np.zeros(n)
-        for k, step in enumerate(path.steps, start=1):
+        for k in path.steps:
+            C_k, A_k = path.correlations[k - 1], path.angles[k - 1]
             state = states[k - 1]
             active = path.entrants[:k]
             signs = np.asarray(path.signs[:k])
@@ -129,12 +130,12 @@ def test_04_path_identity_suite():
             assert np.max(dots) - np.min(dots) <= 1e-9
             # correlation recursion C_{k+1} = C_k - gamma_k A_k
             if k < p:
-                nxt = path.steps[k].correlation
-                assert abs(nxt - (step.correlation - step.weight * step.angle)) <= 1e-8
+                nxt = path.correlations[k]
+                assert abs(nxt - (C_k - path.weights[k - 1] * A_k)) <= 1e-8
             # projection identity: fit_{k-1} + (C_k/A_k) a_k = P_k y
             running = running + proj_parts[k - 1]
-            a_k = state.direction * step.angle
-            lhs = fits[k - 1] + (step.correlation / step.angle) * a_k
+            a_k = state.direction * A_k
+            lhs = fits[k - 1] + (C_k / A_k) * a_k
             assert np.linalg.norm(lhs - running) <= 1e-8
             # step-length duality (only meaningful while candidates remain)
             if k < p:
@@ -143,16 +144,16 @@ def test_04_path_identity_suite():
                 assert gamma_min_plus(st) == gamma
             # closed-form step correlation from the previous direction
             closed = population_correlation_closed_form(data, y, state)
-            assert closed == pytest.approx(step.correlation, abs=1e-9)
+            assert closed == pytest.approx(C_k, abs=1e-9)
             # fit decomposition into innovation projections minus overshoot
-            c_next = path.steps[k].correlation if k < p else 0.0
+            c_next = path.correlations[k] if k < p else 0.0
             assert np.linalg.norm(
-                fits[k] - (running - (c_next / step.angle) * a_k)
+                fits[k] - (running - (c_next / A_k) * a_k)
             ) <= 1e-8
             # equiangular recursion agrees with the direct solve
             signed = X[:, active] * signs
             a_direct, angle_direct = equiangular(signed)
-            assert abs(angle_direct - step.angle) <= 1e-9
+            assert abs(angle_direct - A_k) <= 1e-9
             assert np.linalg.norm(a_direct - a_k) <= 1e-9
         # angles strictly decreasing
         assert np.all(np.diff(path.angles) < 0.0)

@@ -162,8 +162,6 @@ def test_every_defaulted_parameter_is_passed_in_production():
 
 # Records or fields that production never reads as attributes, each with why it stays.
 UNREAD_FIELDS = {
-    # the trace worker counts a traced path's steps as ``len(path.steps)``
-    "LarStep",
     # deprecated and ignored, kept so that old callers and scenario files load
     "BootstrapConfig.parallel", "BootstrapConfig.threads", "ScenarioSpec.threads",
     # ``cmd_simulate`` writes the whole record through ``dataclasses.astuple``

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,7 +240,7 @@ class TestIntervals:
         lo_level, hi_level = cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0
         root_n = math.sqrt(data.n)
         for k in range(1, len(path.steps) + 1):
-            q_hat = (path.steps[k - 1].sign * sigma
+            q_hat = (path.signs[k - 1] * sigma
                      / (math.sqrt(path.inv_angle_sq_increments[k - 1]) * root_n))
             c_hat = path.correlations[k - 1]
             ends = (c_hat - nearest_rank_quantile(t_star[:, k - 1], hi_level) * q_hat,
@@ -263,6 +264,26 @@ class TestMembership:
         assert np.array_equal(freq[0], [0.0, 1.0, 1.0])
         assert np.array_equal(freq[1], [1.0, 1.0, 1.0])
         assert np.array_equal(freq[2], [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("draws, p", [(1, 1), (9, 1), (2, 3), (40, 7), (500, 25)])
+    def test_bytes_match_the_broadcast_formula(self, draws, p):
+        rng = np.random.default_rng(draws + 1000 * p)
+        entries = rng.integers(1, p + 1, (draws, p)).astype(np.float64)
+        steps = np.arange(1, p + 1)
+        expected = (entries[:, :, None] <= steps[None, None, :]).mean(axis=0)
+        assert membership_curves(entries, p).tobytes() == expected.tobytes()
+
+    def test_wide_curves_make_no_draws_by_p_by_p_temporary(self):
+        """500 replicas at p = 200: the draws x p x p comparison would take
+        19 MiB; a step at a time stays under 2 MiB."""
+        entries = np.random.default_rng(5).integers(1, 201, (500, 200)).astype(np.float64)
+        tracemalloc.start()
+        try:
+            membership_curves(entries, 200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_rows_nondecreasing_and_reach_one(self, diabetes):
         _, data = diabetes

@@ -731,6 +731,18 @@ def test_error_line_names_the_option(case, tmp_path, capsys):
         assert words in err
 
 
+@pytest.mark.parametrize("option, value", [("--draws", "1"), ("--alpha", "1.5")])
+def test_infer_checks_bootstrap_options_before_the_csv(option, value, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the CSV was read before the options were checked")
+
+    monkeypatch.setattr(io_module, "read_csv", never)
+    assert main(["infer", DIABETES, "--response", "progression", option, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 # values most scenario keys reject: wrong types, non-finite and huge floats,
 # zero and negative numbers
 _BAD_VALUES = st.one_of(

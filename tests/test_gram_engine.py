@@ -59,9 +59,10 @@ def test_matches_nspace_reference(seed):
     assert np.array_equal(new.signs, ref.signs)
     assert _max_rel_diff(new.correlations, ref.correlations) <= 1e-10
     assert _max_rel_diff(new.angles, ref.angles) <= 1e-10
-    for s_new, s_ref in zip(new.steps, ref.steps):
-        assert _max_rel_diff(s_new.equiangular_dots, s_ref.equiangular_dots) <= 1e-10
-        assert _max_rel_diff(s_new.correlations_all, s_ref.correlations_all) <= 1e-10
+    for w_new, w_ref, c_new, c_ref in zip(new.equiangular_dots, ref.equiangular_dots,
+                                          new.correlations_all, ref.correlations_all):
+        assert _max_rel_diff(w_new, w_ref) <= 1e-10
+        assert _max_rel_diff(c_new, c_ref) <= 1e-10
     assert _max_rel_diff(new.coefficients, ref.coefficients) <= 1e-10
     assert _max_rel_diff(new.refits, ref.refits) <= 1e-10
     if kind == "sample":

@@ -169,8 +169,7 @@ class TestStudentizedT:
         sigma = 0.8
         centers = np.zeros(3)
         T = studentized_T(path, centers, sigma, data.n)
-        step = path.steps[0]
-        expected = math.sqrt(data.n) * step.sign * step.correlation / sigma
+        expected = math.sqrt(data.n) * path.signs[0] * path.correlations[0] / sigma
         assert T[0] == pytest.approx(expected, rel=1e-12)
 
     def test_innovation_identity_when_order_recovered(self):

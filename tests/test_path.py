@@ -193,12 +193,11 @@ class TestLarPath:
                            center=False)
         path = lar_path(data, data.y)
         c1 = float(data.X[:, 0] @ data.y)
-        step = path.steps[0]
         assert len(path.steps) == 1
-        assert step.correlation == pytest.approx(abs(c1), abs=0)
-        assert step.sign == (1.0 if c1 >= 0 else -1.0)
-        assert step.angle == pytest.approx(1.0, abs=1e-12)
-        assert step.weight == pytest.approx(abs(c1), abs=1e-15)
+        assert path.correlations[0] == pytest.approx(abs(c1), abs=0)
+        assert path.signs[0] == (1.0 if c1 >= 0 else -1.0)
+        assert path.angles[0] == pytest.approx(1.0, abs=1e-12)
+        assert path.weights[0] == pytest.approx(abs(c1), abs=1e-15)
         assert path.coefficients[0, 0] == pytest.approx(c1, abs=1e-12)
 
     def test_diabetes_order_and_correlations(self, diabetes):
@@ -239,6 +238,18 @@ class TestLarPath:
         fitted = data.X @ path.coefficients[-1]
         assert np.linalg.norm(fitted - mu) <= 1e-8
 
+    def test_steps_are_the_step_numbers(self):
+        """``steps`` is the range 1..m; the benchmark's trace counts a path's
+        steps as its length."""
+        rng = np.random.default_rng(6)
+        data, mu = population_instance(rng, n=50, p=6, m=3)
+        full = lar_path(data, mu + 0.1 * rng.standard_normal(data.n))
+        cut = lar_path(data, mu, zero_tol=1e-10)
+        empty = lar_path(data, np.zeros(data.n))
+        assert [path.terminated_at for path in (full, cut, empty)] == [6, 3, 0]
+        for path in (full, cut, empty):
+            assert path.steps == range(1, path.terminated_at + 1)
+
 
 class TestPathInvariants:
     @pytest.mark.parametrize("seed", range(12))
@@ -250,19 +261,20 @@ class TestPathInvariants:
         assert sorted(path.entrants) == list(range(p))
 
         fits = [np.zeros(data.n)] + [data.X @ b for b in path.coefficients]
-        for k, step in enumerate(path.steps, start=1):
+        for k in path.steps:
+            C_k = path.correlations[k - 1]
             # equal correlation on the active set (signed)
             active = path.entrants[:k]
             signs = path.signs[:k]
             dots = signs * (data.X[:, active].T @ (data.y - fits[k - 1]))
             assert np.max(dots) - np.min(dots) <= 1e-9
-            assert np.max(np.abs(step.correlations_all)) == pytest.approx(
-                step.correlation, abs=1e-10
+            assert np.max(np.abs(path.correlations_all[k - 1])) == pytest.approx(
+                C_k, abs=1e-10
             )
             # correlation recursion
             if k < p:
-                nxt = path.steps[k].correlation
-                assert abs(nxt - (step.correlation - step.weight * step.angle)) <= 1e-8
+                nxt = path.correlations[k]
+                assert abs(nxt - (C_k - path.weights[k - 1] * path.angles[k - 1])) <= 1e-8
             # projection identity: fit_{k-1} + (C_k/A_k) a_k = P_k y
             basis = ProjectionBasis.empty(data.n)
             for j in active:
@@ -270,8 +282,8 @@ class TestPathInvariants:
             # reconstruct a_k from the equiangular system
             signed = data.X[:, active] * signs
             a_k, A_k = equiangular(signed)
-            assert A_k == pytest.approx(step.angle, abs=1e-10)
-            lhs = fits[k - 1] + (step.correlation / step.angle) * a_k
+            assert A_k == pytest.approx(path.angles[k - 1], abs=1e-10)
+            lhs = fits[k - 1] + (C_k / path.angles[k - 1]) * a_k
             assert np.linalg.norm(lhs - project(basis, data.y)) <= 1e-8
             # consistency of the stored coefficients with the fit
             assert np.linalg.norm(data.X @ path.coefficients[k - 1] - fits[k]) <= 1e-8
@@ -291,11 +303,11 @@ class TestPathInvariants:
         data = random_instance(rng)
         path = lar_path(data, data.y)
         fits = [np.zeros(data.n)] + [data.X @ b for b in path.coefficients]
-        for k, step in enumerate(path.steps, start=1):
+        for k in path.steps:
             for later in range(k - 1, len(path.steps)):
-                value = float(data.X[:, step.entrant] @ (data.y - fits[later]))
+                value = float(data.X[:, path.entrants[k - 1]] @ (data.y - fits[later]))
                 if abs(value) > 1e-9:
-                    assert np.sign(value) == step.sign
+                    assert np.sign(value) == path.signs[k - 1]
 
 
 class TestGamma:
@@ -329,7 +341,7 @@ class TestGamma:
                 g1, _, _ = gamma_crossings(state)
                 g2 = gamma_min_plus(state)
                 assert g1 == g2  # identical floats, same branch arithmetic
-                assert g1 == path.steps[k - 1].weight
+                assert g1 == path.weights[k - 1]
                 count += 1
         assert count > 50
 
@@ -458,9 +470,8 @@ class TestEntranceCriteria:
         for state in replay_states(data, path):
             crit = entrance_criteria(data, response, state)
             assert crit.argmax == state.entrant
-            step = path.steps[state.k - 1]
             assert crit.values[state.entrant] == pytest.approx(
-                step.correlation, abs=1e-9
+                path.correlations[state.k - 1], abs=1e-9
             )
             # penalized sequential-SS form agrees with the squared criterion
             nonactive = ~state.active_mask_prev
@@ -480,7 +491,7 @@ class TestPopulationClosedForm:
         for state in replay_states(data, path):
             closed = population_correlation_closed_form(data, mu, state)
             assert closed == pytest.approx(
-                path.steps[state.k - 1].correlation, abs=1e-9
+                path.correlations[state.k - 1], abs=1e-9
             )
 
     def test_projection_increment_identity(self):
@@ -488,7 +499,7 @@ class TestPopulationClosedForm:
         data, mu = population_instance(rng)
         path = lar_path(data, mu, zero_tol=1e-10)
         for state in replay_states(data, path):
-            C_k = path.steps[state.k - 1].correlation
+            C_k = path.correlations[state.k - 1]
             lhs = C_k * (state.direction - state.direction_prev)
             e = state.innovation
             rhs = e * (float(e @ mu) / float(e @ e))
@@ -506,9 +517,9 @@ class TestPopulationClosedForm:
             total = sum(
                 e * (float(e @ mu) / float(e @ e)) for e in innovations[:k]
             )
-            C_next = path.steps[k].correlation if k < m else 0.0
+            C_next = path.correlations[k] if k < m else 0.0
             state = states[k - 1]
-            A_k = path.steps[k - 1].angle
+            A_k = path.angles[k - 1]
             a_k = state.direction * A_k
             assert np.linalg.norm(mu_k - (total - (C_next / A_k) * a_k)) <= 1e-8
 
