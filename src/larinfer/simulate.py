@@ -193,7 +193,8 @@ def _replications(
         def name(r: int) -> str:
             return f"replication {reps[r]}"
 
-        paths = lar_batch(Y @ data.X, data.gram, row_name=name)
+        # numpy's own loops, not BLAS, whose bits depend on its thread count
+        paths = lar_batch(np.einsum("rn,nj->rj", Y, data.X), data.gram, row_name=name)
         # a path stops early only when the noise is lost to the rounding of the mean
         report = build_inference_report(data, paths, Y, name)
         boot = np.flatnonzero(report.m_bar > 0)

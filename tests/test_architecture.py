@@ -255,6 +255,30 @@ def test_tie_demo_output_does_not_depend_on_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+# sha256 of the starting correlations of the coverage study's first block of
+# 128 replications (a full block), then the study aborts
+_STUDY_STARTS = (
+    "import hashlib, json, larinfer.simulate as simulate\n"
+    "class Done(Exception): pass\n"
+    "def hashed(start, *args, **kwargs):\n"
+    "    print(json.dumps(hashlib.sha256(start.tobytes()).hexdigest()))\n"
+    "    raise Done\n"
+    "simulate.lar_batch = hashed\n"
+    "try:\n"
+    "    simulate.run_coverage(simulate.ScenarioSpec(\n"
+    "        n=1000, p=20, m=3, delta0=0.2, reps=130, boot_draws=40, seed=1))\n"
+    "except Done:\n"
+    "    pass\n"
+)
+
+
+@needs_threads
+def test_study_starts_do_not_depend_on_blas_threads():
+    """The sample paths of a coverage study start from the same bits with
+    two BLAS threads as with one."""
+    assert run_python(_STUDY_STARTS) == run_python(_STUDY_STARTS, OPENBLAS_NUM_THREADS="2")
+
+
 # The names the package root re-exports, by the module that defines them.
 ROOT_NAMES = {
     "bootstrap": ["BootstrapConfig", "IntervalSet", "bootstrap_intervals",

@@ -1,5 +1,7 @@
 """The lockstep batch engine against one-path runs and the per-replica bootstrap."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import orthonormal_design, reference_collect, use_naive_bootstrap
@@ -224,12 +226,44 @@ def test_chunk_rows():
     # p = 20 and 40 draws a response (the bench coverage shape): engines
     # share chunks of CHUNK_ROWS
     assert chunk_rows(8 * 20**2, 40) == bootstrap.CHUNK_ROWS
-    # one bootstrap of 500 draws at p = 10 is one engine call
-    assert chunk_rows(8 * 10**2, 500) == 500
-    # at p = 100 and 200 the byte budget binds
-    assert chunk_rows(8 * 100**2, 500) == 419
+    # one bootstrap's draws run in calls of at most 2 CHUNK_ROWS
+    assert chunk_rows(8 * 10**2, 500) == 256
+    assert chunk_rows(8 * 20**2, 200) == 200
+    assert chunk_rows(8 * 100**2, 500) == 256
+    # at p = 200 the byte budget binds
     assert chunk_rows(8 * 200**2, 500) == 104
     assert chunk_rows(2 * bootstrap.CHUNK_BYTES) == 1
+
+
+@pytest.mark.parametrize("draws", [500, 2000])
+def test_one_bootstrap_runs_in_calls_of_at_most_256_rows(draws, diabetes, monkeypatch):
+    _, data = diabetes
+    path = lar_path(data, data.y)
+    sizes = []
+
+    def counted(start, *args, engine=bootstrap.lar_batch, **kwargs):
+        sizes.append(len(start))
+        return engine(start, *args, **kwargs)
+
+    monkeypatch.setattr(bootstrap, "lar_batch", counted)
+    bootstrap_intervals(data, path, 5, BootstrapConfig(draws=draws, seed=3))
+    assert sum(sizes) == draws
+    assert sizes == [256] * (draws // 256) + [draws % 256]
+
+
+def test_bootstrap_memory_at_5000_draws(diabetes):
+    """5000 draws at p = 10 keep their statistics, (2p + cells) x 8 bytes a
+    draw, and the work arrays of one call of 256 rows; all 5000 rows in one
+    call would take about 17 MiB."""
+    _, data = diabetes
+    path = lar_path(data, data.y)
+    tracemalloc.start()
+    try:
+        bootstrap_intervals(data, path, 5, BootstrapConfig(draws=5000, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("naive", [False, True])

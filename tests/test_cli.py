@@ -564,7 +564,7 @@ class TestSimulate:
         # last bit, and the sample path stops after step 1 of 3
         scen = self._scenario(tmp_path, n=18, p=3, m=1, delta0=0.0625, rho=1.192092896e-07,
                               beta_range=7.123852882610993e17, reps=1, boot_draws=4,
-                              seed=18, alpha=0.5, rejection_cap=1)
+                              seed=28, alpha=0.5, rejection_cap=1)
         assert main(["simulate", scen, "--out", str(tmp_path / "x.csv")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: replication 0: the sample path stops at step 1 of 3")
