@@ -200,7 +200,9 @@ def _intervals(setup: BootstrapSetup, r: int, cfg: BootstrapConfig, t_star: Matr
     q_hat = path.signs * sigma / (np.sqrt(path.inv_angle_sq_increments) * math.sqrt(data.n))
     c_hat = path.correlations
     ends = (c_hat - t_hi * q_hat, c_hat - t_lo * q_hat)
-    corr = np.column_stack([np.maximum(0.0, np.minimum(*ends)), np.maximum(*ends)])
+    # a correlation is not negative: both ends are clamped at 0, so ends
+    # that are both negative give [0, 0], not an inverted interval
+    corr = np.maximum(0.0, np.column_stack([np.minimum(*ends), np.maximum(*ends)]))
 
     cells, _, _, center = _cells(setup, r)
     b_lo, b_hi = _quantile_rows(b_star, cfg.alpha)

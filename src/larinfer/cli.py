@@ -55,9 +55,12 @@ def _load_standardized(args):
 
 def cmd_fit(args) -> int:
     names, data = _load_standardized(args)
-    path = lar_path(data, data.y, zero_tol=args.zero_tol)
+    start, gram = data.X.T @ data.y, data.gram
     n, p, centered = data.n, data.p, data.centered
-    del data  # the report reads only the path: free the design before building it
+    # the path needs only X'y and X'X, and the report only the path: free the
+    # design and its factor before the path's p x p work
+    del data
+    path = lar_path(start, gram, zero_tol=args.zero_tol)
     doc = reports.path_report_dict(path, n, p, centered, names, args.response)
     return _write_report(args, doc, reports.write_fit_csv)
 
@@ -76,7 +79,7 @@ def cmd_infer(args) -> int:
     _check_seed(args.seed)
     cfg = BootstrapConfig(draws=args.draws, alpha=args.alpha, seed=args.seed)
     names, data = _load_standardized(args)
-    path = lar_path(data, data.y)
+    path = lar_path(data.X.T @ data.y, data.gram)
     inference = build_inference_report(data, path)
     # the bootstrap reuses the stopping rule's sigma-hat instead of refitting
     intervals = next(interval_sets(data, data.y[None], [path], [inference.m_bar],

@@ -389,7 +389,8 @@ def bootstrap_path_draw(
     Y = data.y[None]
     setup = bootstrap_setup(data, Y, [path], [m_bar], sigma_hat(data, Y * data.response_scale))
     eps = setup.pools[0][rng.integers(0, data.n, data.n)]
-    path_star = lar_path(data, data.X @ setup.b_bars[0] + eps, zero_tol=0.0)
+    y_star = data.X @ setup.b_bars[0] + eps
+    path_star = lar_path(data.X.T @ y_star, data.gram, zero_tol=0.0)
     sigma_star = _residual_scale(data, (data.X.T @ eps)[None], np.array([eps @ eps]))
     return path_star, float(sigma_star[0])
 

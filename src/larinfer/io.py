@@ -196,7 +196,8 @@ def _response_index(names: list[str], response: str) -> int:
 def _report(kind: str, path: LarPath, n: int, p: int, centered: bool, response: str,
             **body) -> dict:
     """A report document: the shared head, ``body`` in its order, then the
-    correlation and coefficient traces of ``path``."""
+    correlation and coefficient traces of ``path``.  The traces stay m x p
+    arrays, which the writers format a row at a time."""
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
@@ -205,8 +206,8 @@ def _report(kind: str, path: LarPath, n: int, p: int, centered: bool, response: 
         "response": response,
         "centered": centered,
         **body,
-        "correlation_traces": np.abs(path.correlations_all).tolist(),
-        "coefficient_traces": path.coefficients.tolist(),
+        "correlation_traces": np.abs(path.correlations_all),
+        "coefficient_traces": path.coefficients,
     }
 
 
@@ -283,10 +284,13 @@ def infer_report_dict(
 
 
 def write_json(doc: dict, out) -> None:
-    """Write ``doc`` exactly as ``json.dump(doc, out, indent=2)`` and a newline.
+    """Write ``doc`` exactly as ``json.dump(doc, out, indent=2)`` and a newline,
+    where a numpy array is written as its ``tolist()``.
 
-    A flat list of finite floats (a trace row) is formatted with one join of
-    ``float.__repr__``, which is what ``json`` itself calls on each float.
+    An array of two or more dimensions is written a row at a time, so only
+    one row is ever held as Python floats.  A flat list of finite floats (a
+    trace row) is formatted with one join of ``float.__repr__``, which is
+    what ``json`` itself calls on each float.
     Dicts with string keys and non-empty lists are laid out here, one item at
     a time, so the report text is never held whole, and so are keys and
     scalars (strings, bools, None, ints, finite floats); every other value,
@@ -299,6 +303,8 @@ def write_json(doc: dict, out) -> None:
 def _write_value(value, out, newline: str) -> None:
     """Write one value whose line breaks are followed by ``newline``'s indent."""
     inner = newline + "  "
+    if isinstance(value, np.ndarray):
+        value = list(value) if value.ndim > 1 else value.tolist()
     if isinstance(value, (list, tuple)) and value:
         try:
             text = ("," + inner).join(map(float.__repr__, value))
@@ -354,7 +360,10 @@ def write_fit_csv(doc: dict, out) -> None:
     writer.writerow(header + [f"abs_corr_{n}" for n in names] + [f"coef_{n}" for n in names])
     traces = zip(doc["correlation_traces"], doc["coefficient_traces"])
     for row, (corr, coef) in zip(doc["steps"], traces):
-        writer.writerow([row[key] for key in header] + corr + coef)
+        # a trace row as Python floats, which csv writes as their repr (it
+        # would write a numpy scalar as "np.float64(...)")
+        writer.writerow([row[key] for key in header]
+                        + np.asarray(corr).tolist() + np.asarray(coef).tolist())
 
 
 def write_infer_csv(doc: dict, out) -> None:

@@ -6,10 +6,11 @@ row, so all live rows sit at the same step, and a row leaves the batch when
 its own stopping rule fires.  The path depends on the data only through X'X
 and X'response, so the engine runs in p-space on the Gram matrix X'X and
 takes the starting correlations X'response as input.  ``lar_path`` is
-the one-response wrapper: the observed response gives the sample path, a
-noiseless mean vector the population path.  The bootstrap and the tie
-demonstration run all their responses through the batch engine, and a
-coverage study runs the sample paths of its replications in a few batches.
+the one-row wrapper, ``lar_path(X'response, X'X)``: the observed response
+gives the sample path, a noiseless mean vector the population path.  The
+bootstrap and the tie demonstration run all their responses through the
+batch engine, and a coverage study runs the sample paths of its replications
+in a few batches.
 The alternative formulas that the tests check the engine against live in
 ``larinfer.identities``.
 """
@@ -404,30 +405,22 @@ def lar_batch(
     )
 
 
-def lar_path(
-    data: StandardizedData,
-    response: Vector,
-    zero_tol: float = 0.0,
-) -> LarPath:
-    """Run the path algorithm on the given response.
+def lar_path(start: Vector, G: Matrix, zero_tol: float = 0.0) -> LarPath:
+    """Run the path algorithm from the starting correlations X'response.
 
-    ``zero_tol`` is relative to the first step correlation: the path stops
-    when C_k <= zero_tol * C_1 (and at C_1 <= zero_tol for the first step).
-    Sample responses should use 0, population responses about 1e-10.  Ties
-    among entrant candidates are recorded in ``ties`` and broken by lowest
-    column index.
+    ``G`` is the Gram matrix X'X.  ``zero_tol`` is relative to the first
+    step correlation: the path stops when C_k <= zero_tol * C_1 (and at
+    C_1 <= zero_tol for the first step).  Sample responses should use 0,
+    population responses about 1e-10.  Ties among entrant candidates are
+    recorded in ``ties`` and broken by lowest column index.
 
-    Only the starting correlations X'response are computed in n-space; the
-    path itself is ``lar_batch`` on one row, with the per-step c_k and w_k
+    The path is ``lar_batch`` on one row, with the per-step c_k and w_k
     kept.  ``standardize`` has already rejected a rank-deficient design.
     """
-    X = data.X
-    n = X.shape[0]
-    resp = np.asarray(response, dtype=np.float64)
-    if resp.shape != (n,):
-        raise DimensionMismatch(f"response shape {resp.shape} != ({n},)")
-    batch = lar_batch((X.T @ resp)[None], data.gram, zero_tol, traces=True)
-    return batch.path(0)
+    c = np.asarray(start, dtype=np.float64)
+    if c.ndim != 1:
+        raise DimensionMismatch(f"starting correlations must be 1-d, got shape {c.shape}")
+    return lar_batch(c[None], G, zero_tol, traces=True).path(0)
 
 
 def margins(population_path: LarPath) -> float:

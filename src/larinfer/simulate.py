@@ -98,7 +98,7 @@ def generate_scenario(
             data = standardize(X_n, mu_n, center=True)
         except DegenerateResponse:
             continue
-        pop_path = lar_path(data, data.y, zero_tol=1e-10)
+        pop_path = lar_path(data.X.T @ data.y, data.gram, zero_tol=1e-10)
         if pop_path.tie_steps or pop_path.terminated_at != spec.m:
             continue
         if margins(pop_path) >= spec.delta0:
@@ -235,7 +235,7 @@ def tie_demo(
     # equiangular vector of the first three columns, from their Gram block
     u = solve_spd(data.gram[:3, :3], np.ones(3))
     mu = X[:, 0] + (X[:, :3] @ u) / math.sqrt(float(np.sum(u)))
-    pop = lar_path(data, mu, zero_tol=1e-10)
+    pop = lar_path(X.T @ mu, data.gram, zero_tol=1e-10)
     # one (reps, n) block holds the same numbers as reps draws of n in turn
     Y = mu + rng.standard_normal((reps, n)) / math.sqrt(n)
     # numpy's own loops, not BLAS, whose bits depend on its thread count

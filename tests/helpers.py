@@ -1,5 +1,6 @@
 """The bundled diabetes data, the environment of a child interpreter, shared
-generators for randomized tests, the n-space reference path engine, the
+generators for randomized tests, the path of a response on a standardized
+design, the n-space reference path engine, the
 per-replica reference bootstrap, the switch to the standard (naive)
 bootstrap, and the per-replication reference coverage study."""
 
@@ -111,6 +112,12 @@ def population_instance(
     return data, data.y
 
 
+def path_of(data: StandardizedData, response, zero_tol: float = 0.0) -> LarPath:
+    """``lar_path`` of an n-length response on ``data``'s design: its starting
+    correlations X'response, formed as the CLI forms them, and X'X."""
+    return lar_path(data.X.T @ np.asarray(response, dtype=np.float64), data.gram, zero_tol)
+
+
 def reference_lar_path_nspace(
     data: StandardizedData,
     response: np.ndarray,
@@ -216,7 +223,7 @@ def reference_collect(
 
     A copy of the per-replica loop the library ran before the replicas moved
     to the batch engine.  Each replica draws its n errors e*, builds the
-    n-length response y* = mu + e*, runs ``lar_path`` on it, takes its
+    n-length response y* = mu + e*, runs ``path_of`` on it, takes its
     residual scale from the n-space basis of the full column space, and
     refits its terminal step with its own solve.  The resampling state (pool,
     center, centers, terminal refit) is read from ``setup``, and the cells
@@ -233,7 +240,7 @@ def reference_collect(
     for index in range(cfg.draws):
         rng = replica_rng(cfg.seed, index)
         eps = setup.pools[0][rng.integers(0, n, n)]
-        path_star = lar_path(data, mu_center + eps, zero_tol=0.0)
+        path_star = path_of(data, mu_center + eps, zero_tol=0.0)
         resid = eps - project(basis, eps)
         sigma_star = math.sqrt(n * float(resid @ resid) / (n - p))
 
@@ -285,7 +292,7 @@ def reference_run_coverage(spec: ScenarioSpec) -> CoverageResult:
 
     A copy of the loop the library ran before the coverage study moved to
     batches: each replication builds its own response from its noise stream,
-    runs ``lar_path`` and ``sigma_hat`` on it, and, when its m_bar is
+    runs ``path_of`` and ``sigma_hat`` on it, and, when its m_bar is
     positive, calls ``bootstrap_intervals`` with its own seed, so every
     replication makes its own two engine calls.  After ``use_naive_bootstrap``
     it runs the standard bootstrap, as ``run_coverage`` does.
@@ -305,7 +312,7 @@ def reference_run_coverage(spec: ScenarioSpec) -> CoverageResult:
         noise_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1, i]))
         eps = noise_rng.standard_normal(n)
         d = with_response(data, data.y * data.response_scale + eps)
-        path = lar_path(d, d.y, zero_tol=0.0)
+        path = path_of(d, d.y, zero_tol=0.0)
         sigma = sigma_hat(d, d.y * d.response_scale)
         S = tail_sums(path, sigma, n)
         m_bar = estimate_m(S, thresholds)

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import orthonormal_design, random_instance, use_naive_bootstrap
+from helpers import orthonormal_design, path_of, random_instance, use_naive_bootstrap
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
@@ -39,7 +39,7 @@ from larinfer.inference import (
     tail_sums,
 )
 from larinfer.linalg import solve_spd
-from larinfer.path import lar_batch, lar_path
+from larinfer.path import lar_batch
 from larinfer.simulate import (
     ScenarioSpec,
     generate_scenario,
@@ -59,7 +59,7 @@ DIABETES_TERMINAL = {"bmi": 24.903, "ltg": 22.560, "map": 15.517,
 def test_01_diabetes_deterministic_reproduction(diabetes):
     start = time.perf_counter()
     names, data = diabetes
-    path = lar_path(data, data.y)
+    path = path_of(data, data.y)
     assert [names[j] for j in path.entrants] == DIABETES_ORDER
     assert np.allclose(path.correlations, DIABETES_C, atol=1e-3)
     report = build_inference_report(data, path)
@@ -77,7 +77,7 @@ def test_01_diabetes_deterministic_reproduction(diabetes):
 def test_02_diabetes_bootstrap_reproduction(diabetes):
     start = time.perf_counter()
     names, data = diabetes
-    path = lar_path(data, data.y)
+    path = path_of(data, data.y)
     bmi = names.index("bmi")
     for seed in range(5):
         cfg = BootstrapConfig(draws=500, alpha=0.05, seed=seed,
@@ -112,7 +112,7 @@ def test_04_path_identity_suite():
         if p >= n:
             p = n - 1
         data = random_instance(rng, n=n, p=p, center=bool(rng.integers(2)))
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         y = data.y
         X = data.X
         fits = [np.zeros(n)] + [X @ b for b in path.coefficients]
@@ -178,7 +178,7 @@ def test_05_null_chi2_aggregate():
     for i in range(reps):
         y_n = rng.standard_normal(n)
         d = with_response(data0, y_n)
-        path = lar_path(d, d.y)
+        path = path_of(d, d.y)
         sigma = sigma_hat(d, y_n)
         T = studentized_T(path, centers, sigma, n)
         sums[i] = float(T @ T)
@@ -204,7 +204,7 @@ def test_06_termination_estimate_consistency():
         noise = np.random.default_rng(np.random.SeedSequence([spec.seed, 1, i]))
         y_n = data.y * data.response_scale + noise.standard_normal(spec.n)
         d = with_response(data, y_n)
-        path = lar_path(d, d.y)
+        path = path_of(d, d.y)
         S = tail_sums(path, sigma_hat(d, y_n), spec.n)
         hits += estimate_m(S, thresholds) == spec.m
     rate = hits / reps

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import orthonormal_design, reference_collect, use_naive_bootstrap
+from helpers import orthonormal_design, path_of, reference_collect, use_naive_bootstrap
 
 import larinfer.bootstrap as bootstrap
 from larinfer.bootstrap import (
@@ -17,7 +17,7 @@ from larinfer.bootstrap import (
 from larinfer.exceptions import RankDeficient
 from larinfer.identities import ols_on_active, with_response
 from larinfer.inference import build_inference_report, sigma_hat
-from larinfer.path import lar_batch, lar_path, standardize
+from larinfer.path import lar_batch, standardize
 
 
 def _max_rel_diff(new, ref) -> float:
@@ -75,7 +75,7 @@ def test_rows_match_single_paths(seed):
     batch = lar_batch(Y @ data.X, data.gram, zero_tol, traces=True)
     stops = set()
     for r, y in enumerate(Y):
-        ref = lar_path(data, y, zero_tol=zero_tol)
+        ref = path_of(data, y, zero_tol=zero_tol)
         m = ref.terminated_at
         stops.add(m)
         assert batch.terminated_at[r] == m
@@ -164,7 +164,7 @@ def _case(name, diabetes):
         data = _tall(np.random.default_rng(33))
     elif name == "noiseless":
         return _noiseless(np.random.default_rng(4)), 2, False, 50, 9
-    m_bar = build_inference_report(data, lar_path(data, data.y)).m_bar
+    m_bar = build_inference_report(data, path_of(data, data.y)).m_bar
     if name == "m_bar=0":
         m_bar = 0
     return data, m_bar, name == "naive", 200, 5
@@ -173,7 +173,7 @@ def _case(name, diabetes):
 @pytest.mark.parametrize("name", ["diabetes", "tall", "naive", "m_bar=0", "noiseless"])
 def test_collect_matches_per_replica_reference(name, diabetes, monkeypatch):
     data, m_bar, naive, draws, seed = _case(name, diabetes)
-    path = lar_path(data, data.y)
+    path = path_of(data, data.y)
     use_naive_bootstrap(monkeypatch, naive)
     setup = bootstrap.bootstrap_setup(data, data.y[None], [path], [m_bar],
                                       sigma_hat(data, data.y[None] * data.response_scale))
@@ -201,7 +201,7 @@ def test_collect_matches_per_replica_reference(name, diabetes, monkeypatch):
 
 def test_collect_is_bit_reproducible(diabetes):
     _, data = diabetes
-    path = lar_path(data, data.y)
+    path = path_of(data, data.y)
     cfg = BootstrapConfig(draws=120, seed=44)
     first = _collect(data, path, 5, cfg)
     second = _collect(data, path, 5, cfg)
@@ -211,7 +211,7 @@ def test_collect_is_bit_reproducible(diabetes):
 
 def test_chunking_does_not_change_results(diabetes, monkeypatch):
     _, data = diabetes
-    path = lar_path(data, data.y)
+    path = path_of(data, data.y)
     cfg = BootstrapConfig(draws=90, seed=45)
     whole = _collect(data, path, 5, cfg)
     # 8 * p^2 = 800 bytes per replica, so 8000 bytes gives chunks of 10
@@ -238,7 +238,7 @@ def test_chunk_rows():
 @pytest.mark.parametrize("draws", [500, 2000])
 def test_one_bootstrap_runs_in_calls_of_at_most_256_rows(draws, diabetes, monkeypatch):
     _, data = diabetes
-    path = lar_path(data, data.y)
+    path = path_of(data, data.y)
     sizes = []
 
     def counted(start, *args, engine=bootstrap.lar_batch, **kwargs):
@@ -256,7 +256,7 @@ def test_bootstrap_memory_at_5000_draws(diabetes):
     draw, and the work arrays of one call of 256 rows; all 5000 rows in one
     call would take about 17 MiB."""
     _, data = diabetes
-    path = lar_path(data, data.y)
+    path = path_of(data, data.y)
     tracemalloc.start()
     try:
         bootstrap_intervals(data, path, 5, BootstrapConfig(draws=5000, seed=3))
@@ -274,7 +274,7 @@ def test_interval_sets_match_one_response_at_a_time(naive, diabetes, monkeypatch
     rng = np.random.default_rng(46)
     Y = data.y + 0.02 * rng.standard_normal((4, data.n))
     Y -= Y.mean(axis=1, keepdims=True)
-    paths = [lar_path(data, y) for y in Y]
+    paths = [path_of(data, y) for y in Y]
     m_bars = [5, 0, 2, 5]
     cfgs = [BootstrapConfig(draws=60, seed=50 + i) for i in range(4)]
     # 8 * p^2 = 800 bytes per replica: chunks of 25

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import random_instance, use_naive_bootstrap
+from helpers import path_of, random_instance, use_naive_bootstrap
 
 import larinfer.bootstrap as bootstrap
 from larinfer.bootstrap import (
@@ -20,7 +20,7 @@ from larinfer.identities import (
     terminal_coefficients,
 )
 from larinfer.inference import build_inference_report, sigma_hat
-from larinfer.path import lar_path, standardize
+from larinfer.path import standardize
 
 
 def _noiseless_data(rng, n=40, p=4, active=(0, 1)):
@@ -79,7 +79,7 @@ def test_resampling_center(diabetes, naive, monkeypatch):
     """The modified bootstrap resamples around the least-squares fit on the
     first m_bar entrants, the naive one around the full least-squares fit."""
     _, data = diabetes
-    path = lar_path(data, data.y)
+    path = path_of(data, data.y)
     use_naive_bootstrap(monkeypatch, naive)
     setup = bootstrap.bootstrap_setup(data, data.y[None], [path], [4],
                                       sigma_hat(data, data.y[None] * data.response_scale))
@@ -96,7 +96,7 @@ class TestPathDraw:
     def test_degenerate_draw_reproduces_prefix(self):
         rng = np.random.default_rng(3)
         data = _noiseless_data(rng)
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         m_bar = 2
         path_star, sigma_star = bootstrap_path_draw(
             data, path, m_bar, np.random.default_rng(11)
@@ -111,7 +111,7 @@ class TestPathDraw:
 
     def test_bit_reproducible(self, diabetes):
         _, data = diabetes
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         a, sa = bootstrap_path_draw(data, path, 5, np.random.default_rng(21))
         b, sb = bootstrap_path_draw(data, path, 5, np.random.default_rng(21))
         assert sa == sb
@@ -123,7 +123,7 @@ class TestIntervals:
     def test_degenerate_zero_spread_intervals_are_points(self):
         rng = np.random.default_rng(4)
         data = _noiseless_data(rng)
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         m_bar = 2
         cfg = BootstrapConfig(draws=50, alpha=0.05, seed=9)
         iv = bootstrap_intervals(data, path, m_bar, cfg)
@@ -139,7 +139,7 @@ class TestIntervals:
 
     def test_interval_shapes_and_truncation(self, diabetes):
         _, data = diabetes
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         report = build_inference_report(data, path)
         cfg = BootstrapConfig(draws=200, alpha=0.05, seed=17)
         iv = bootstrap_intervals(data, path, report.m_bar, cfg)
@@ -156,7 +156,7 @@ class TestIntervals:
 
     def test_diabetes_first_correlation_interval(self, diabetes):
         _, data = diabetes
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         cfg = BootstrapConfig(draws=500, alpha=0.05, seed=29)
         iv = bootstrap_intervals(data, path, 5, cfg)
         lo, hi = iv.correlation_intervals[0]
@@ -167,7 +167,7 @@ class TestIntervals:
         # steps past the first have square-root-increment factors far from 1,
         # so they pin down the orientation of the interval scale
         _, data = diabetes
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         cfg = BootstrapConfig(draws=500, alpha=0.05, seed=29)
         iv = bootstrap_intervals(data, path, 5, cfg)
         lo2, hi2 = iv.correlation_intervals[1]
@@ -178,7 +178,7 @@ class TestIntervals:
 
     def test_diabetes_terminal_coefficient_interval(self, diabetes):
         names, data = diabetes
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         cfg = BootstrapConfig(draws=500, alpha=0.05, seed=29)
         iv = bootstrap_intervals(data, path, 5, cfg)
         bmi = names.index("bmi")
@@ -197,7 +197,7 @@ class TestIntervals:
 
     def test_parallel_matches_serial(self, diabetes):
         _, data = diabetes
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         serial = bootstrap_intervals(
             data, path, 5, BootstrapConfig(draws=120, seed=31)
         )
@@ -212,7 +212,7 @@ class TestIntervals:
 
     def test_alpha_monotonicity(self, diabetes):
         _, data = diabetes
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         narrow = bootstrap_intervals(
             data, path, 5, BootstrapConfig(draws=200, alpha=0.5, seed=37)
         )
@@ -229,7 +229,7 @@ class TestIntervals:
         """The interval endpoints, from one sort per replication, equal the
         per-step and per-cell nearest-rank quantiles bit for bit."""
         _, data = diabetes
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         cfg = BootstrapConfig(draws=199, alpha=0.1, seed=12)
         use_naive_bootstrap(monkeypatch, naive)
         setup = bootstrap.bootstrap_setup(data, data.y[None], [path], [5],
@@ -287,7 +287,7 @@ class TestMembership:
 
     def test_rows_nondecreasing_and_reach_one(self, diabetes):
         _, data = diabetes
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         iv = bootstrap_intervals(
             data, path, 5, BootstrapConfig(draws=100, seed=41)
         )
@@ -297,7 +297,7 @@ class TestMembership:
 
     def test_diabetes_first_step_split(self, diabetes):
         names, data = diabetes
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         iv = bootstrap_intervals(
             data, path, 5, BootstrapConfig(draws=500, seed=43)
         )

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import child_env, diabetes_fixture_path, load_diabetes, run_python
+from helpers import child_env, diabetes_fixture_path, load_diabetes, path_of, run_python
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -292,10 +292,10 @@ class TestFit:
         assert doc["steps"][0]["correlation"] == pytest.approx(45.16, abs=1e-2)
         # floats must round-trip exactly through the JSON document
         names, X, y = load_diabetes()
-        from larinfer.path import lar_path, standardize
+        from larinfer.path import standardize
 
         data = standardize(X, y, center=True)
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         for k, row in enumerate(doc["steps"]):
             assert row["correlation"] == float(path.correlations[k])
 
@@ -485,6 +485,20 @@ class TestInfer:
         doc = _json_doc(tmp_path, ["infer", path, "--response", "y", "--draws", "40"])
         assert 0.0 < doc["sigma_hat"] < 1e-12
         assert math.isfinite(doc["steps"][0]["tail_sum"])
+
+    def test_exact_fit_gives_no_inverted_interval(self, tmp_path):
+        # y = 2 x0: sigma_hat is rounding, every step passes the stopping
+        # rule, and the later steps' interval ends both fall just below 0,
+        # where clamping gives [0, 0]
+        X = np.random.default_rng(0).standard_normal((50, 4))
+        rows = np.column_stack([X, 2.0 * X[:, 0]]).tolist()
+        path = _write_csv(tmp_path / "exact.csv", [["x0", "x1", "x2", "x3", "y"], *rows])
+        doc = _json_doc(tmp_path, ["infer", path, "--response", "y", "--draws", "200"])
+        assert 0.0 < doc["sigma_hat"] < 1e-12 and doc["m_bar"] == 4
+        for row in doc["steps"]:
+            assert 0.0 <= row["interval_lo"] <= row["interval_hi"], row
+        assert [[row["interval_lo"], row["interval_hi"]] for row in doc["steps"][1:]] == [
+            [0.0, 0.0]] * 3
 
 
 def _near_collinear_csv(tmp_path, offset):

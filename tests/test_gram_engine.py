@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
-from helpers import reference_lar_path_nspace
+from helpers import path_of, reference_lar_path_nspace
 
 from larinfer.exceptions import RankDeficient
 from larinfer.identities import with_response
 from larinfer.inference import build_inference_report
 from larinfer.linalg import GRAM_RANK_TOL, cholesky_spd, gram_factor
-from larinfer.path import lar_path, standardize
+from larinfer.path import standardize
 
 EPS = np.finfo(np.float64).eps
 
@@ -51,7 +51,7 @@ def _max_rel_diff(new, ref) -> float:
 @pytest.mark.parametrize("seed", range(60))
 def test_matches_nspace_reference(seed):
     data, zero_tol, kind = _design(seed)
-    new = lar_path(data, data.y, zero_tol=zero_tol)
+    new = path_of(data, data.y, zero_tol=zero_tol)
     ref = reference_lar_path_nspace(data, data.y, zero_tol=zero_tol)
     assert new.entrants == ref.entrants
     assert new.tie_steps == ref.tie_steps
@@ -81,7 +81,7 @@ def test_strong_collinearity_error_scales_with_condition_squared(seed, noise):
     X[:, 1] = X[:, 0] + noise * rng.standard_normal(n)
     data = standardize(X, X @ rng.standard_normal(p) + rng.standard_normal(n),
                        center=seed % 2 == 0)
-    new = lar_path(data, data.y)
+    new = path_of(data, data.y)
     ref = reference_lar_path_nspace(data, data.y)
     assert new.entrants == ref.entrants
     bound = 50.0 * EPS * np.linalg.cond(data.X) ** 2
@@ -107,7 +107,7 @@ class TestRankPolicy:
         X[:, 2] = -3.0 * X[:, 0]
         with pytest.raises(RankDeficient):
             data = standardize(X, rng.standard_normal(30))
-            lar_path(data, data.y, zero_tol=zero_tol)
+            path_of(data, data.y, zero_tol=zero_tol)
 
     def test_exact_linear_combination_rejected(self):
         rng = np.random.default_rng(24)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import orthonormal_design, random_instance
+from helpers import orthonormal_design, path_of, random_instance
 from scipy.special import chdtri
 from scipy.stats import chi2 as chi2_dist
 
@@ -22,7 +22,7 @@ from larinfer.inference import (
     sigma_hat,
     tail_sums,
 )
-from larinfer.path import lar_batch, lar_path, standardize
+from larinfer.path import lar_batch, standardize
 
 
 class TestSigmaHat:
@@ -98,7 +98,7 @@ class TestTailSums:
     def test_definitional_properties(self):
         rng = np.random.default_rng(4)
         data = random_instance(rng, n=60, p=6)
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         sigma = sigma_hat(data, data.y * data.response_scale)
         W, S = step_statistics(path, sigma, data.n), tail_sums(path, sigma, data.n)
         assert np.all(W >= 0.0)
@@ -109,7 +109,7 @@ class TestTailSums:
     def test_innovation_recomputation_oracle(self):
         rng = np.random.default_rng(5)
         data = random_instance(rng, n=70, p=5)
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         sigma = sigma_hat(data, data.y * data.response_scale)
         W = step_statistics(path, sigma, data.n)
         # W_k = n (e_k' y)^2 / (e_k'e_k sigma^2) via the innovation identity
@@ -120,7 +120,7 @@ class TestTailSums:
 
     def test_diabetes_tail_sums(self, diabetes):
         _, data = diabetes
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         sigma = sigma_hat(data, data.y * data.response_scale)
         S = tail_sums(path, sigma, data.n)
         expected = [463.800, 155.713, 52.193, 33.742, 23.515,
@@ -131,7 +131,7 @@ class TestTailSums:
 class TestEstimateM:
     def test_diabetes(self, diabetes):
         _, data = diabetes
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         report = build_inference_report(data, path)
         assert report.m_bar == 5
 
@@ -157,7 +157,7 @@ class TestStudentizedT:
     def test_self_centering(self):
         rng = np.random.default_rng(6)
         data = random_instance(rng)
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         T = studentized_T(path, path.correlations, 1.3, data.n)
         assert np.allclose(T, 0.0, atol=0)
 
@@ -165,7 +165,7 @@ class TestStudentizedT:
         rng = np.random.default_rng(7)
         Q = orthonormal_design(rng, 30, 3)
         data = standardize(Q, rng.standard_normal(30), center=False)
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         sigma = 0.8
         centers = np.zeros(3)
         T = studentized_T(path, centers, sigma, data.n)
@@ -181,8 +181,8 @@ class TestStudentizedT:
             mu_n = X @ beta
             data = standardize(X, mu_n + eps_n, center=False)
             mu = mu_n / data.response_scale
-            pop = lar_path(data, mu, zero_tol=1e-10)
-            path = lar_path(data, data.y)
+            pop = path_of(data, mu, zero_tol=1e-10)
+            path = path_of(data, data.y)
             m = pop.terminated_at
             if path.entrants[:m] != pop.entrants:
                 continue
@@ -215,7 +215,7 @@ class TestReportAssembly:
 
     def test_report_consistency(self, diabetes):
         _, data = diabetes
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         report = build_inference_report(data, path)
         # the p-space residual scale against the n-space projection
         basis = full_column_basis(data)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import larinfer.io as io_module
 from larinfer import cli
 from larinfer.cli import main
-from larinfer.io import write_json
+from larinfer.io import write_fit_csv, write_json
 from larinfer.path import StandardizedData, standardize
 
 DIABETES = str(diabetes_fixture_path())
@@ -54,8 +54,45 @@ def test_write_json_edge_documents():
         assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
 
 
+_TRACES = [
+    np.array([[0.5, -0.0, 1e308], [5e-324, -1.5, 0.1]]),
+    np.array([[-0.0, 2.0, 1.0 / 3.0]]),  # one row
+    np.zeros((0, 3)),
+    np.array([[math.nan, 1.0, -0.0], [math.inf, -math.inf, 2.5]]),
+]
+
+
+@pytest.mark.parametrize("trace", _TRACES, ids=["rows", "one-row", "empty", "non-finite"])
+def test_write_json_writes_arrays_as_their_lists(trace):
+    """A doc holding arrays, 2-d ones written a row at a time, is written as
+    ``json.dump`` writes the same doc with each array's ``tolist()``."""
+    doc = {"traces": trace, "nested": [trace, {"rows": trace[:1], "flat": trace.ravel()}],
+           "scalar": np.array(-0.0)}
+    out = io.StringIO()
+    write_json(doc, out)
+    assert out.getvalue() == json.dumps(doc, indent=2, default=np.ndarray.tolist) + "\n"
+
+
+@pytest.mark.parametrize("trace", _TRACES, ids=["rows", "one-row", "empty", "non-finite"])
+def test_write_fit_csv_writes_arrays_as_their_lists(trace):
+    """``write_fit_csv`` writes a doc whose traces are arrays exactly as the
+    same doc with the traces as lists of floats."""
+    names = ["a", "b", "c"]
+    steps = [{"step": k + 1, "variable": names[k], "sign": -1.0, "correlation": 0.25,
+              "angle": 0.75, "weight": 0.125} for k in range(len(trace))]
+    texts = []
+    for corr, coef in [(np.abs(trace), -trace), (np.abs(trace).tolist(), (-trace).tolist())]:
+        out = io.StringIO()
+        write_fit_csv({"variables": names, "steps": steps, "correlation_traces": corr,
+                       "coefficient_traces": coef}, out)
+        texts.append(out.getvalue())
+    assert texts[0] == texts[1]
+    assert texts[0].count("\n") == len(trace) + 1
+
+
 def _report_json(monkeypatch, tmp_path, argv):
-    """The bytes the CLI writes, and json.dump's text for the same report dict."""
+    """The bytes the CLI writes, and json.dump's text for the same report dict
+    with its arrays as lists."""
     docs = []
     write = io_module.write_json
 
@@ -67,7 +104,8 @@ def _report_json(monkeypatch, tmp_path, argv):
     out = tmp_path / "report.json"
     assert main(argv + ["--out", str(out)]) == 0
     (doc,) = docs
-    return out.read_text(encoding="utf-8"), json.dumps(doc, indent=2) + "\n"
+    expected = json.dumps(doc, indent=2, default=np.ndarray.tolist) + "\n"
+    return out.read_text(encoding="utf-8"), expected
 
 
 def test_fit_report_equals_json_dump(monkeypatch, tmp_path):
@@ -121,10 +159,10 @@ def test_ingest_frees_the_table_before_standardize(tmp_path):
 
 
 def test_fit_frees_the_design_before_the_report(monkeypatch, tmp_path):
-    """No reference to the standardized design is alive while the fit report,
-    whose traces are Python floats, is built."""
+    """No reference to the standardized design is alive while the fit's path
+    or its report is built."""
     refs, alive = [], []
-    load, report = cli._load_standardized, io_module.path_report_dict
+    load, report, path = cli._load_standardized, io_module.path_report_dict, cli.lar_path
 
     def spy_load(args):
         names, data = load(args)
@@ -135,11 +173,40 @@ def test_fit_frees_the_design_before_the_report(monkeypatch, tmp_path):
         alive.append(refs[0]() is not None)
         return report(*args)
 
+    def spy_path(*args, **kwargs):
+        alive.append(refs[0]() is not None)
+        return path(*args, **kwargs)
+
     monkeypatch.setattr(cli, "_load_standardized", spy_load)
+    monkeypatch.setattr(cli, "lar_path", spy_path)
     monkeypatch.setattr(io_module, "path_report_dict", spy_report)
     assert main(["fit", DIABETES, "--response", "progression",
                  "--out", str(tmp_path / "fit.json")]) == 0
-    assert alive == [False]
+    assert alive == [False, False]
+
+
+def test_fit_working_set(tmp_path):
+    """``fit`` on a 2000 x 300 CSV peaks at most 6 P above one design copy D.
+
+    D = 8 n p and P = 8 p^2 bytes.  The path needs only X'y and X'X, so the
+    design and its factor are freed before the path's p x p work, and the
+    report's traces stay arrays that are written a row at a time.  A design
+    held through the path, or traces held as Python floats (32 bytes an
+    entry against 8), exceeds the bound.
+    """
+    n, p = 2000, 300
+    table = np.random.default_rng(11).standard_normal((n, p + 1))
+    argv = ["fit", _design_csv(tmp_path, table, p), "--response", "y",
+            "--out", str(tmp_path / "fit.json")]
+    assert main(argv) == 0  # warm-up: first-call allocations are not the fit's
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    D, P = 8 * n * p, 8 * p * p
+    assert peak <= D + 6 * P, (peak - D) / P
 
 
 @pytest.mark.parametrize("no_center", [False, True])

@@ -4,7 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import load_diabetes, orthonormal_design, population_instance, random_instance
+from helpers import (
+    load_diabetes,
+    orthonormal_design,
+    path_of,
+    population_instance,
+    random_instance,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -37,7 +43,6 @@ from larinfer.path import (
     _column_norms,
     _standardize_owned,
     lar_batch,
-    lar_path,
     margins,
     standardize,
 )
@@ -191,7 +196,7 @@ class TestLarPath:
         rng = np.random.default_rng(3)
         data = standardize(rng.standard_normal((8, 1)), rng.standard_normal(8),
                            center=False)
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         c1 = float(data.X[:, 0] @ data.y)
         assert len(path.steps) == 1
         assert path.correlations[0] == pytest.approx(abs(c1), abs=0)
@@ -202,7 +207,7 @@ class TestLarPath:
 
     def test_diabetes_order_and_correlations(self, diabetes):
         names, data = diabetes
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         assert [names[j] for j in path.entrants] == DIABETES_ORDER
         assert path.correlations[0] == pytest.approx(45.160, abs=1e-3)
         assert path.correlations[1] == pytest.approx(42.300, abs=1e-3)
@@ -212,7 +217,7 @@ class TestLarPath:
         rng = np.random.default_rng(4)
         Q = orthonormal_design(rng, 40, 4)
         data = standardize(Q, rng.standard_normal(40), center=False)
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         dots = data.X.T @ data.y
         expected = np.argsort(-np.abs(dots))
         assert path.entrants == expected.tolist()
@@ -225,14 +230,14 @@ class TestLarPath:
         Q = orthonormal_design(rng, 30, 3)
         y = Q[:, 0] + Q[:, 1] + 0.3 * Q[:, 2]
         data = standardize(Q, y, center=False)
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         assert 1 in path.tie_steps
         assert path.entrants[0] == 0
 
     def test_population_path_terminates(self):
         rng = np.random.default_rng(6)
         data, mu = population_instance(rng, n=50, p=6, m=3)
-        path = lar_path(data, mu, zero_tol=1e-10)
+        path = path_of(data, mu, zero_tol=1e-10)
         assert path.terminated_at <= 6
         # the fit at termination reproduces the mean
         fitted = data.X @ path.coefficients[-1]
@@ -243,9 +248,9 @@ class TestLarPath:
         steps as its length."""
         rng = np.random.default_rng(6)
         data, mu = population_instance(rng, n=50, p=6, m=3)
-        full = lar_path(data, mu + 0.1 * rng.standard_normal(data.n))
-        cut = lar_path(data, mu, zero_tol=1e-10)
-        empty = lar_path(data, np.zeros(data.n))
+        full = path_of(data, mu + 0.1 * rng.standard_normal(data.n))
+        cut = path_of(data, mu, zero_tol=1e-10)
+        empty = path_of(data, np.zeros(data.n))
         assert [path.terminated_at for path in (full, cut, empty)] == [6, 3, 0]
         for path in (full, cut, empty):
             assert path.steps == range(1, path.terminated_at + 1)
@@ -256,7 +261,7 @@ class TestPathInvariants:
     def test_algebraic_identities(self, seed):
         rng = np.random.default_rng(100 + seed)
         data = random_instance(rng, center=bool(seed % 2))
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         p = data.p
         assert sorted(path.entrants) == list(range(p))
 
@@ -301,7 +306,7 @@ class TestPathInvariants:
     def test_sign_stability(self, seed):
         rng = np.random.default_rng(200 + seed)
         data = random_instance(rng)
-        path = lar_path(data, data.y)
+        path = path_of(data, data.y)
         fits = [np.zeros(data.n)] + [data.X @ b for b in path.coefficients]
         for k in path.steps:
             for later in range(k - 1, len(path.steps)):
@@ -335,7 +340,7 @@ class TestGamma:
         count = 0
         for _ in range(40):
             data = random_instance(rng)
-            path = lar_path(data, data.y)
+            path = path_of(data, data.y)
             for k in range(1, len(path.steps)):
                 state = step_state(path, k)
                 g1, _, _ = gamma_crossings(state)
@@ -349,7 +354,7 @@ class TestGamma:
         rng = np.random.default_rng(11)
         for _ in range(20):
             data = random_instance(rng)
-            path = lar_path(data, data.y)
+            path = path_of(data, data.y)
             for k in range(1, len(path.steps)):
                 state = step_state(path, k)
                 gamma, _, _ = gamma_crossings(state)
@@ -452,7 +457,7 @@ class TestEntranceCriteria:
         Q = orthonormal_design(rng, 25, 4)
         data = standardize(Q, rng.standard_normal(25), center=False)
         mu = data.X @ np.array([2.0, -1.0, 0.5, 0.0])
-        path = lar_path(data, mu, zero_tol=1e-10)
+        path = path_of(data, mu, zero_tol=1e-10)
         state = next(replay_states(data, path))
         crit = entrance_criteria(data, mu, state)
         assert np.allclose(crit.values, np.abs(data.X.T @ mu), atol=1e-12)
@@ -462,11 +467,11 @@ class TestEntranceCriteria:
         rng = np.random.default_rng(400 + seed)
         if seed % 2:
             data, response = population_instance(rng)
-            path = lar_path(data, response, zero_tol=1e-10)
+            path = path_of(data, response, zero_tol=1e-10)
         else:
             data = random_instance(rng)
             response = data.y
-            path = lar_path(data, response)
+            path = path_of(data, response)
         for state in replay_states(data, path):
             crit = entrance_criteria(data, response, state)
             assert crit.argmax == state.entrant
@@ -487,7 +492,7 @@ class TestPopulationClosedForm:
     def test_matches_path_correlations(self, seed):
         rng = np.random.default_rng(500 + seed)
         data, mu = population_instance(rng)
-        path = lar_path(data, mu, zero_tol=1e-10)
+        path = path_of(data, mu, zero_tol=1e-10)
         for state in replay_states(data, path):
             closed = population_correlation_closed_form(data, mu, state)
             assert closed == pytest.approx(
@@ -497,7 +502,7 @@ class TestPopulationClosedForm:
     def test_projection_increment_identity(self):
         rng = np.random.default_rng(17)
         data, mu = population_instance(rng)
-        path = lar_path(data, mu, zero_tol=1e-10)
+        path = path_of(data, mu, zero_tol=1e-10)
         for state in replay_states(data, path):
             C_k = path.correlations[state.k - 1]
             lhs = C_k * (state.direction - state.direction_prev)
@@ -508,7 +513,7 @@ class TestPopulationClosedForm:
     def test_projection_decomposition(self):
         rng = np.random.default_rng(18)
         data, mu = population_instance(rng, n=80, p=7, m=4)
-        path = lar_path(data, mu, zero_tol=1e-10)
+        path = path_of(data, mu, zero_tol=1e-10)
         states = list(replay_states(data, path))
         m = len(states)
         innovations = [s.innovation for s in states]
@@ -529,7 +534,7 @@ class TestMargins:
         rng = np.random.default_rng(19)
         data = standardize(rng.standard_normal((10, 1)), rng.standard_normal(10),
                            center=False)
-        path = lar_path(data, data.y, zero_tol=1e-10)
+        path = path_of(data, data.y, zero_tol=1e-10)
         # no competitor at any step: both margins are +inf
         delta = margins(path)
         assert math.isinf(delta) and delta > 0.0
@@ -539,7 +544,7 @@ class TestMargins:
         Q = orthonormal_design(rng, 40, 4)
         data = standardize(Q, rng.standard_normal(40), center=False)
         mu = data.X @ np.array([3.0, 2.0, 1.0, 0.0])
-        path = lar_path(data, mu, zero_tol=1e-10)
+        path = path_of(data, mu, zero_tol=1e-10)
         delta = margins(path)
         magnitudes = np.abs(data.X.T @ mu)
         nonzero = np.sort(magnitudes[magnitudes > 1e-12])
@@ -551,7 +556,7 @@ class TestMargins:
         Q = orthonormal_design(rng, 30, 3)
         data = standardize(Q, np.ones(30), center=False)
         mu = data.X[:, 0] + data.X[:, 1]
-        path = lar_path(data, mu, zero_tol=1e-10)
+        path = path_of(data, mu, zero_tol=1e-10)
         assert path.tie_steps
         with pytest.raises(NotPrototypical):
             margins(path)
@@ -565,8 +570,8 @@ def _separated_design(seed: int, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _untied_path(data: StandardizedData, response: np.ndarray, zero_tol: float = 0.0):
-    """``lar_path`` of the response; draws within TIE_TOL of a tie are skipped."""
-    path = lar_path(data, response, zero_tol=zero_tol)
+    """The path of the response; draws within TIE_TOL of a tie are skipped."""
+    path = path_of(data, response, zero_tol=zero_tol)
     assume(not path.tie_steps)
     return path
 
@@ -584,7 +589,7 @@ class TestInvarianceProperties:
         path = _untied_path(base, base.y)
         C_1 = path.correlations[0]
         permuted = standardize(X[:, perm], y, center)
-        new = lar_path(permuted, permuted.y)
+        new = path_of(permuted, permuted.y)
         position = np.argsort(perm)  # new index of each original column
         assert new.entrants == position[path.entrants].tolist()
         assert np.allclose(new.correlations, path.correlations, rtol=0.0, atol=1e-12 * C_1)
@@ -596,7 +601,7 @@ class TestInvarianceProperties:
         data, scaled = standardize(X, y, center), standardize(X, c * y, center)
         path = _untied_path(data, data.y)
         C_1 = path.correlations[0]
-        new = lar_path(scaled, scaled.y)
+        new = path_of(scaled, scaled.y)
         assert new.entrants == path.entrants
         assert np.allclose(new.correlations, c * path.correlations, rtol=0.0, atol=1e-12 * c * C_1)
         m_bar = build_inference_report(data, path).m_bar
@@ -609,7 +614,7 @@ class TestInvarianceProperties:
         data, shifted = standardize(X, y), standardize(X, y + shift)
         path = _untied_path(data, data.y)
         C_1 = path.correlations[0]
-        new = lar_path(shifted, shifted.y)
+        new = path_of(shifted, shifted.y)
         assert new.entrants == path.entrants
         assert np.array_equal(new.signs, path.signs)
         assert np.allclose(new.correlations, path.correlations, rtol=0.0, atol=1e-12 * C_1)
@@ -625,7 +630,7 @@ class TestInvarianceProperties:
         path = _untied_path(base, base.y)
         X[:, j] = -X[:, j]
         flipped = standardize(X, y, center)
-        new = lar_path(flipped, flipped.y)
+        new = path_of(flipped, flipped.y)
         assert new.entrants == path.entrants
         expected = np.where(np.array(path.entrants) == j, -path.signs, path.signs)
         assert np.array_equal(new.signs, expected)

@@ -6,11 +6,11 @@ import pytest
 import larinfer.bootstrap as bootstrap
 import larinfer.inference as inference
 import larinfer.simulate as simulate
-from helpers import orthonormal_design, reference_run_coverage, use_naive_bootstrap
+from helpers import orthonormal_design, path_of, reference_run_coverage, use_naive_bootstrap
 
 from larinfer.exceptions import RejectionBudgetExceeded
 from larinfer.identities import asymptotic_coef_cov, ols_on_active, with_response
-from larinfer.path import lar_path, margins, standardize
+from larinfer.path import margins, standardize
 from larinfer.simulate import (
     ScenarioSpec,
     ar1_covariance,
@@ -58,7 +58,7 @@ class TestGenerateScenario:
         fit = np.linalg.lstsq(data.X, data.y, rcond=None)[0]
         assert sorted(np.flatnonzero(np.abs(fit) > 1e-8).tolist()) == sorted(pop.entrants)
         # recompute the path and its margin from scratch on the returned design
-        fresh = lar_path(data, data.y, zero_tol=1e-10)
+        fresh = path_of(data, data.y, zero_tol=1e-10)
         assert fresh.entrants == pop.entrants
         assert margins(fresh) == delta
 
@@ -234,7 +234,7 @@ class TestAsymptoticCoefCov:
         mu_n = Q @ beta
         data = standardize(Q, mu_n, center=False)
         mu = data.y
-        pop = lar_path(data, mu, zero_tol=1e-10)
+        pop = path_of(data, mu, zero_tol=1e-10)
         assert pop.entrants == [0, 1]
         target = asymptotic_coef_cov(
             np.eye(p), list(pop.entrants), np.asarray(pop.signs, dtype=float), 1.0
@@ -242,7 +242,7 @@ class TestAsymptoticCoefCov:
         samples = []
         for _ in range(2500):
             d = with_response(data, mu_n + rng.standard_normal(n))
-            path = lar_path(d, d.y)
+            path = path_of(d, d.y)
             if path.entrants[:m] != pop.entrants:
                 continue
             b_hat = path.coefficients.copy()
