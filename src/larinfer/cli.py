@@ -23,7 +23,8 @@ from . import io as reports
 from .bootstrap import BootstrapConfig, interval_sets
 from .exceptions import CsvParseError, LarInferError, RejectionBudgetExceeded
 from .inference import build_inference_report
-from .path import _standardize_owned, lar_path
+from .linalg import gram_factor
+from .path import _scale_owned, _standardize_owned, lar_path
 from .simulate import ScenarioSpec, run_coverage, tie_demo
 
 EXIT_OK = 0
@@ -45,23 +46,32 @@ def _write_report(args, doc: dict, write_csv) -> int:
     return EXIT_OK
 
 
-def _load_standardized(args):
+def _read_design(args):
+    """The CSV's feature names, design and response, and whether to center.
+
+    The design is read in the layout that standardize copies to, which fixes
+    the bits of the column sums, so that it can be standardized in place.
+    """
     center = not args.no_center
-    # read in the layout that standardize copies to, which fixes the bits of
-    # the column sums, and standardize that one copy in place
     names, X, y = reports.read_csv(args.csv, args.response, order="F" if center else "C")
+    return names, X, y, center
+
+
+def _load_standardized(args):
+    names, X, y, center = _read_design(args)
     return names, _standardize_owned(X, y, center)
 
 
 def cmd_fit(args) -> int:
-    names, data = _load_standardized(args)
-    start, gram = data.X.T @ data.y, data.gram
-    n, p, centered = data.n, data.p, data.centered
-    # the path needs only X'y and X'X, and the report only the path: free the
-    # design and its factor before the path's p x p work
-    del data
+    names, X, y, center = _read_design(args)
+    X, y, _ = _scale_owned(X, y, center)
+    (n, p), start, gram = X.shape, X.T @ y, X.T @ X
+    # the rank rule and the path need only X'y and X'X, and the report only
+    # the path: free the design before their p x p work
+    del X, y
+    gram_factor(gram)  # the rank rule; the path needs no factor
     path = lar_path(start, gram, zero_tol=args.zero_tol)
-    doc = reports.path_report_dict(path, n, p, centered, names, args.response)
+    doc = reports.path_report_dict(path, n, p, center, names, args.response)
     return _write_report(args, doc, reports.write_fit_csv)
 
 

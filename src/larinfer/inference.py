@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 from numpy.typing import NDArray
@@ -98,6 +97,8 @@ def chi2_upper_quantile(df: int, tail: float) -> float:
         raise InvalidTail(f"tail must be in (0, 1), got {tail}")
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
+    from statistics import NormalDist  # loaded on first use: fit never needs it
+
     a = 0.5 * df
     v = 2.0 / (9.0 * df)
     x = a * (1.0 - v - NormalDist().inv_cdf(tail) * math.sqrt(v)) ** 3

@@ -1,9 +1,9 @@
 """Dense linear-algebra kernels for p < n problems.
 
 Symmetric positive-definite solves, which accept stacked operands (leading
-batch axes) so that a batch of systems is one call, and the Gram matrix of
-the design with its triangular factor.  All arithmetic is 64-bit floating
-point.
+batch axes) so that a batch of systems is one call, and the design's rank
+rule, which takes the Gram matrix X'X (not the design) and returns its
+triangular factor.  All arithmetic is 64-bit floating point.
 """
 
 from __future__ import annotations
@@ -81,17 +81,15 @@ def solve_spd(gram: Matrix, rhs: Vector) -> Vector:
     return np.linalg.solve(np.swapaxes(L, -1, -2), z)[..., 0]
 
 
-def gram_factor(X: Matrix) -> tuple[Matrix, Matrix]:
-    """Gram matrix G = X'X and its upper-triangular factor R with R'R = G.
+def gram_factor(G: Matrix) -> Matrix:
+    """Upper-triangular factor R with R'R = G of the Gram matrix G = X'X.
 
-    Raises RankDeficient when the Cholesky factorization fails, or when some
-    column j lies within GRAM_RANK_TOL times the largest column norm of the
-    span of the other columns; the message names the last such column.  That
-    distance is 1/|row j of R^-1|; where it cannot be computed finitely it
-    counts as zero.
+    The design's rank rule, which needs only X'X.  Raises RankDeficient when
+    the Cholesky factorization fails, or when some column j of X lies within
+    GRAM_RANK_TOL times the largest column norm of the span of the other
+    columns; the message names the last such column.  That distance is
+    1/|row j of R^-1|; where it cannot be computed finitely it counts as zero.
     """
-    X = np.asarray(X, dtype=np.float64)
-    G = X.T @ X
     try:
         R = np.ascontiguousarray(np.linalg.cholesky(G).T)
     except np.linalg.LinAlgError:
@@ -107,4 +105,4 @@ def gram_factor(X: Matrix) -> tuple[Matrix, Matrix]:
             f"design is rank deficient: column {j} lies within {distances[j]:.3e} "
             f"<= {limit:.1e} of the span of the other columns"
         )
-    return G, R
+    return R

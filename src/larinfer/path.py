@@ -89,10 +89,22 @@ def standardize(X_raw: Matrix, y_raw: Vector, center: bool = True) -> Standardiz
 def _standardize_owned(X: Matrix, y_raw: Vector, center: bool) -> StandardizedData:
     """``standardize`` on a float64 design that the caller gives up.
 
-    X is centered and scaled in place and becomes the result's design, so no
-    n x p temporary is made.  Its layout is kept, and the layout fixes the
-    bits of the column sums: to match ``standardize``, pass X in the layout
-    that ``standardize`` copies to.
+    ``_scale_owned`` centers and scales X in place, and X becomes the
+    result's design.  Then X'X is formed and ``gram_factor`` applies the rank
+    rule to it.  The layout of X fixes the bits of the column sums: to match
+    ``standardize``, pass X in the layout that ``standardize`` copies to.
+    """
+    X, y, norms = _scale_owned(X, y_raw, center)
+    G = X.T @ X
+    return StandardizedData(X, y, norms, math.sqrt(X.shape[0]), center, G, gram_factor(G))
+
+
+def _scale_owned(X: Matrix, y_raw: Vector, center: bool) -> tuple[Matrix, Vector, Vector]:
+    """Vet a float64 design and its response, then center (optionally) and
+    scale the design in place to unit-norm columns.
+
+    Returns the design, the response divided by sqrt(n) and the original
+    column norms.  No n x p temporary is made, and X's layout is kept.
     """
     y = np.asarray(y_raw, dtype=np.float64)
     if X.ndim != 2:
@@ -124,7 +136,7 @@ def _standardize_owned(X: Matrix, y_raw: Vector, center: bool) -> StandardizedDa
         bad = int(np.argmin(norms))
         raise ZeroColumn(f"column {bad} has near-zero norm after centering")
     X /= norms
-    return StandardizedData(X, y / math.sqrt(n), norms, math.sqrt(n), center, *gram_factor(X))
+    return X, y / math.sqrt(n), norms
 
 
 # Columns per block of the design's column checks and norms; their only

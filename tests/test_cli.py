@@ -541,6 +541,57 @@ class TestNearCollinearDesign:
         assert json.loads(out.read_text())["steps"][1]["variable"] == "b"
 
 
+def _faulty_design_csv(tmp_path, fault):
+    """CSV with features a, b, c, d and response y (n = 60) that has ``fault``."""
+    rng = np.random.default_rng(7)
+    table = rng.standard_normal((60, 5))
+    if fault in ("duplicate column", "zero column beside a duplicate"):
+        table[:, 2] = -3.0 * table[:, 0]
+    if fault == "column within tolerance":
+        table[:, 2] = table[:, 0] + 1e-7 * rng.standard_normal(60)
+    if fault in ("zero column", "zero column beside a duplicate"):
+        table[:, 1] = 0.0
+    if fault == "constant response":
+        table[:, 4] = 5.0
+    if fault == "overflowing column":
+        table[:, 3] *= 1e200
+    return _write_csv(tmp_path / "fault.csv", [["a", "b", "c", "d", "y"]] + table.tolist())
+
+
+# The error line that each fault gives, by --no-center; None where the
+# design is accepted (an uncentered constant response is a valid response).
+_DESIGN_FAULTS = {
+    "duplicate column": ["design is rank deficient: X'X is not positive definite"] * 2,
+    "column within tolerance": [
+        "design is rank deficient: column 2 lies within 8.877e-08 <= 1.0e-05 of the span "
+        "of the other columns",
+        "design is rank deficient: column 2 lies within 8.997e-08 <= 1.0e-05 of the span "
+        "of the other columns"],
+    "zero column": ["column 1 has near-zero norm after centering"] * 2,
+    "zero column beside a duplicate": ["column 1 has near-zero norm after centering"] * 2,
+    "constant response": ["response is constant after centering", None],
+    "overflowing column": ["column 3 is too large: its sum of squares overflows"] * 2,
+}
+
+
+@pytest.mark.parametrize("no_center", [False, True])
+@pytest.mark.parametrize("fault", sorted(_DESIGN_FAULTS))
+def test_fit_and_infer_reject_a_design_alike(tmp_path, capsys, fault, no_center):
+    """``fit`` runs the vetting, scaling and rank rule of ``standardize``
+    step by step on its own, in the same order, so both commands give the
+    same exit code and the same one error line for a faulty design."""
+    path = _faulty_design_csv(tmp_path, fault)
+    flags = ["--no-center"] if no_center else []
+    outcomes = []
+    for command in (["fit"], ["infer", "--draws", "40"]):
+        code = main([command[0], path, "--response", "y", *flags, *command[1:],
+                     "--out", str(tmp_path / "out")])
+        outcomes.append((code, capsys.readouterr().err))
+    message = _DESIGN_FAULTS[fault][no_center]
+    expected = (0, "") if message is None else (3, f"error: {message}\n")
+    assert outcomes == [expected, expected]
+
+
 class TestSimulate:
     def _scenario(self, tmp_path, **overrides):
         return _scenario_file(tmp_path, json.dumps({**_SCENARIO, **overrides}))

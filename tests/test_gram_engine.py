@@ -99,6 +99,13 @@ def test_factor_is_shared_across_responses():
     assert np.array_equal(R, np.triu(R))
 
 
+def _unit_gram(X):
+    """X'X of X's centered columns scaled to unit norm."""
+    Z = X - X.mean(axis=0)
+    Z /= np.linalg.norm(Z, axis=0)
+    return Z.T @ Z
+
+
 class TestRankPolicy:
     @pytest.mark.parametrize("zero_tol", [0.0, 1e-10, 0.5])
     def test_duplicate_column_rejected_at_any_zero_tol(self, zero_tol):
@@ -114,7 +121,7 @@ class TestRankPolicy:
         X = rng.standard_normal((40, 4))
         X[:, 3] = X[:, 0] + 2.0 * X[:, 1]
         with pytest.raises(RankDeficient):
-            gram_factor(standardize(X, rng.standard_normal(40)).X)
+            gram_factor(_unit_gram(X))
 
     @pytest.mark.parametrize("noise, rejected", [(1e-9, True), (1e-4, False)])
     def test_tolerance_on_the_pivot(self, noise, rejected):
@@ -124,10 +131,14 @@ class TestRankPolicy:
         y = rng.standard_normal(60)
         if rejected:
             with pytest.raises(RankDeficient):
-                gram_factor(standardize(X, y).X)
+                gram_factor(_unit_gram(X))
+            with pytest.raises(RankDeficient):
+                standardize(X, y)
         else:
-            _, R = gram_factor(standardize(X, y).X)
+            R = gram_factor(_unit_gram(X))
             assert np.min(np.abs(np.diag(R))) > GRAM_RANK_TOL
+            data = standardize(X, y)
+            assert np.array_equal(gram_factor(data.X.T @ data.X), data.gram_factor)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_accepted_design_passes_every_active_block(self, seed):

@@ -10,7 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
-from helpers import diabetes_fixture_path
+from helpers import diabetes_fixture_path, run_python
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -158,41 +158,43 @@ def test_ingest_frees_the_table_before_standardize(tmp_path):
         assert peak <= 1.5 * D, (response, no_center, peak / D)
 
 
-def test_fit_frees_the_design_before_the_report(monkeypatch, tmp_path):
-    """No reference to the standardized design is alive while the fit's path
-    or its report is built."""
+def test_fit_frees_the_design_before_the_report():
+    """No reference to the scaled design is alive while the fit's rank rule,
+    its path or its report runs."""
     refs, alive = [], []
-    load, report, path = cli._load_standardized, io_module.path_report_dict, cli.lar_path
+    scale = cli._scale_owned
 
-    def spy_load(args):
-        names, data = load(args)
-        refs.append(weakref.ref(data.X))
-        return names, data
+    def spy_scale(*args):
+        X, y, norms = scale(*args)
+        refs.append(weakref.ref(X))
+        return X, y, norms
 
-    def spy_report(*args):
-        alive.append(refs[0]() is not None)
-        return report(*args)
+    def check(fn):
+        def spy(*args, **kwargs):
+            alive.append(refs[0]() is not None)
+            return fn(*args, **kwargs)
+        return spy
 
-    def spy_path(*args, **kwargs):
-        alive.append(refs[0]() is not None)
-        return path(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "_load_standardized", spy_load)
-    monkeypatch.setattr(cli, "lar_path", spy_path)
-    monkeypatch.setattr(io_module, "path_report_dict", spy_report)
-    assert main(["fit", DIABETES, "--response", "progression",
-                 "--out", str(tmp_path / "fit.json")]) == 0
-    assert alive == [False, False]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_scale_owned", spy_scale)
+        for module, name in [(cli, "gram_factor"), (cli, "lar_path"),
+                             (io_module, "path_report_dict")]:
+            patch.setattr(module, name, check(getattr(module, name)))
+        assert main(["fit", DIABETES, "--response", "progression", "--out", "-"]) == 0
+    assert len(refs) == 1
+    assert alive == [False, False, False]
 
 
 def test_fit_working_set(tmp_path):
-    """``fit`` on a 2000 x 300 CSV peaks at most 6 P above one design copy D.
+    """``fit`` on a 2000 x 300 CSV peaks at most 2 P above one design copy D.
 
-    D = 8 n p and P = 8 p^2 bytes.  The path needs only X'y and X'X, so the
-    design and its factor are freed before the path's p x p work, and the
-    report's traces stay arrays that are written a row at a time.  A design
-    held through the path, or traces held as Python floats (32 bytes an
-    entry against 8), exceeds the bound.
+    D = 8 n p and P = 8 p^2 bytes.  The rank rule and the path need only X'y
+    and X'X, so the design is freed right after those are formed, and the
+    report's traces stay arrays that are written a row at a time.  So the
+    peak is the design beside X'X.  A design held through the rank rule
+    (where X'X, its factor and the factor's inverse are alive) or through
+    the path, or traces held as Python floats (32 bytes an entry against 8),
+    exceeds the bound.
     """
     n, p = 2000, 300
     table = np.random.default_rng(11).standard_normal((n, p + 1))
@@ -206,7 +208,21 @@ def test_fit_working_set(tmp_path):
     finally:
         tracemalloc.stop()
     D, P = 8 * n * p, 8 * p * p
-    assert peak <= D + 6 * P, (peak - D) / P
+    assert peak <= D + 2 * P, (peak - D) / P
+
+
+@pytest.mark.parametrize("command, loaded", [
+    (["fit"], False),
+    (["infer", "--draws", "40"], True),
+])
+def test_only_infer_loads_statistics(tmp_path, command, loaded):
+    """``statistics`` (with ``decimal`` and ``fractions``) serves only the
+    chi-squared thresholds, which ``fit`` never computes."""
+    argv = [*command, DIABETES, "--response", "progression", "--out", str(tmp_path / "out")]
+    code = ("import json, sys; from larinfer import cli; "
+            f"rc = cli.main({argv!r}); "
+            "print(json.dumps([rc, 'statistics' in sys.modules]))")
+    assert run_python(code) == [0, loaded]
 
 
 @pytest.mark.parametrize("no_center", [False, True])
