@@ -57,7 +57,7 @@ _EXPORTS = {
         "sigma_hat",
         "tail_sums",
     ),
-    "linalg": ("solve_spd",),
+    "linalg": (),  # the rank rule, no public name; resolves on first use
     "path": (
         "LarBatch",
         "LarPath",

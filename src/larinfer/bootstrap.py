@@ -311,8 +311,8 @@ def bootstrap_intervals(
     Correlation intervals cover all p steps (centers beyond the estimated
     termination step are zero); coefficient intervals cover the triangular
     cell set {(k, j): j active at step k, k <= m_bar} with the terminal step
-    re-fit by least squares.  Negative lower endpoints of correlation
-    intervals are clamped to zero.
+    re-fit by least squares.  Both endpoints of correlation intervals are
+    clamped at zero, so an interval whose ends are both negative is [0, 0].
     """
     sigma = sigma_hat(data, data.y[None] * data.response_scale)
     return next(interval_sets(data, data.y[None], [path], [m_bar], sigma, [cfg]))

@@ -16,7 +16,10 @@ class DimensionMismatch(LarInferError):
 
 
 class NotPositiveDefinite(LarInferError):
-    """A Cholesky-style pivot fell at or below the rank tolerance."""
+    """A Cholesky-style pivot fell at or below the rank tolerance.
+
+    Raised by the reference solver ``larinfer.identities.solve_spd``; no
+    production path raises it."""
 
 
 class RankDeficient(LarInferError):

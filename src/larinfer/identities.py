@@ -1,7 +1,9 @@
 """Reference formulas of the paper's identities, kept apart from the engine.
 
 Every routine here restates a quantity that the production code computes
-another way: alternative step-length and equiangular formulas, an n-space
+another way: a general symmetric positive-definite solver (stacked operands,
+an explicit pivot check) where production solves with the one factor of
+X'X, alternative step-length and equiangular formulas, an n-space
 Gram-Schmidt basis and a replay of a recorded path through it, the entrance
 criteria, a closed form of the step correlation, the per-step and
 studentized step statistics of one path, the one-column quantile, a design
@@ -27,13 +29,75 @@ from .bootstrap import (
     _residual_scale,
     bootstrap_setup,
 )
-from .exceptions import DimensionMismatch, NoPositiveCandidate, NonPositiveScale, RankDeficient
+from .exceptions import (
+    DimensionMismatch,
+    NoPositiveCandidate,
+    NonPositiveScale,
+    NotPositiveDefinite,
+    RankDeficient,
+)
 from .inference import full_fit, sigma_hat
-from .linalg import RANK_TOL, solve_spd
+from .linalg import RANK_TOL
 from .path import ZERO_SIGN_TOL, LarPath, StandardizedData, _crossings, lar_path
 
 Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
+
+
+def cholesky_spd(gram: Matrix) -> Matrix:
+    """Lower-triangular Cholesky factor with an explicit pivot check.
+
+    Accepts one matrix or a stack of them (leading batch axes).  Raises
+    NotPositiveDefinite when LAPACK finds a matrix not positive definite, or
+    when a squared pivot L_ii^2 falls at or below RANK_TOL times the largest
+    diagonal entry of its matrix, which signals collinear active columns;
+    LAPACK accepts such pivots.  No block of a Gram matrix that
+    ``gram_factor`` accepts has one.  The message names the system of a stack.
+    """
+    G = np.asarray(gram, dtype=np.float64)
+    if G.ndim < 2 or G.shape[-1] != G.shape[-2]:
+        raise DimensionMismatch(f"expected square matrix, got shape {G.shape}")
+    k = G.shape[-1]
+    systems = G.reshape(-1, k, k)
+    scale = np.abs(np.diagonal(systems, axis1=1, axis2=2)).max(axis=1, initial=0.0)
+    if np.any(scale <= 0.0):
+        raise NotPositiveDefinite("matrix has no positive diagonal entry")
+
+    def system(i) -> str:
+        return "" if G.ndim == 2 else f" of system {i}"
+
+    try:
+        L = np.linalg.cholesky(systems)
+    except np.linalg.LinAlgError:
+        # LAPACK does not say which system failed: name the most nearly
+        # singular one relative to its scale
+        first = int((np.linalg.eigvalsh(systems)[:, 0] / scale).argmin())
+        raise NotPositiveDefinite(f"matrix{system(first)} is not positive definite") from None
+    pivots = np.diagonal(L, axis1=1, axis2=2) ** 2
+    bad = pivots <= RANK_TOL * scale[:, None]
+    if bad.any():
+        first, i = np.argwhere(bad)[0]
+        raise NotPositiveDefinite(
+            f"pivot {pivots[first, i]:.3e} at index {i}{system(first)} below tolerance"
+        )
+    return L.reshape(G.shape)
+
+
+def solve_spd(gram: Matrix, rhs: Vector) -> Vector:
+    """Solve gram @ w = rhs for a symmetric positive-definite gram matrix.
+
+    ``gram`` may be a stack (..., k, k) with ``rhs`` of shape (..., k); each
+    system is solved on its own.
+    """
+    G = np.asarray(gram, dtype=np.float64)
+    b = np.asarray(rhs, dtype=np.float64)
+    if G.ndim < 2 or G.shape[-1] != G.shape[-2]:
+        raise DimensionMismatch(f"expected square matrix, got shape {G.shape}")
+    if b.shape != G.shape[:-1]:
+        raise DimensionMismatch(f"rhs shape {b.shape} != matrix rows {G.shape[:-1]}")
+    L = cholesky_spd(G)
+    z = np.linalg.solve(L, b[..., None])
+    return np.linalg.solve(np.swapaxes(L, -1, -2), z)[..., 0]
 
 
 @dataclass(frozen=True)

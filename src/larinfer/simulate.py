@@ -20,7 +20,6 @@ from numpy.typing import NDArray
 from .bootstrap import BootstrapConfig, IntervalSet, chunk_rows, interval_sets
 from .exceptions import DegenerateResponse, RejectionBudgetExceeded
 from .inference import build_inference_report
-from .linalg import solve_spd
 from .path import LarPath, StandardizedData, lar_batch, lar_path, margins, standardize
 
 Matrix = NDArray[np.float64]
@@ -232,8 +231,10 @@ def tie_demo(
     X_n = rng.standard_normal((n, p)) @ chol.T
     data = standardize(X_n, np.ones(n), center=False)
     X = data.X
-    # equiangular vector of the first three columns, from their Gram block
-    u = solve_spd(data.gram[:3, :3], np.ones(3))
+    # equiangular vector of the first three columns: R's leading block is the
+    # factor of their Gram block
+    R = data.gram_factor[:3, :3]
+    u = np.linalg.solve(R, np.linalg.solve(R.T, np.ones(3)))
     mu = X[:, 0] + (X[:, :3] @ u) / math.sqrt(float(np.sum(u)))
     pop = lar_path(X.T @ mu, data.gram, zero_tol=1e-10)
     # one (reps, n) block holds the same numbers as reps draws of n in turn

@@ -25,6 +25,7 @@ from larinfer.identities import (
     gamma_min_plus,
     population_correlation_closed_form,
     replay_states,
+    solve_spd,
     step_state,
     studentized_T,
     terminal_coefficients,
@@ -38,7 +39,6 @@ from larinfer.inference import (
     sigma_hat,
     tail_sums,
 )
-from larinfer.linalg import solve_spd
 from larinfer.path import lar_batch
 from larinfer.simulate import (
     ScenarioSpec,

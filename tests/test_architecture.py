@@ -49,6 +49,21 @@ def test_bootstrap_imports_nothing_from_linalg():
     assert sorted(m for m in imported if m.startswith("larinfer.linalg")) == []
 
 
+def test_linalg_holds_only_the_rank_rule():
+    """Production solves with the one factor of X'X that ``gram_factor``
+    builds: ``linalg.py`` defines no other function, and no production module
+    imports anything else from it.  The general SPD solver is a test reference
+    in ``larinfer.identities``."""
+    rule = {"gram_factor", "RANK_TOL", "GRAM_RANK_TOL"}
+    defined = [node.name for node in ast.parse((PACKAGE / "linalg.py").read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    offenders = [f"{name}: {module}" for name, tree in _trees("identities.py").items()
+                 for module in sorted(_imported_modules(tree))
+                 if module.startswith("larinfer.linalg.")
+                 and module.removeprefix("larinfer.linalg.") not in rule]
+    assert (defined, offenders) == (["gram_factor"], [])
+
+
 def test_only_the_path_module_names_step_records():
     """Production code reads a path's arrays: no module but ``path.py`` names
     ``LarStep`` or reads a ``.steps`` attribute."""
@@ -289,7 +304,7 @@ ROOT_NAMES = {
                    "RankDeficient", "RejectionBudgetExceeded", "ZeroColumn"],
     "inference": ["InferenceReport", "build_inference_report", "chi2_thresholds",
                   "chi2_upper_quantile", "estimate_m", "sigma_hat", "tail_sums"],
-    "linalg": ["solve_spd"],
+    "linalg": [],
     "path": ["LarBatch", "LarPath", "StandardizedData", "lar_batch",
              "lar_path", "margins", "standardize"],
     "simulate": ["CoverageResult", "ScenarioSpec", "generate_scenario", "run_coverage",

@@ -5,9 +5,9 @@ import pytest
 from helpers import path_of, reference_lar_path_nspace
 
 from larinfer.exceptions import RankDeficient
-from larinfer.identities import with_response
+from larinfer.identities import cholesky_spd, with_response
 from larinfer.inference import build_inference_report
-from larinfer.linalg import GRAM_RANK_TOL, cholesky_spd, gram_factor
+from larinfer.linalg import GRAM_RANK_TOL, gram_factor
 from larinfer.path import standardize
 
 EPS = np.finfo(np.float64).eps

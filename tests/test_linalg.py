@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from larinfer.exceptions import DimensionMismatch, NotPositiveDefinite, RankDeficient
-from larinfer.identities import ProjectionBasis, append_innovation, project
-from larinfer.linalg import solve_spd
+from larinfer.identities import ProjectionBasis, append_innovation, project, solve_spd
 
 
 class TestSolveSpd:

@@ -9,7 +9,7 @@ import larinfer.simulate as simulate
 from helpers import orthonormal_design, path_of, reference_run_coverage, use_naive_bootstrap
 
 from larinfer.exceptions import RejectionBudgetExceeded
-from larinfer.identities import asymptotic_coef_cov, ols_on_active, with_response
+from larinfer.identities import asymptotic_coef_cov, ols_on_active, solve_spd, with_response
 from larinfer.path import margins, standardize
 from larinfer.simulate import (
     ScenarioSpec,
@@ -187,6 +187,27 @@ class TestTieDemo:
         assert abs(c3_a.mean() - c3_b.mean()) > 2 * (c3_a.std() + c3_b.std()) / math.sqrt(
             min(len(c3_a), len(c3_b))
         )
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [5, 20, 400, 2000])
+    def test_population_path_matches_the_reference_solve(self, seed, n):
+        """The equiangular weights from R's leading block give the population
+        path that the general SPD solve of the Gram block gives."""
+        *_, pop = tie_demo(n=n, reps=2, rng=np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        X_n = rng.standard_normal((n, 4)) @ np.linalg.cholesky(ar1_covariance(4, 0.9)).T
+        data = standardize(X_n, np.ones(n), center=False)
+        u = solve_spd(data.gram[:3, :3], np.ones(3))
+        mu = data.X[:, 0] + (data.X[:, :3] @ u) / math.sqrt(float(np.sum(u)))
+        ref = path_of(data, mu, zero_tol=1e-10)
+        assert pop.entrants == ref.entrants
+        assert pop.terminated_at == ref.terminated_at
+        assert np.array_equal(pop.ties, ref.ties)
+        for name in ("signs", "correlations", "angles", "weights", "inv_angle_sq",
+                     "correlations_all", "equiangular_dots", "coefficients", "refits"):
+            got, want = getattr(pop, name), getattr(ref, name)
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max(initial=0.0) <= 1e-14 * np.abs(want).max(initial=0.0), name
 
 
 class TestAsymptoticCoefCov:
