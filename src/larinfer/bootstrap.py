@@ -22,6 +22,7 @@ with a row per response, and their replicas share chunks.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Iterator
@@ -59,20 +60,19 @@ def chunk_rows(row_bytes: int, floor: int = 0) -> int:
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Bootstrap draw count, interval level and seed.
-
-    ``parallel`` and ``threads`` are deprecated and ignored: all replicas run
-    in lockstep through one path engine.  They are still accepted so that
-    existing callers and scenario files keep working.
-    """
+    """Bootstrap draw count, interval level and seed."""
 
     draws: int = 500
     alpha: float = 0.05
     seed: int = 0
-    parallel: bool = False  # deprecated, ignored
-    threads: int = 0  # deprecated, ignored
 
     def __post_init__(self):
+        for name in ("draws", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.draws < 2.0 / self.alpha:

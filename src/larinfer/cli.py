@@ -174,15 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--alpha", type=float, default=0.05)
     infer.add_argument("--draws", type=int, default=500)
     infer.add_argument("--seed", type=int, default=0)
-    infer.add_argument("--threads", type=int, default=1,
-                       help="deprecated and ignored: replicas run in lockstep")
     infer.set_defaults(func=cmd_infer)
 
     sim = sub.add_parser("simulate", help="run a coverage study")
     sim.add_argument("scenario", help="scenario JSON file")
     sim.add_argument("--out", required=True, help="results CSV (appended)")
-    sim.add_argument("--threads", type=int, default=None,
-                     help="deprecated and ignored: replicas run in lockstep")
     sim.set_defaults(func=cmd_simulate)
 
     tie = sub.add_parser("tie-demo", help="mid-path tie demonstration")

@@ -35,8 +35,10 @@ class NonFiniteValue(LarInferError):
 
 
 class DegenerateResponse(LarInferError):
-    """The response is constant after centering, or a scenario replication's
-    noise is lost to rounding."""
+    """The response is constant after centering; or its sample path stops
+    before step p (in a scenario replication, when the noise is lost to the
+    rounding of the mean); or its sigma-hat is 0, a design that fits it
+    exactly.  The last two stop ``build_inference_report``."""
 
 
 class NoPositiveCandidate(LarInferError):

@@ -38,7 +38,6 @@ class ScenarioSpec:
     seed: int = 0
     alpha: float = 0.05
     rejection_cap: int = 10_000
-    threads: int = 1  # deprecated, ignored; kept so old scenario files load
 
     def __post_init__(self):
         for name in ("n", "p", "m", "reps", "boot_draws", "seed", "rejection_cap"):

@@ -80,8 +80,7 @@ def test_02_diabetes_bootstrap_reproduction(diabetes):
     path = path_of(data, data.y)
     bmi = names.index("bmi")
     for seed in range(5):
-        cfg = BootstrapConfig(draws=500, alpha=0.05, seed=seed,
-                              parallel=True, threads=4)
+        cfg = BootstrapConfig(draws=500, alpha=0.05, seed=seed)
         iv = bootstrap_intervals(data, path, 5, cfg)
         lo, hi = iv.correlation_intervals[0]
         assert lo == pytest.approx(39.806, rel=0.15)
@@ -217,7 +216,7 @@ def test_06_termination_estimate_consistency():
 def test_07_coverage_at_scale():
     start = time.perf_counter()
     spec = ScenarioSpec(n=1000, p=20, m=3, delta0=0.2, reps=200,
-                        boot_draws=200, seed=7, threads=4)
+                        boot_draws=200, seed=7)
     result = run_coverage(spec)
     assert 0.90 <= result.corr_coverage <= 0.98
     assert 0.90 <= result.terminal_coverage <= 0.98
@@ -230,7 +229,7 @@ def test_07_coverage_at_scale():
 def test_08_modified_vs_naive_bootstrap(monkeypatch):
     start = time.perf_counter()
     spec = ScenarioSpec(n=1000, p=20, m=3, delta0=0.2, reps=200,
-                        boot_draws=200, seed=8, threads=4)
+                        boot_draws=200, seed=8)
     modified = run_coverage(spec)
     use_naive_bootstrap(monkeypatch)
     naive = run_coverage(spec)

@@ -175,10 +175,13 @@ def test_every_defaulted_parameter_is_passed_in_production():
     assert sorted(set(unpassed) - OUTSIDE_ARGUMENTS) == []
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
 # Records or fields that production never reads as attributes, each with why it stays.
 UNREAD_FIELDS = {
-    # deprecated and ignored, kept so that old callers and scenario files load
-    "BootstrapConfig.parallel", "BootstrapConfig.threads", "ScenarioSpec.threads",
     # ``cmd_simulate`` writes the whole record through ``dataclasses.astuple``
     "CoverageResult",
 }
@@ -193,18 +196,43 @@ def test_every_record_field_is_read_in_production():
     read = {node.attr for tree in trees for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
-    def is_dataclass(node: ast.ClassDef) -> bool:
-        return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
-                   for d in node.decorator_list)
-
     unread = [f"{node.name}.{item.target.id}"
               for tree in trees for node in tree.body
-              if isinstance(node, ast.ClassDef) and is_dataclass(node)
+              if isinstance(node, ast.ClassDef) and _is_dataclass(node)
               and node.name not in UNREAD_FIELDS
               for item in node.body
               if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
               and item.target.id not in read]
     assert sorted(set(unread) - UNREAD_FIELDS) == []
+
+
+def test_every_exemption_names_what_exists():
+    """Each entry of ``UNREAD_FIELDS`` names a production dataclass or one of
+    its fields, each of ``OUTSIDE_CALLERS`` a function, class or method, and
+    each of ``OUTSIDE_ARGUMENTS`` a parameter of one: an exemption goes with
+    what it exempts."""
+    records, callables, parameters = set(), set(), set()
+
+    def add(qualified: str, fn: ast.FunctionDef) -> None:
+        callables.add(qualified)
+        parameters.update(f"{qualified}({arg.arg})" for arg in
+                          fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs)
+
+    for node in (node for tree in _trees("identities.py").values() for node in tree.body):
+        if isinstance(node, ast.FunctionDef):
+            add(node.name, node)
+        elif isinstance(node, ast.ClassDef):
+            callables.add(node.name)
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    add(f"{node.name}.{item.name}", item)
+            if _is_dataclass(node):
+                records.add(node.name)
+                records.update(f"{node.name}.{item.target.id}" for item in node.body
+                               if isinstance(item, ast.AnnAssign))
+    stale = (sorted(UNREAD_FIELDS - records), sorted(OUTSIDE_CALLERS - callables),
+             sorted(OUTSIDE_ARGUMENTS - parameters))
+    assert stale == ([], [], [])
 
 
 needs_threads = pytest.mark.skipif(

@@ -40,6 +40,30 @@ class TestConfig:
         with pytest.raises(ValueError):
             BootstrapConfig(alpha=0.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 1.5), ("seed", True), ("seed", -1), ("seed", "1"), ("seed", None),
+        ("draws", 100.5), ("draws", True), ("draws", np.float64(100.0)),
+    ])
+    def test_rejects_a_count_that_is_not_a_non_negative_integer(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a"):
+            BootstrapConfig(**{name: value})
+
+    @pytest.mark.parametrize("removed", ["parallel", "threads"])
+    def test_thread_settings_are_not_fields(self, removed):
+        with pytest.raises(TypeError):
+            BootstrapConfig(**{removed: 1})
+
+    def test_numpy_integers_give_the_same_intervals(self, diabetes):
+        _, data = diabetes
+        path = path_of(data, data.y)
+        plain, numpy_ints = (
+            bootstrap_intervals(data, path, 5, BootstrapConfig(draws=draws, seed=seed))
+            for draws, seed in ((120, 3), (np.int64(120), np.int64(3)))
+        )
+        assert np.array_equal(plain.correlation_intervals, numpy_ints.correlation_intervals)
+        assert plain.coefficient_intervals == numpy_ints.coefficient_intervals
+        assert np.array_equal(plain.membership_freq, numpy_ints.membership_freq)
+
 
 class TestNearestRankQuantile:
     def test_rank_rule(self):
@@ -194,21 +218,6 @@ class TestIntervals:
         lo_h, hi_h = iv.coefficient_intervals[(5, hdl)]
         assert lo_h < b_bar[hdl] < hi_h
         assert lo_h < 0.0  # no truncation for coefficients
-
-    def test_parallel_matches_serial(self, diabetes):
-        _, data = diabetes
-        path = path_of(data, data.y)
-        serial = bootstrap_intervals(
-            data, path, 5, BootstrapConfig(draws=120, seed=31)
-        )
-        threaded = bootstrap_intervals(
-            data, path, 5, BootstrapConfig(draws=120, seed=31, parallel=True, threads=4)
-        )
-        assert np.array_equal(
-            serial.correlation_intervals, threaded.correlation_intervals
-        )
-        assert serial.coefficient_intervals == threaded.coefficient_intervals
-        assert np.array_equal(serial.membership_freq, threaded.membership_freq)
 
     def test_alpha_monotonicity(self, diabetes):
         _, data = diabetes

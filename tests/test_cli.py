@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 import larinfer.cli as cli
 import larinfer.io as io_module
+from larinfer import (BootstrapConfig, bootstrap_intervals, build_inference_report,
+                      lar_path, standardize)
 from larinfer.cli import main
 from larinfer.io import read_csv
 from larinfer.exceptions import CsvParseError
@@ -434,15 +436,40 @@ class TestInfer:
             n = narrow["interval_hi"] - narrow["interval_lo"]
             assert n <= w + 1e-12
 
-    def test_threads_is_an_accepted_no_op(self, tmp_path):
-        outs = []
-        for threads in ("1", "4", "0"):
-            out = tmp_path / f"infer{threads}.json"
-            assert main(["infer", DIABETES, "--response", "progression",
-                         "--draws", "40", "--seed", "2", "--threads", threads,
-                         "--out", str(out)]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+    def test_threads_is_an_unrecognized_option(self, tmp_path, capsys):
+        out = tmp_path / "infer.json"
+        with pytest.raises(SystemExit) as exit_:
+            main(["infer", DIABETES, "--response", "progression", "--draws", "40",
+                  "--threads", "2", "--out", str(out)])
+        assert exit_.value.code == 2
+        usage, error = capsys.readouterr().err.splitlines()[-2:]
+        assert usage.startswith("usage: larinfer ")
+        assert error == "larinfer: error: unrecognized arguments: --threads 2"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_report_equals_the_library_route(self, tmp_path, seed):
+        """``infer`` reuses the stopping rule's sigma-hat in the bootstrap, where
+        ``bootstrap_intervals`` computes it again: the numbers are the same."""
+        doc = _json_doc(tmp_path, ["infer", DIABETES, "--response", "progression",
+                                   "--draws", "200", "--seed", str(seed)])
+        names, X, y = load_diabetes()
+        data = standardize(X, y)
+        path = lar_path(data.X.T @ data.y, data.gram)
+        report = build_inference_report(data, path)
+        iv = bootstrap_intervals(data, path, report.m_bar,
+                                 BootstrapConfig(draws=200, seed=seed))
+        assert (doc["sigma_hat"], doc["m_bar"]) == (report.sigma_hat, report.m_bar)
+        assert [[row["interval_lo"], row["interval_hi"]] for row in doc["steps"]] == (
+            iv.correlation_intervals.tolist())
+        assert {(row["step"], names.index(row["variable"])): (row["interval_lo"],
+                                                               row["interval_hi"])
+                for row in doc["coefficient_intervals"]} == iv.coefficient_intervals
+        active = path.entrants[:report.m_bar]
+        assert [[row["estimate"], row["raw_estimate"]]
+                for row in doc["terminal_coefficients"]] == (
+            np.column_stack([iv.b_bar, iv.raw_b_bar])[active].tolist())
+        assert doc["membership_freq"] == iv.membership_freq.tolist()
 
     def test_infer_csv_format(self, tmp_path):
         out = tmp_path / "infer.csv"
@@ -616,13 +643,21 @@ class TestSimulate:
         with open(out_a, newline="") as fh:
             assert len(list(csv.reader(fh))) == 3
 
-    def test_threads_in_scenario_and_flag_accepted(self, tmp_path):
-        plain = tmp_path / "plain.csv"
-        threaded = tmp_path / "threaded.csv"
-        assert main(["simulate", self._scenario(tmp_path), "--out", str(plain)]) == 0
+    def test_threads_in_scenario_or_flag_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exit_:
+            main(["simulate", self._scenario(tmp_path), "--out", str(out), "--threads", "2"])
+        assert exit_.value.code == 2
+        usage, error = capsys.readouterr().err.splitlines()[-2:]
+        assert usage.startswith("usage: larinfer ")
+        assert error == "larinfer: error: unrecognized arguments: --threads 2"
+        # the scenario is parsed before --out is opened
         scen = self._scenario(tmp_path, threads=4)
-        assert main(["simulate", scen, "--out", str(threaded), "--threads", "2"]) == 0
-        assert plain.read_bytes() == threaded.read_bytes()
+        assert main(["simulate", scen, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid scenario {scen}: "
+            "ScenarioSpec.__init__() got an unexpected keyword argument 'threads'\n")
+        assert not out.exists()
 
     def test_noise_lost_to_rounding_exits_3(self, tmp_path, capsys):
         # the mean is so large that the sample response equals it to the

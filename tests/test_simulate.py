@@ -70,13 +70,13 @@ class TestGenerateScenario:
 
 
 class TestRunCoverage:
-    def test_serial_parallel_reproducible(self):
-        base = dict(n=120, p=6, m=2, delta0=0.05, reps=3, boot_draws=50, seed=5)
-        serial = run_coverage(ScenarioSpec(**base, threads=1))
-        threaded = run_coverage(ScenarioSpec(**base, threads=4))
-        assert serial == threaded
-        assert serial.reps_evaluated <= 3
-        for value in (serial.corr_coverage, serial.coef_coverage):
+    def test_reproducible(self):
+        spec = ScenarioSpec(n=120, p=6, m=2, delta0=0.05, reps=3, boot_draws=50, seed=5)
+        first = run_coverage(spec)
+        second = run_coverage(spec)
+        assert first == second
+        assert first.reps_evaluated <= 3
+        for value in (first.corr_coverage, first.coef_coverage):
             if not math.isnan(value):
                 assert 0.0 <= value <= 1.0
 
